@@ -15,15 +15,20 @@ identities that characterize the reference family:
 ``recover`` reduces a primal->dual operator to a primal->primal one through
 the inverse transform, then reconstructs the relabeling automorphism from the
 supports of transformed point masses, reads the scalar map off constants, and
-classifies it as either the identity or complex conjugation.  Probes are
-independent of each other, so a caller may treat apply as concurrency-safe or
-not; the engine only ever invokes it sequentially.
+classifies it as either the identity or complex conjugation.
+
+Probes reach the operator in blocks of rows through ``Operator.apply_batch``:
+a dense operator answers a block with one matrix product, an operator given
+only by its apply function is called once per probe, in order.  Point-mass
+probes stream in fixed blocks of about ``_BLOCK_ELEMENTS`` values, each
+reduced to per-probe scalars before the next is built, so memory stays flat
+and every stage still fails at the first offending point mass.  Any
+non-finite error counts as an infinite one, so NaN never passes a check.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Callable
 
 import numpy as np
 
@@ -33,20 +38,14 @@ from .errors import (
     SideMismatchError,
 )
 from .functions import (
-    PRIMAL,
-    GFunction,
-    constant_one,
-    delta,
-    max_abs_diff,
-    norm_inf,
-    pointwise_product,
+    DEFAULT_SUPPORT_TOL_FACTOR,
+    haar_weight,
     random_function,
-    star,
-    zero,
+    star_values,
 )
-from .groups import Automorphism, find_additivity_violation
+from .groups import EXHAUSTIVE_PAIR_LIMIT, Automorphism, Group, find_additivity_violation
 from .operators import Operator, T_FORM, U_FORM
-from .transform import convolve_fast, fft_inverse
+from .transform import _idft_values, convolve_values
 
 PROBE_SCALARS: tuple[complex, ...] = (1 + 0j, -1 + 0j, 1j, 2 + 0j, 0.5 + 0j, 1 + 1j)
 
@@ -54,7 +53,8 @@ DEFAULT_TOL = 1e-9
 DEFAULT_RESIDUAL_TRIALS = 32
 DEFAULT_RECOVER_SEED = 1789
 _EXHAUSTIVE_PAIR_BUDGET = 4096
-_SUPPORT_TOL_FACTOR = 1e-12
+# Values per probe block: 32 probes at size 1024.
+_BLOCK_ELEMENTS = 1 << 15
 
 
 @dataclass(frozen=True)
@@ -131,16 +131,60 @@ def _require_checkable(op: Operator) -> None:
         )
 
 
-def _as_primal_map(op: Operator) -> Callable[[GFunction], GFunction]:
-    """The operator itself for U-form; the inverse transform composed on top for T-form."""
-    _require_checkable(op)
-    if op.form == U_FORM:
-        return op.apply
+def _worst(errors: np.ndarray, axis: int | None = None):
+    """Largest error (along ``axis``), with NaN counted as an infinite error."""
+    largest = np.max(errors, axis=axis, initial=0.0)
+    return np.where(np.isnan(largest), np.inf, largest)
 
-    def reduced(f: GFunction) -> GFunction:
-        return fft_inverse(op.apply(f))
 
-    return reduced
+def _blocks(count: int, size: int):
+    """(start, stop) ranges over ``count`` probes of ``size`` values, in order."""
+    step = max(1, _BLOCK_ELEMENTS // size)
+    return ((start, min(start + step, count)) for start in range(0, count, step))
+
+
+def _point_masses(n: int, start: int, stop: int, scale: complex = 1.0) -> np.ndarray:
+    """Rows ``scale * delta_x`` for x in range(start, stop)."""
+    rows = np.zeros((stop - start, n), dtype=np.complex128)
+    rows[np.arange(stop - start), np.arange(start, stop)] = scale
+    return rows
+
+
+def _random_rows(group: Group, rng: np.random.Generator, count: int) -> np.ndarray:
+    """``count`` seeded random functions as rows, drawn in order."""
+    return np.stack([random_function(group, rng).values for _ in range(count)])
+
+
+def _primal_rows(op: Operator, rows: np.ndarray) -> np.ndarray:
+    """Images of probe rows under the primal->primal map: the operator itself for
+    U-form, the inverse transform composed on top for T-form."""
+    images = op.apply_batch(rows)
+    return _idft_values(images, op.group) if op.form == T_FORM else images
+
+
+def _model_residual(
+    op: Operator, probes: np.ndarray, perm: np.ndarray, conjugation: bool
+) -> tuple[np.ndarray, float]:
+    """Primal images of a block of probe rows and their worst deviation from
+    the model f -> conj?(f o psi)."""
+    images = _primal_rows(op, probes)
+    expected = probes[:, perm]
+    if conjugation:
+        expected = np.conj(expected)
+    return images, float(_worst(np.abs(images - expected)))
+
+
+def _identity_errors(op, f, g, op_f, op_g, op_prod, op_conv) -> np.ndarray:
+    """Worst errors of identities (a), (b), (c) over a block of probe pairs given as rows."""
+    group, out_side = op.group, op.output_side
+    lhs_a = op.apply_batch(f + star_values(g, group, op.input_side))
+    rhs_a = op_f + star_values(op_g, group, out_side)
+    product = op_f * op_g
+    convolution = convolve_values(op_f, op_g, group, haar_weight(group, out_side))
+    rhs_b, rhs_c = (convolution, product) if op.form == T_FORM else (product, convolution)
+    return np.array(
+        [_worst(np.abs(lhs_a - rhs_a)), _worst(np.abs(op_prod - rhs_b)), _worst(np.abs(op_conv - rhs_c))]
+    )
 
 
 def check_hypotheses(
@@ -160,43 +204,42 @@ def check_hypotheses(
         raise ValueError(f"trials must be >= 1, got {trials}")
     group = op.group
     n = group.size
-    t_form = op.form == T_FORM
-    err_a = err_b = err_c = 0.0
-
-    def record_pair(f, g, op_f, op_g, op_prod, op_conv):
-        nonlocal err_a, err_b, err_c
-        lhs_a = op.apply(f + star(g))
-        err_a = max(err_a, max_abs_diff(lhs_a, op_f + star(op_g)))
-        if t_form:
-            rhs_b = convolve_fast(op_f, op_g)
-            rhs_c = pointwise_product(op_f, op_g)
-        else:
-            rhs_b = pointwise_product(op_f, op_g)
-            rhs_c = convolve_fast(op_f, op_g)
-        err_b = max(err_b, max_abs_diff(op_prod, rhs_b))
-        err_c = max(err_c, max_abs_diff(op_conv, rhs_c))
+    errors = np.zeros(3)
 
     if n * n <= _EXHAUSTIVE_PAIR_BUDGET:
-        op_delta = [op.apply(delta(group, x)) for x in range(n)]
-        op_zero = op.apply(zero(group))
-        for x in range(n):
-            for y in range(n):
-                f, g = delta(group, x), delta(group, y)
-                # delta_x * delta_y is exactly delta_x or zero; their primal
-                # convolution is exactly the point mass at x + y.
-                op_prod = op_delta[x] if x == y else op_zero
-                op_conv = op_delta[group.add_index(x, y)]
-                record_pair(f, g, op_delta[x], op_delta[y], op_prod, op_conv)
+        points = np.eye(n, dtype=np.complex128)
+        op_delta = op.apply_batch(points)
+        op_zero = op.apply_batch(np.zeros((1, n), dtype=np.complex128))
+        xs, ys = np.divmod(np.arange(n * n), n)
+        sums = group.add_index(xs, ys)
+        for start, stop in _blocks(n * n, n):
+            x, y = xs[start:stop], ys[start:stop]
+            # delta_x * delta_y is exactly delta_x or zero; their primal
+            # convolution is exactly the point mass at x + y.
+            op_prod = np.where((x == y)[:, None], op_delta[x], op_zero)
+            op_conv = op_delta[sums[start:stop]]
+            pair_errors = _identity_errors(
+                op, points[x], points[y], op_delta[x], op_delta[y], op_prod, op_conv
+            )
+            errors = np.maximum(errors, pair_errors)
 
     rng = np.random.default_rng(seed)
-    for _ in range(trials):
-        f = random_function(group, rng)
-        g = random_function(group, rng)
-        op_f, op_g = op.apply(f), op.apply(g)
-        op_prod = op.apply(pointwise_product(f, g))
-        op_conv = op.apply(convolve_fast(f, g))
-        record_pair(f, g, op_f, op_g, op_prod, op_conv)
+    in_weight = haar_weight(group, op.input_side)
+    for start, stop in _blocks(trials, n):
+        draws = _random_rows(group, rng, 2 * (stop - start))
+        f, g = draws[0::2], draws[1::2]
+        pair_errors = _identity_errors(
+            op,
+            f,
+            g,
+            op.apply_batch(f),
+            op.apply_batch(g),
+            op.apply_batch(f * g),
+            op.apply_batch(convolve_values(f, g, group, in_weight)),
+        )
+        errors = np.maximum(errors, pair_errors)
 
+    err_a, err_b, err_c = (float(e) for e in errors)
     return HypothesisReport(err_a, err_b, err_c, trials, seed, tol)
 
 
@@ -213,13 +256,13 @@ def recover(
     subclass) as soon as a structural check fails; the exception names the
     failing stage and carries the offending data.
     """
-    u_map = _as_primal_map(op)
+    _require_checkable(op)
     group = op.group
     n = group.size
 
     # Stage 1: constants must be preserved.
-    u_one = u_map(constant_one(group))
-    unit_error = float(np.max(np.abs(u_one.values - 1.0)))
+    u_one = _primal_rows(op, np.ones((1, n), dtype=np.complex128))
+    unit_error = float(_worst(np.abs(u_one - 1.0)))
     if unit_error > tol:
         raise NotEssentiallyFourierError(
             "unit-preservation",
@@ -230,27 +273,30 @@ def recover(
     # Stage 2: each transformed point mass must be a {0,1} indicator of a single point.
     phi = np.empty(n, dtype=np.int64)
     binary_error = 0.0
-    for x in range(n):
-        values = u_map(delta(group, x)).values
-        deviation = np.minimum(np.abs(values), np.abs(values - 1.0))
-        worst = float(deviation.max())
-        binary_error = max(binary_error, worst)
-        if worst > tol:
-            raise NotEssentiallyFourierError(
-                "point-mass-binary",
-                f"U(delta_{x}) is not {{0,1}}-valued (max deviation {worst:.3e})",
-                x=x,
-                max_deviation=worst,
-            )
-        supp = np.flatnonzero(np.abs(values - 1.0) <= tol)
-        if supp.size != 1:
+    for start, stop in _blocks(n, n):
+        images = _primal_rows(op, _point_masses(n, start, stop))
+        deviation = _worst(np.minimum(np.abs(images), np.abs(images - 1.0)), axis=1)
+        near_one = np.abs(images - 1.0) <= tol
+        failing = np.flatnonzero((deviation > tol) | (near_one.sum(axis=1) != 1))
+        if failing.size:
+            row = int(failing[0])
+            x, worst = start + row, float(deviation[row])
+            if worst > tol:
+                raise NotEssentiallyFourierError(
+                    "point-mass-binary",
+                    f"U(delta_{x}) is not {{0,1}}-valued (max deviation {worst:.3e})",
+                    x=x,
+                    max_deviation=worst,
+                )
+            supp = np.flatnonzero(near_one[row])
             raise NotEssentiallyFourierError(
                 "singleton-support",
                 f"U(delta_{x}) has support of size {supp.size}, expected a single point",
                 x=x,
                 support=tuple(int(j) for j in supp),
             )
-        phi[x] = supp[0]
+        binary_error = max(binary_error, float(deviation.max()))
+        phi[start:stop] = near_one.argmax(axis=1)
 
     # Stage 3: the support map must be an automorphism; its inverse is psi.
     if np.bincount(phi, minlength=n).max() != 1:
@@ -285,7 +331,6 @@ def recover(
 
     # Stage 4: the scalar map, read off constants, must be constant in x and
     # must send i to one of +-i.
-    one = constant_one(group)
     m_cache: dict[complex, complex] = {}
     independence_error = 0.0
 
@@ -294,9 +339,9 @@ def recover(
         alpha = complex(alpha)
         if alpha in m_cache:
             return m_cache[alpha]
-        values = u_map(alpha * one).values
+        values = _primal_rows(op, np.full((1, n), alpha, dtype=np.complex128))[0]
         m_value = complex(values[0])
-        deviation = float(np.max(np.abs(values - m_value)))
+        deviation = float(_worst(np.abs(values - m_value)))
         independence_error = max(independence_error, deviation)
         if deviation > tol:
             raise NotEssentiallyFourierError(
@@ -324,8 +369,8 @@ def recover(
     def scalar_image(z: np.ndarray | complex):
         return np.conj(z) if conjugation else z
 
-    probe_dichotomy_error = max(
-        abs(m_value - scalar_image(alpha)) for alpha, m_value in m_samples
+    probe_dichotomy_error = float(
+        _worst(np.array([abs(m_value - scalar_image(alpha)) for alpha, m_value in m_samples]))
     )
     if probe_dichotomy_error > tol:
         raise DichotomyViolationError(
@@ -335,16 +380,13 @@ def recover(
             max_error=probe_dichotomy_error,
         )
 
-    m_mult_error = 0.0
-    m_conj_add_error = 0.0
+    m_mult_errors = []
+    m_conj_add_errors = []
     for alpha in PROBE_SCALARS:
         for beta in PROBE_SCALARS:
-            m_mult_error = max(
-                m_mult_error, abs(m_at(alpha * beta) - m_at(alpha) * m_at(beta))
-            )
-            m_conj_add_error = max(
-                m_conj_add_error,
-                abs(m_at(alpha + beta.conjugate()) - m_at(alpha) - m_at(beta).conjugate()),
+            m_mult_errors.append(abs(m_at(alpha * beta) - m_at(alpha) * m_at(beta)))
+            m_conj_add_errors.append(
+                abs(m_at(alpha + beta.conjugate()) - m_at(alpha) - m_at(beta).conjugate())
             )
 
     # Stage 5: residual of U(f) against the reconstructed model on scaled point
@@ -354,26 +396,26 @@ def recover(
     residual_point = 0.0
     condition_star_ok = True
     for alpha in PROBE_SCALARS:
-        for x in range(n):
-            values = np.zeros(n, dtype=np.complex128)
-            values[x] = alpha
-            probe = GFunction(group, PRIMAL, values)
-            image = u_map(probe).values
-            expected = scalar_image(values[perm])
-            residual_point = max(residual_point, float(np.max(np.abs(image - expected))))
-            support_tol = _SUPPORT_TOL_FACTOR * float(np.max(np.abs(image)))
-            on_point = abs(image[phi[x]])
-            off_point = float(np.max(np.abs(np.delete(image, phi[x])))) if n > 1 else 0.0
-            if on_point <= support_tol or off_point > support_tol:
+        for start, stop in _blocks(n, n):
+            probes = _point_masses(n, start, stop, alpha)
+            images, residual = _model_residual(op, probes, perm, conjugation)
+            residual_point = max(residual_point, residual)
+            magnitude = np.abs(images)
+            support_tol = DEFAULT_SUPPORT_TOL_FACTOR * magnitude.max(axis=1)
+            rows, targets = np.arange(stop - start), phi[start:stop]
+            on_point = magnitude[rows, targets]
+            magnitude[rows, targets] = 0.0
+            off_point = magnitude.max(axis=1)
+            if not np.all((on_point > support_tol) & (off_point <= support_tol)):
                 condition_star_ok = False
 
     rng = np.random.default_rng(seed)
     residual_random = 0.0
-    for _ in range(residual_trials):
-        f = random_function(group, rng)
-        image = u_map(f).values
-        expected = scalar_image(f.values[perm])
-        residual_random = max(residual_random, float(np.max(np.abs(image - expected))))
+    for start, stop in _blocks(residual_trials, n):
+        _, residual = _model_residual(
+            op, _random_rows(group, rng, stop - start), perm, conjugation
+        )
+        residual_random = max(residual_random, residual)
 
     diagnostics = {
         "unit_error": unit_error,
@@ -381,11 +423,11 @@ def recover(
         "supports_singleton": True,
         "identity_fixed": True,
         "homomorphism_ok": True,
-        "homomorphism_exhaustive": n <= 4096,
+        "homomorphism_exhaustive": n <= EXHAUSTIVE_PAIR_LIMIT,
         "scalar_independence_error": independence_error,
-        "probe_dichotomy_error": float(probe_dichotomy_error),
-        "m_multiplicativity_error": float(m_mult_error),
-        "m_conjugate_additivity_error": float(m_conj_add_error),
+        "probe_dichotomy_error": probe_dichotomy_error,
+        "m_multiplicativity_error": float(_worst(np.array(m_mult_errors))),
+        "m_conjugate_additivity_error": float(_worst(np.array(m_conj_add_errors))),
         "condition_star_ok": condition_star_ok,
         "residual_point_masses": residual_point,
         "residual_random": residual_random,
@@ -412,24 +454,18 @@ def verify_recovery(
     Probes every point mass plus ``trials`` fresh random functions, so a
     report carrying the wrong automorphism shows an order-one residual.
     """
-    u_map = _as_primal_map(op)
+    _require_checkable(op)
     group = op.group
     if report.psi.group != group:
         raise SideMismatchError("report and operator live on different groups")
+    n = group.size
     perm = report.psi.perm_array
-
-    def expected(values: np.ndarray) -> np.ndarray:
-        composed = values[perm]
-        return np.conj(composed) if report.conjugation else composed
-
     residual = 0.0
-    for x in range(group.size):
-        probe = delta(group, x)
-        residual = max(
-            residual, float(np.max(np.abs(u_map(probe).values - expected(probe.values))))
-        )
+    for start, stop in _blocks(n, n):
+        probes = _point_masses(n, start, stop)
+        residual = max(residual, _model_residual(op, probes, perm, report.conjugation)[1])
     rng = np.random.default_rng(seed)
-    for _ in range(trials):
-        f = random_function(group, rng)
-        residual = max(residual, float(np.max(np.abs(u_map(f).values - expected(f.values)))))
+    for start, stop in _blocks(trials, n):
+        probes = _random_rows(group, rng, stop - start)
+        residual = max(residual, _model_residual(op, probes, perm, report.conjugation)[1])
     return residual

@@ -93,7 +93,7 @@ def cmd_check(args: argparse.Namespace) -> int:
     _print_kv("tol", report.tol)
     _print_kv("passed", report.passed)
     payload = {"hypothesis_errors": report.as_dict(), "version": __version__, "seed": args.seed}
-    print(json.dumps(payload, allow_nan=False))
+    print(json.dumps(fileio.finite_or_null(payload), allow_nan=False))
     return 0 if report.passed else 1
 
 

@@ -3,7 +3,8 @@
 All complex values are stored as [re, im] pairs in row-major element-index
 order.  Python's float serialization emits shortest round-trip decimals, so
 every finite double survives a save/load cycle bit-exactly.  Non-finite
-values are rejected in both directions.
+values are rejected in both directions, except in reports, where a
+non-finite error or residual is written as null.
 
 Function file:   {"group": {"orders": [...]}, "side": "primal"|"dual",
                   "values": [[re, im], ...]}
@@ -19,6 +20,7 @@ Truth sidecar:   {"group": ..., "psi": [...], "conjugation": bool, "seed": int}
 from __future__ import annotations
 
 import json
+import math
 from pathlib import Path
 from typing import Union
 
@@ -52,6 +54,17 @@ def _load_json(path: PathLike) -> dict:
 
 def _dump_json(path: PathLike, payload: dict) -> None:
     Path(path).write_text(json.dumps(payload, allow_nan=False, indent=1) + "\n")
+
+
+def finite_or_null(value):
+    """Copy of a JSON payload with every non-finite float replaced by None (null)."""
+    if isinstance(value, float):
+        return value if math.isfinite(value) else None
+    if isinstance(value, dict):
+        return {k: finite_or_null(v) for k, v in value.items()}
+    if isinstance(value, (list, tuple)):
+        return [finite_or_null(v) for v in value]
+    return value
 
 
 def _parse_group(data: dict, path: PathLike) -> Group:
@@ -165,7 +178,7 @@ def _parse_permutation(raw, size: int, path: PathLike) -> list[int]:
 
 
 def save_report(path: PathLike, payload: dict) -> None:
-    _dump_json(path, payload)
+    _dump_json(path, finite_or_null(payload))
 
 
 def load_report(path: PathLike) -> dict:

@@ -52,7 +52,7 @@ class GFunction:
     @property
     def weight(self) -> float:
         """Haar weight of a single point on this side."""
-        return 1.0 if self.side == PRIMAL else 1.0 / self.group.size
+        return haar_weight(self.group, self.side)
 
     def _require_compatible(self, other: "GFunction") -> None:
         if self.group != other.group:
@@ -77,6 +77,11 @@ class GFunction:
 
     def __neg__(self) -> "GFunction":
         return GFunction(self.group, self.side, -self.values)
+
+
+def haar_weight(group: Group, side: str) -> float:
+    """Haar weight of a single point: 1 on the primal side, 1/size on the dual side."""
+    return 1.0 if side == PRIMAL else 1.0 / group.size
 
 
 @dataclass(frozen=True)
@@ -133,9 +138,14 @@ def star(f: GFunction) -> GFunction:
     transform carries the primal involution to the dual one and the inverse
     transform carries it back.
     """
-    if f.side == PRIMAL:
-        return GFunction(f.group, f.side, np.conj(f.values[f.group.negation_perm]))
-    return GFunction(f.group, f.side, np.conj(f.values))
+    return GFunction(f.group, f.side, star_values(f.values, f.group, f.side))
+
+
+def star_values(values: np.ndarray, group: Group, side: str) -> np.ndarray:
+    """The involution of ``star`` on raw values, row-wise along the last axis."""
+    if side == PRIMAL:
+        return np.conj(values[..., group.negation_perm])
+    return np.conj(values)
 
 
 def pointwise_product(f: GFunction, g: GFunction) -> GFunction:

@@ -103,12 +103,13 @@ class Group:
         for j in range(self.size):
             yield self.element_of(j)
 
-    def add_index(self, i: int, j: int) -> int:
-        """Index of element_of(i) + element_of(j)."""
+    def add_index(self, i, j):
+        """Index of element_of(i) + element_of(j); elementwise for index arrays."""
         coords = self.coords_table
         orders = np.asarray(self.orders, dtype=np.int64)
         summed = (coords[i] + coords[j]) % orders
-        return int(summed @ np.asarray(self.strides, dtype=np.int64))
+        index = summed @ np.asarray(self.strides, dtype=np.int64)
+        return int(index) if np.ndim(index) == 0 else index
 
 
 @dataclass(frozen=True)

@@ -1,9 +1,11 @@
 """Black-box operators between function spaces and the reference family.
 
 An operator declares its input and output sides; beyond that the engine only
-ever calls ``apply``.  A dense matrix plus a conjugate-input flag is an
+ever calls ``apply_batch``.  A dense matrix plus a conjugate-input flag is an
 optional serialized form: when present, apply(f) = matrix @ f.values, with
-f conjugated first if the flag is set.
+f conjugated first if the flag is set, and ``apply_batch`` answers a whole
+block of probes with one matrix product.  An operator given only by its apply
+function stays a black box: ``apply_batch`` calls it once per probe.
 
 T-form operators map primal to dual, U-form operators map primal to primal.
 The reference family is parameterized by an automorphism psi and a
@@ -75,6 +77,21 @@ class Operator:
             raise SideMismatchError(
                 f"operator produced a {out.side}-side output, declared {self.output_side}"
             )
+        return out
+
+    def apply_batch(self, values: np.ndarray) -> np.ndarray:
+        """Images of the rows of a (k, size) array of input-side values, as (k, size) rows."""
+        values = np.asarray(values, dtype=np.complex128)
+        if values.ndim != 2 or values.shape[1] != self.group.size:
+            raise GroupMismatchError(
+                f"probe rows have shape {values.shape}, group has size {self.group.size}"
+            )
+        if self.matrix is not None:
+            rows = np.conj(values) if self.conjugate_input else values
+            return rows @ self.matrix.T
+        out = np.empty_like(values)
+        for i, row in enumerate(values):
+            out[i] = self.apply(GFunction(self.group, self.input_side, row)).values
         return out
 
     @classmethod

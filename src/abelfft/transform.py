@@ -128,16 +128,23 @@ def _idft_last(x: np.ndarray, n: int) -> np.ndarray:
 
 
 def _dft_values(values: np.ndarray, group: Group) -> np.ndarray:
-    arr = values.reshape(group.orders)
-    for axis, n in enumerate(group.orders):
+    """Transform along the last axis, which indexes the group; leading axes are a batch."""
+    batch = values.shape[:-1]
+    arr = values.reshape(batch + group.orders)
+    for axis, n in enumerate(group.orders, start=len(batch)):
         if n == 1:
             continue
         arr = np.moveaxis(_dft_last(np.moveaxis(arr, axis, -1), n), -1, axis)
-    return np.ascontiguousarray(arr).reshape(-1)
+    return np.ascontiguousarray(arr).reshape(batch + (group.size,))
 
 
 def _idft_values(values: np.ndarray, group: Group) -> np.ndarray:
     return np.conj(_dft_values(np.conj(values), group)) / group.size
+
+
+def convolve_values(a: np.ndarray, b: np.ndarray, group: Group, weight: float) -> np.ndarray:
+    """Row-wise transform-based convolution of value arrays, scaled by the side's Haar weight."""
+    return _idft_values(_dft_values(a, group) * _dft_values(b, group), group) * weight
 
 
 def _char_block(group: Group, rows: np.ndarray) -> np.ndarray:
@@ -192,6 +199,4 @@ def fft_inverse(F: GFunction) -> GFunction:
 def convolve_fast(f: GFunction, g: GFunction) -> GFunction:
     """Convolution via transform, multiply, inverse; agrees with the direct sum."""
     f._require_compatible(g)
-    group = f.group
-    raw = _idft_values(_dft_values(f.values, group) * _dft_values(g.values, group), group)
-    return GFunction(group, f.side, raw * f.weight)
+    return GFunction(f.group, f.side, convolve_values(f.values, g.values, f.group, f.weight))

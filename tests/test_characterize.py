@@ -14,12 +14,19 @@ from abelfft import (
     Operator,
     SideMismatchError,
     build_reference_operator,
+    character_matrix,
     check_hypotheses,
+    convolve_fast,
     delta,
+    max_abs_diff,
+    pointwise_product,
     random_automorphism,
+    random_function,
     recover,
     reference_operator_matrix,
+    star,
     verify_recovery,
+    zero,
 )
 
 ROUND_TRIP_CASES = [
@@ -284,3 +291,138 @@ class TestNegativeProperty:
         except NotEssentiallyFourierError:
             recovery_fails = True
         assert hypotheses_fail or recovery_fails
+
+
+def late_point_mass_operator(form, kind, x=200):
+    """Reference operator on Z_256 whose point mass at x (in a later probe block)
+    is corrupted while constants are still preserved.
+
+    "split": U(delta_x) and U(delta_y) both become (e_a + e_b) / 2 for a later y.
+    "merge": U(delta_x) becomes e_a + e_b and U(delta_y) becomes zero.
+    """
+    group = Group((256,))
+    psi = random_automorphism(group, 11)
+    u = reference_operator_matrix(group, psi, "U").copy()
+    later = x + 1
+    a, b = int(np.flatnonzero(u[:, x])[0]), int(np.flatnonzero(u[:, later])[0])
+    both = np.zeros(group.size, dtype=complex)
+    both[[a, b]] = 1.0
+    if kind == "split":
+        u[:, x] = u[:, later] = both / 2
+    else:
+        u[:, x], u[:, later] = both, 0.0
+    if form == "U":
+        return Operator.from_matrix(group, PRIMAL, PRIMAL, u), (a, b)
+    return Operator.from_matrix(group, PRIMAL, DUAL, character_matrix(group) @ u), (a, b)
+
+
+class TestBlockedProbes:
+    @pytest.mark.parametrize("form", ["T", "U"])
+    def test_late_binary_failure_names_the_point_mass(self, form):
+        op, _ = late_point_mass_operator(form, "split")
+        with pytest.raises(NotEssentiallyFourierError) as excinfo:
+            recover(op)
+        assert excinfo.value.step == "point-mass-binary"
+        assert excinfo.value.details["x"] == 200
+        assert excinfo.value.details["max_deviation"] == pytest.approx(0.5, abs=1e-9)
+
+    @pytest.mark.parametrize("form", ["T", "U"])
+    def test_late_singleton_failure_names_the_point_mass(self, form):
+        op, (a, b) = late_point_mass_operator(form, "merge")
+        with pytest.raises(NotEssentiallyFourierError) as excinfo:
+            recover(op)
+        assert excinfo.value.step == "singleton-support"
+        assert excinfo.value.details["x"] == 200
+        assert excinfo.value.details["support"] == tuple(sorted((a, b)))
+
+    @staticmethod
+    def per_pair_errors(op, trials, seed):
+        """The exhaustive identity errors computed one point-mass pair at a time."""
+        group = op.group
+        t_form = op.form == "T"
+        op_delta = [op.apply(delta(group, x)) for x in range(group.size)]
+        op_zero = op.apply(zero(group))
+        errors = [0.0, 0.0, 0.0]
+
+        def record(f, g, op_f, op_g, op_prod, op_conv):
+            products = (convolve_fast(op_f, op_g), pointwise_product(op_f, op_g))
+            rhs_b, rhs_c = products if t_form else products[::-1]
+            for i, err in enumerate(
+                (
+                    max_abs_diff(op.apply(f + star(g)), op_f + star(op_g)),
+                    max_abs_diff(op_prod, rhs_b),
+                    max_abs_diff(op_conv, rhs_c),
+                )
+            ):
+                errors[i] = max(errors[i], err)
+
+        for x in range(group.size):
+            for y in range(group.size):
+                op_prod = op_delta[x] if x == y else op_zero
+                op_conv = op_delta[group.add_index(x, y)]
+                record(delta(group, x), delta(group, y), op_delta[x], op_delta[y], op_prod, op_conv)
+        rng = np.random.default_rng(seed)
+        for _ in range(trials):
+            f, g = random_function(group, rng), random_function(group, rng)
+            record(f, g, op.apply(f), op.apply(g), op.apply(pointwise_product(f, g)),
+                   op.apply(convolve_fast(f, g)))
+        return errors
+
+    @pytest.mark.parametrize(
+        "orders,form,conjugation", [((8, 8), "T", True), ((64,), "T", False), ((4, 4, 4), "U", True)]
+    )
+    def test_exhaustive_check_matches_per_pair_loop(self, orders, form, conjugation):
+        group = Group(orders)
+        psi = random_automorphism(group, 5)
+        matrix = reference_operator_matrix(group, psi, form).copy()
+        matrix[3, 7] += 0.01  # nonzero errors make the comparison meaningful
+        out_side = DUAL if form == "T" else PRIMAL
+        op = Operator.from_matrix(group, PRIMAL, out_side, matrix, conjugation)
+        report = check_hypotheses(op, trials=3, seed=2)
+        expected = self.per_pair_errors(op, trials=3, seed=2)
+        got = [report.max_err_a, report.max_err_b, report.max_err_c]
+        assert all(e > 1e-3 for e in expected)
+        assert np.max(np.abs(np.subtract(got, expected))) <= 1e-12
+
+
+class TestNonFiniteNeverPasses:
+    def test_all_nan_operator_fails_check(self):
+        g = Group((4, 2))
+        op = Operator(g, PRIMAL, PRIMAL, lambda f: GFunction(g, PRIMAL, np.full(g.size, np.nan)))
+        report = check_hypotheses(op, trials=2)
+        assert not report.passed
+        assert report.max_err_a == report.max_err_b == report.max_err_c == np.inf
+
+    def test_dense_u_form_with_one_nan_entry_fails_check(self):
+        g = Group((4,))
+        matrix = np.eye(4, dtype=complex)
+        matrix[1, 2] = np.nan
+        report = check_hypotheses(Operator.from_matrix(g, PRIMAL, PRIMAL, matrix), trials=2)
+        assert not report.passed
+
+    def test_all_nan_operator_fails_unit_preservation(self):
+        g = Group((4,))
+        op = Operator.from_matrix(g, PRIMAL, PRIMAL, np.full((4, 4), np.nan, dtype=complex))
+        with pytest.raises(NotEssentiallyFourierError) as excinfo:
+            recover(op)
+        assert excinfo.value.step == "unit-preservation"
+        assert excinfo.value.details["max_error"] == np.inf
+
+    def test_nan_point_mass_image_fails_binary_stage(self):
+        g = Group((4,))
+
+        def nan_at_two(f):
+            if np.array_equal(f.values, delta(g, 2).values):
+                return GFunction(g, PRIMAL, np.full(g.size, np.nan))
+            return f
+
+        with pytest.raises(NotEssentiallyFourierError) as excinfo:
+            recover(Operator(g, PRIMAL, PRIMAL, nan_at_two))
+        assert excinfo.value.step == "point-mass-binary"
+        assert excinfo.value.details["x"] == 2
+
+    def test_verify_counts_nan_as_infinite(self):
+        g = Group((4,))
+        report = recover(build_reference_operator(g, Automorphism.identity(g), False, "U"))
+        op = Operator(g, PRIMAL, PRIMAL, lambda f: GFunction(g, PRIMAL, np.full(g.size, np.nan)))
+        assert verify_recovery(op, report, trials=2) == np.inf

@@ -188,6 +188,18 @@ class TestCheckCommand:
         bad.write_text("[]")
         assert main(["check", str(bad)]) == 2
 
+    @pytest.mark.filterwarnings("ignore::RuntimeWarning")
+    def test_huge_entry_fails_with_null_errors(self, tmp_path, capsys):
+        out = self.gen(tmp_path)
+        data = json.loads(out.read_text())
+        data["matrix"][2][3] = [1e300, 0.0]
+        out.write_text(json.dumps(data))
+        assert main(["check", str(out), "--trials", "4"]) == 1
+        payload = json.loads(capsys.readouterr().out.strip().splitlines()[-1])
+        errors = payload["hypothesis_errors"]
+        assert errors["passed"] is False
+        assert None in (errors["a"], errors["b"], errors["c"])
+
 
 class TestRecoverCommand:
     def gen(self, tmp_path, *extra):

@@ -157,6 +157,20 @@ class TestReportAndTruthFiles:
         assert loaded["conjugation"] is True
         assert loaded["residual"] == 1.5e-12
 
+    def test_report_writes_non_finite_numbers_as_null(self, tmp_path):
+        payload = {
+            "group": {"orders": [2]},
+            "psi": [0, 1],
+            "conjugation": False,
+            "residual": 0.0,
+            "hypothesis_errors": {"a": float("inf"), "b": float("nan"), "c": np.float64(2.0)},
+        }
+        path = tmp_path / "rep.json"
+        fileio.save_report(path, payload)
+        loaded = fileio.load_report(path)
+        assert loaded["hypothesis_errors"] == {"a": None, "b": None, "c": 2.0}
+        assert payload["hypothesis_errors"]["a"] == float("inf")
+
     def test_report_rejects_non_bijection(self, tmp_path):
         path = tmp_path / "rep.json"
         path.write_text(

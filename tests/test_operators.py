@@ -5,6 +5,7 @@ from abelfft import (
     DUAL,
     PRIMAL,
     Automorphism,
+    GFunction,
     Group,
     GroupMismatchError,
     Operator,
@@ -122,3 +123,44 @@ class TestOperatorContracts:
         assert Operator.from_matrix(g, PRIMAL, DUAL, np.eye(2)).form == "T"
         assert Operator.from_matrix(g, PRIMAL, PRIMAL, np.eye(2)).form == "U"
         assert Operator.from_matrix(g, DUAL, PRIMAL, np.eye(2)).form == "other"
+
+
+class TestApplyBatch:
+    @pytest.mark.parametrize("form", ["T", "U"])
+    @pytest.mark.parametrize("conjugation", [False, True])
+    def test_dense_batch_matches_row_wise_apply(self, form, conjugation):
+        g = Group((4, 6))
+        psi = random_automorphism(g, 3)
+        out_side = DUAL if form == "T" else PRIMAL
+        op = Operator.from_matrix(
+            g, PRIMAL, out_side, reference_operator_matrix(g, psi, form), conjugation
+        )
+        rows = np.stack([random_function(g, seed).values for seed in range(5)])
+        batch = op.apply_batch(rows)
+        assert batch.shape == rows.shape
+        for row, image in zip(rows, batch):
+            expected = op.apply(GFunction(g, PRIMAL, row)).values
+            assert np.max(np.abs(image - expected)) < 1e-12
+
+    def test_callable_gets_one_apply_per_row(self):
+        g = Group((3, 2))
+        calls = []
+
+        def doubled(f):
+            calls.append(f.values.copy())
+            return GFunction(g, PRIMAL, 2 * f.values)
+
+        op = Operator(g, PRIMAL, PRIMAL, doubled)
+        rows = np.stack([random_function(g, seed).values for seed in range(7)])
+        batch = op.apply_batch(rows)
+        assert len(calls) == 7
+        assert all(np.array_equal(seen, row) for seen, row in zip(calls, rows))
+        assert np.array_equal(batch, 2 * rows)
+
+    def test_batch_shape_validation(self):
+        g = Group((4,))
+        op = Operator.from_matrix(g, PRIMAL, PRIMAL, np.eye(4))
+        with pytest.raises(GroupMismatchError):
+            op.apply_batch(np.zeros((2, 3)))
+        with pytest.raises(GroupMismatchError):
+            op.apply_batch(np.zeros(4))
