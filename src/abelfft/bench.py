@@ -28,7 +28,7 @@ def time_transform_paths(group: Group, reps: int = 20, seed: int = 0) -> dict:
     if group.size > MAX_BENCH_SIZE:
         raise ValueError(f"benchmark capped at size {MAX_BENCH_SIZE}, got {group.size}")
     f = random_function(group, seed)
-    fft_forward(f)  # warm the cached plan so the medians compare steady state
+    fft_forward(f)  # warm up once so the medians compare steady state
     fft_median = _median_seconds(fft_forward, f, reps)
     naive_median: Optional[float] = None
     if group.size <= NAIVE_SIZE_CAP:

@@ -23,7 +23,9 @@ only by its apply function is called once per probe, in order.  Point-mass
 probes stream in fixed blocks of about ``_BLOCK_ELEMENTS`` values, each
 reduced to per-probe scalars before the next is built, so memory stays flat
 and every stage still fails at the first offending point mass.  Any
-non-finite error counts as an infinite one, so NaN never passes a check.
+non-finite error counts as an infinite one, so NaN never passes a check; the
+public checks therefore silence numpy's overflow and invalid-value warnings,
+which a huge or non-finite operator raises and which would say nothing more.
 """
 
 from __future__ import annotations
@@ -187,6 +189,7 @@ def _identity_errors(op, f, g, op_f, op_g, op_prod, op_conv) -> np.ndarray:
     )
 
 
+@np.errstate(over="ignore", invalid="ignore")
 def check_hypotheses(
     op: Operator,
     trials: int = 16,
@@ -243,6 +246,7 @@ def check_hypotheses(
     return HypothesisReport(err_a, err_b, err_c, trials, seed, tol)
 
 
+@np.errstate(over="ignore", invalid="ignore")
 def recover(
     op: Operator,
     tol: float = DEFAULT_TOL,
@@ -443,6 +447,7 @@ def recover(
     )
 
 
+@np.errstate(over="ignore", invalid="ignore")
 def verify_recovery(
     op: Operator,
     report: RecoveryReport,

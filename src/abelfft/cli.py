@@ -16,8 +16,8 @@ from pathlib import Path
 from . import __version__
 from . import fileio
 from .bench import MAX_BENCH_SIZE, time_transform_paths
-from .characterize import check_hypotheses, recover, NotEssentiallyFourierError
-from .errors import AbelfftError, FileFormatError
+from .characterize import DEFAULT_TOL, check_hypotheses, recover, NotEssentiallyFourierError
+from .errors import AbelfftError
 from .functions import DUAL, PRIMAL, convolve
 from .groups import Automorphism, Group, random_automorphism
 from .operators import Operator, T_FORM, U_FORM, reference_operator_matrix
@@ -26,6 +26,12 @@ from .transform import convolve_fast, dft_naive, fft_forward, fft_inverse, idft_
 
 def _print_kv(key: str, value) -> None:
     print(f"{key}: {value}")
+
+
+def _positive_int(text: str) -> int:
+    if not text.strip().isdigit() or int(text) < 1:
+        raise argparse.ArgumentTypeError(f"must be a positive integer, got {text!r}")
+    return int(text)
 
 
 def _truth_path(operator_path: str) -> Path:
@@ -184,23 +190,23 @@ def _build_parser() -> argparse.ArgumentParser:
 
     p = sub.add_parser("check", help="check the algebraic hypotheses of an operator file")
     p.add_argument("operator")
-    p.add_argument("--trials", type=int, default=16)
-    p.add_argument("--tol", type=float, default=1e-9)
+    p.add_argument("--trials", type=_positive_int, default=16)
+    p.add_argument("--tol", type=float, default=DEFAULT_TOL)
     p.add_argument("--seed", type=int, default=0)
     p.set_defaults(func=cmd_check)
 
     p = sub.add_parser("recover", help="recover the automorphism and conjugation flag")
     p.add_argument("operator")
     p.add_argument("-o", "--output")
-    p.add_argument("--tol", type=float, default=1e-9)
+    p.add_argument("--tol", type=float, default=DEFAULT_TOL)
     p.add_argument("--truth", help="truth sidecar to verify the recovery against")
-    p.add_argument("--trials", type=int, default=8, help="random pairs for the embedded check")
+    p.add_argument("--trials", type=_positive_int, default=8, help="random pairs for the embedded check")
     p.add_argument("--check-seed", type=int, default=0)
     p.set_defaults(func=cmd_recover)
 
     p = sub.add_parser("bench", help="time the fast path against the reference path")
     p.add_argument("--orders", nargs="+", type=int, required=True)
-    p.add_argument("--reps", type=int, default=20)
+    p.add_argument("--reps", type=_positive_int, default=20)
     p.add_argument("--seed", type=int, default=0)
     p.set_defaults(func=cmd_bench)
 
@@ -215,13 +221,7 @@ def main(argv=None) -> int:
         return int(exc.code) if exc.code else 0
     try:
         return args.func(args)
-    except FileFormatError as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return 2
-    except AbelfftError as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return 2
-    except OSError as exc:
+    except (AbelfftError, OSError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2
 

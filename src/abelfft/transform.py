@@ -1,21 +1,17 @@
 """Forward and inverse transforms: a quadratic reference path and a fast path.
 
-The fast path decomposes the transform across the cyclic factors (row-column),
-runs mixed-radix Cooley-Tukey inside each factor, and switches to a Bluestein
-chirp-z embedding (inside a power-of-two transform of length >= 2n-1) for
-prime lengths.  Conventions, fixed once for the whole package:
+The fast path is numpy's n-dimensional FFT over the cyclic factors: an index
+of Z_n1 x ... x Z_nk is row-major mixed-radix, so reshaping a value array to
+the group's orders lays each factor on its own axis.  Conventions, fixed once
+for the whole package:
 
   forward   F(xi) = sum_x f(x) * conj(<x, xi>)          (primal -> dual)
   inverse   f(x)  = (1/size) * sum_xi F(xi) * <x, xi>   (dual -> primal)
 
-All twiddle tables are cached per unique length and shared between calls, so
-repeated transforms on the same group reuse one plan.  Tables are immutable
-and safe to share across threads.
+These are exactly the sign and scaling of ``numpy.fft.fftn`` and ``ifftn``.
 """
 
 from __future__ import annotations
-
-from functools import lru_cache
 
 import numpy as np
 
@@ -23,123 +19,18 @@ from .errors import SideMismatchError
 from .functions import DUAL, PRIMAL, GFunction
 from .groups import Group
 
-# Primes transformed by a direct cached matrix; larger primes go through Bluestein.
-_DIRECT_PRIMES = frozenset({2, 3, 5})
-
-# Largest block transformed by one cached-matrix multiplication.
-_DIRECT_LIMIT = 64
-
 _NAIVE_BLOCK_ROWS = 256
-
-
-@lru_cache(maxsize=None)
-def _is_prime(n: int) -> bool:
-    if n < 2:
-        return False
-    d = 2
-    while d * d <= n:
-        if n % d == 0:
-            return False
-        d += 1
-    return True
-
-
-@lru_cache(maxsize=None)
-def _pick_radix(n: int) -> int:
-    """Split length for composite n > _DIRECT_LIMIT: largest divisor <= _DIRECT_LIMIT,
-    falling back to the smallest prime factor when every divisor is large."""
-    for d in range(_DIRECT_LIMIT, 1, -1):
-        if n % d == 0:
-            return d
-    d = 2
-    while n % d:
-        d += 1
-    return d
-
-
-@lru_cache(maxsize=None)
-def _dft_matrix(n: int) -> np.ndarray:
-    """Symmetric n x n matrix W[j, k] = exp(-2i pi jk / n)."""
-    j = np.arange(n, dtype=np.int64)
-    phase = (np.outer(j, j) % n) * (-2j * np.pi / n)
-    w = np.exp(phase)
-    w.setflags(write=False)
-    return w
-
-
-@lru_cache(maxsize=128)
-def _twiddle(r: int, m: int) -> np.ndarray:
-    """(r, m) table exp(-2i pi l s / (r m)) applied between the two stages."""
-    n = r * m
-    l = np.arange(r, dtype=np.int64)[:, None]
-    s = np.arange(m, dtype=np.int64)[None, :]
-    t = np.exp((l * s % n) * (-2j * np.pi / n))
-    t.setflags(write=False)
-    return t
-
-
-@lru_cache(maxsize=64)
-def _bluestein_tables(n: int) -> tuple[np.ndarray, np.ndarray, int]:
-    """Chirp vector, transformed wrap-around kernel, and padded length for size n."""
-    padded = 1 << (2 * n - 1).bit_length()
-    j = np.arange(n, dtype=np.int64)
-    # j^2 reduced mod 2n keeps the chirp angle in [0, 2 pi) at full precision.
-    chirp = np.exp((j * j % (2 * n)) * (-1j * np.pi / n))
-    kernel = np.zeros(padded, dtype=np.complex128)
-    kernel[:n] = np.conj(chirp)
-    kernel[padded - n + 1 :] = np.conj(chirp[n - 1 : 0 : -1])
-    kernel_hat = _dft_last(kernel, padded)
-    chirp.setflags(write=False)
-    kernel_hat.setflags(write=False)
-    return chirp, kernel_hat, padded
-
-
-def _bluestein_last(x: np.ndarray, n: int) -> np.ndarray:
-    chirp, kernel_hat, padded = _bluestein_tables(n)
-    a = np.zeros(x.shape[:-1] + (padded,), dtype=np.complex128)
-    a[..., :n] = x * chirp
-    conv = _idft_last(_dft_last(a, padded) * kernel_hat, padded)
-    return conv[..., :n] * chirp
-
-
-def _dft_last(x: np.ndarray, n: int) -> np.ndarray:
-    """Length-n transform along the last axis, batched over all leading axes."""
-    if n == 1:
-        return x.astype(np.complex128, copy=False)
-    if n <= _DIRECT_LIMIT and (not _is_prime(n) or n in _DIRECT_PRIMES):
-        return x @ _dft_matrix(n)
-    if _is_prime(n):
-        return _bluestein_last(x, n)
-    r = _pick_radix(n)
-    m = n // r
-    lead = x.shape[:-1]
-    v = x.reshape(lead + (m, r))
-    v = np.moveaxis(v, -1, -2)      # (..., r, m): residue class l picks row l
-    v = _dft_last(v, m)
-    v = v * _twiddle(r, m)
-    v = np.moveaxis(v, -1, -2)      # (..., m, r)
-    v = _dft_last(v, r)
-    v = np.moveaxis(v, -1, -2)      # (..., r, m) with output index q*m + s
-    return v.reshape(lead + (n,))
-
-
-def _idft_last(x: np.ndarray, n: int) -> np.ndarray:
-    return np.conj(_dft_last(np.conj(x), n)) / n
 
 
 def _dft_values(values: np.ndarray, group: Group) -> np.ndarray:
     """Transform along the last axis, which indexes the group; leading axes are a batch."""
-    batch = values.shape[:-1]
-    arr = values.reshape(batch + group.orders)
-    for axis, n in enumerate(group.orders, start=len(batch)):
-        if n == 1:
-            continue
-        arr = np.moveaxis(_dft_last(np.moveaxis(arr, axis, -1), n), -1, axis)
-    return np.ascontiguousarray(arr).reshape(batch + (group.size,))
+    arr = values.reshape(values.shape[:-1] + group.orders)
+    return np.fft.fftn(arr, axes=tuple(range(-len(group.orders), 0))).reshape(values.shape)
 
 
 def _idft_values(values: np.ndarray, group: Group) -> np.ndarray:
-    return np.conj(_dft_values(np.conj(values), group)) / group.size
+    arr = values.reshape(values.shape[:-1] + group.orders)
+    return np.fft.ifftn(arr, axes=tuple(range(-len(group.orders), 0))).reshape(values.shape)
 
 
 def convolve_values(a: np.ndarray, b: np.ndarray, group: Group, weight: float) -> np.ndarray:

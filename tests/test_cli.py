@@ -188,14 +188,20 @@ class TestCheckCommand:
         bad.write_text("[]")
         assert main(["check", str(bad)]) == 2
 
-    @pytest.mark.filterwarnings("ignore::RuntimeWarning")
+    def test_zero_trials_exits_2(self, tmp_path):
+        assert main(["check", str(self.gen(tmp_path)), "--trials", "0"]) == 2
+
+    @pytest.mark.filterwarnings("error::RuntimeWarning")
     def test_huge_entry_fails_with_null_errors(self, tmp_path, capsys):
         out = self.gen(tmp_path)
         data = json.loads(out.read_text())
         data["matrix"][2][3] = [1e300, 0.0]
         out.write_text(json.dumps(data))
+        capsys.readouterr()
         assert main(["check", str(out), "--trials", "4"]) == 1
-        payload = json.loads(capsys.readouterr().out.strip().splitlines()[-1])
+        captured = capsys.readouterr()
+        assert captured.err == ""
+        payload = json.loads(captured.out.strip().splitlines()[-1])
         errors = payload["hypothesis_errors"]
         assert errors["passed"] is False
         assert None in (errors["a"], errors["b"], errors["c"])
@@ -253,6 +259,10 @@ class TestRecoverCommand:
         bad.write_text("{}")
         assert main(["recover", str(bad)]) == 2
 
+    def test_zero_trials_exits_2(self, tmp_path):
+        op_path, _ = self.gen(tmp_path)
+        assert main(["recover", str(op_path), "--trials", "0"]) == 2
+
 
 class TestBenchCommand:
     def test_small_run(self, capsys):
@@ -269,6 +279,9 @@ class TestBenchCommand:
 
     def test_oversize_exits_2(self):
         assert main(["bench", "--orders", str(1 << 23), "--reps", "1"]) == 2
+
+    def test_zero_reps_exits_2(self):
+        assert main(["bench", "--orders", "4", "--reps", "0"]) == 2
 
 
 class TestVersion:

@@ -21,6 +21,7 @@ from abelfft import (
     random_function,
     star,
 )
+from abelfft.transform import _dft_values, _idft_values
 
 from conftest import random_orders, small_groups
 
@@ -82,7 +83,10 @@ class TestNaive:
 class TestFastPath:
     @pytest.mark.parametrize(
         "orders",
-        [(1,), (2,), (7,), (67,), (97,), (64,), (60,), (2, 67), (8, 9, 5), (2, 2, 2, 2), (12, 35), (81,)],
+        [
+            (1,), (2,), (7,), (67,), (97,), (64,), (60,), (2, 67), (8, 9, 5), (2, 2, 2, 2), (12, 35),
+            (81,), (4099,), (2,) * 12,
+        ],
     )
     def test_matches_naive(self, orders):
         g = Group(orders)
@@ -104,10 +108,23 @@ class TestFastPath:
         f = random_function(g, 31)
         assert max_abs_diff(fft_inverse(fft_forward(f)), f) <= 1e-9
 
-    def test_prime_point_mass_exercises_bluestein(self):
+    def test_prime_point_mass_matches_naive(self):
         g = Group((7,))
         f = delta(g, 1)
         assert max_abs_diff(fft_forward(f), dft_naive(f)) < 1e-12
+
+    def test_batched_rows_match_naive(self):
+        g = Group((8, 9, 5))
+        rng = np.random.default_rng(7)
+        primal = [random_function(g, rng) for _ in range(4)]
+        dual = [random_function(g, rng, DUAL) for _ in range(4)]
+        forward = _dft_values(np.stack([f.values for f in primal]), g)
+        inverse = _idft_values(np.stack([F.values for F in dual]), g)
+        assert forward.shape == inverse.shape == (4, g.size)
+        for row, f in zip(forward, primal):
+            assert np.max(np.abs(row - dft_naive(f).values)) <= 1e-9 * (1 + np.sum(np.abs(f.values)))
+        for row, F in zip(inverse, dual):
+            assert np.max(np.abs(row - idft_naive(F).values)) <= 1e-9
 
     def test_side_contracts(self):
         g = Group((4,))
