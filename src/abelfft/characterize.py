@@ -17,15 +17,18 @@ the inverse transform, then reconstructs the relabeling automorphism from the
 supports of transformed point masses, reads the scalar map off constants, and
 classifies it as either the identity or complex conjugation.
 
-Probes reach the operator in blocks of rows through ``Operator.apply_batch``:
-a dense operator answers a block with one matrix product, an operator given
-only by its apply function is called once per probe, in order.  Point-mass
-probes stream in fixed blocks of about ``_BLOCK_ELEMENTS`` values, each
-reduced to per-probe scalars before the next is built, so memory stays flat
-and every stage still fails at the first offending point mass.  Any
-non-finite error counts as an infinite one, so NaN never passes a check; the
-public checks therefore silence numpy's overflow and invalid-value warnings,
-which a huge or non-finite operator raises and which would say nothing more.
+Probes reach the operator in blocks of rows.  Scaled point masses go through
+``Operator.apply_point_masses``, which reads a dense operator's columns, so
+each costs O(size); every other probe (constants, random functions, sums)
+goes through ``Operator.apply_batch``, which a dense operator answers with one
+matrix product.  An operator given only by its apply function is called once
+per probe, in order, either way.  Point-mass probes stream in fixed blocks of
+about ``_BLOCK_ELEMENTS`` values, each reduced to per-probe scalars before the
+next is built, so memory stays flat and every stage still fails at the first
+offending point mass.  Any non-finite error counts as an infinite one, so NaN
+never passes a check; the public checks therefore silence numpy's overflow
+and invalid-value warnings, which a huge or non-finite operator raises and
+which would say nothing more.
 """
 
 from __future__ import annotations
@@ -45,8 +48,8 @@ from .functions import (
     random_function,
     star_values,
 )
-from .groups import EXHAUSTIVE_PAIR_LIMIT, Automorphism, Group, find_additivity_violation
-from .operators import Operator, T_FORM, U_FORM
+from .groups import Automorphism, Group, find_additivity_violation
+from .operators import Operator, T_FORM, U_FORM, point_mass_rows
 from .transform import _idft_values, convolve_values
 
 PROBE_SCALARS: tuple[complex, ...] = (1 + 0j, -1 + 0j, 1j, 2 + 0j, 0.5 + 0j, 1 + 1j)
@@ -145,35 +148,31 @@ def _blocks(count: int, size: int):
     return ((start, min(start + step, count)) for start in range(0, count, step))
 
 
-def _point_masses(n: int, start: int, stop: int, scale: complex = 1.0) -> np.ndarray:
-    """Rows ``scale * delta_x`` for x in range(start, stop)."""
-    rows = np.zeros((stop - start, n), dtype=np.complex128)
-    rows[np.arange(stop - start), np.arange(start, stop)] = scale
-    return rows
-
-
 def _random_rows(group: Group, rng: np.random.Generator, count: int) -> np.ndarray:
     """``count`` seeded random functions as rows, drawn in order."""
     return np.stack([random_function(group, rng).values for _ in range(count)])
 
 
-def _primal_rows(op: Operator, rows: np.ndarray) -> np.ndarray:
-    """Images of probe rows under the primal->primal map: the operator itself for
-    U-form, the inverse transform composed on top for T-form."""
-    images = op.apply_batch(rows)
+def _to_primal(op: Operator, images: np.ndarray) -> np.ndarray:
+    """Operator images as images under the primal->primal map: unchanged for
+    U-form, with the inverse transform composed on top for T-form."""
     return _idft_values(images, op.group) if op.form == T_FORM else images
 
 
+def _primal_rows(op: Operator, rows: np.ndarray) -> np.ndarray:
+    """Images of probe rows under the primal->primal map."""
+    return _to_primal(op, op.apply_batch(rows))
+
+
 def _model_residual(
-    op: Operator, probes: np.ndarray, perm: np.ndarray, conjugation: bool
-) -> tuple[np.ndarray, float]:
-    """Primal images of a block of probe rows and their worst deviation from
-    the model f -> conj?(f o psi)."""
-    images = _primal_rows(op, probes)
+    probes: np.ndarray, images: np.ndarray, perm: np.ndarray, conjugation: bool
+) -> float:
+    """Worst deviation of the primal images of probe rows from the model
+    f -> conj?(f o psi)."""
     expected = probes[:, perm]
     if conjugation:
         expected = np.conj(expected)
-    return images, float(_worst(np.abs(images - expected)))
+    return float(_worst(np.abs(images - expected)))
 
 
 def _identity_errors(op, f, g, op_f, op_g, op_prod, op_conv) -> np.ndarray:
@@ -211,7 +210,7 @@ def check_hypotheses(
 
     if n * n <= _EXHAUSTIVE_PAIR_BUDGET:
         points = np.eye(n, dtype=np.complex128)
-        op_delta = op.apply_batch(points)
+        op_delta = op.apply_point_masses(0, n)
         op_zero = op.apply_batch(np.zeros((1, n), dtype=np.complex128))
         xs, ys = np.divmod(np.arange(n * n), n)
         sums = group.add_index(xs, ys)
@@ -278,7 +277,7 @@ def recover(
     phi = np.empty(n, dtype=np.int64)
     binary_error = 0.0
     for start, stop in _blocks(n, n):
-        images = _primal_rows(op, _point_masses(n, start, stop))
+        images = _to_primal(op, op.apply_point_masses(start, stop))
         deviation = _worst(np.minimum(np.abs(images), np.abs(images - 1.0)), axis=1)
         near_one = np.abs(images - 1.0) <= tol
         failing = np.flatnonzero((deviation > tol) | (near_one.sum(axis=1) != 1))
@@ -401,8 +400,9 @@ def recover(
     condition_star_ok = True
     for alpha in PROBE_SCALARS:
         for start, stop in _blocks(n, n):
-            probes = _point_masses(n, start, stop, alpha)
-            images, residual = _model_residual(op, probes, perm, conjugation)
+            probes = point_mass_rows(n, start, stop, alpha)
+            images = _to_primal(op, op.apply_point_masses(start, stop, alpha))
+            residual = _model_residual(probes, images, perm, conjugation)
             residual_point = max(residual_point, residual)
             magnitude = np.abs(images)
             support_tol = DEFAULT_SUPPORT_TOL_FACTOR * magnitude.max(axis=1)
@@ -416,9 +416,8 @@ def recover(
     rng = np.random.default_rng(seed)
     residual_random = 0.0
     for start, stop in _blocks(residual_trials, n):
-        _, residual = _model_residual(
-            op, _random_rows(group, rng, stop - start), perm, conjugation
-        )
+        probes = _random_rows(group, rng, stop - start)
+        residual = _model_residual(probes, _primal_rows(op, probes), perm, conjugation)
         residual_random = max(residual_random, residual)
 
     diagnostics = {
@@ -427,7 +426,7 @@ def recover(
         "supports_singleton": True,
         "identity_fixed": True,
         "homomorphism_ok": True,
-        "homomorphism_exhaustive": n <= EXHAUSTIVE_PAIR_LIMIT,
+        "homomorphism_exhaustive": True,
         "scalar_independence_error": independence_error,
         "probe_dichotomy_error": probe_dichotomy_error,
         "m_multiplicativity_error": float(_worst(np.array(m_mult_errors))),
@@ -467,10 +466,12 @@ def verify_recovery(
     perm = report.psi.perm_array
     residual = 0.0
     for start, stop in _blocks(n, n):
-        probes = _point_masses(n, start, stop)
-        residual = max(residual, _model_residual(op, probes, perm, report.conjugation)[1])
+        probes = point_mass_rows(n, start, stop)
+        images = _to_primal(op, op.apply_point_masses(start, stop))
+        residual = max(residual, _model_residual(probes, images, perm, report.conjugation))
     rng = np.random.default_rng(seed)
     for start, stop in _blocks(trials, n):
         probes = _random_rows(group, rng, stop - start)
-        residual = max(residual, _model_residual(op, probes, perm, report.conjugation)[1])
+        images = _primal_rows(op, probes)
+        residual = max(residual, _model_residual(probes, images, perm, report.conjugation))
     return residual

@@ -86,32 +86,32 @@ def _parse_side(value, path: PathLike, key: str) -> str:
     return value
 
 
-def _pair_to_complex(pair, path: PathLike) -> complex:
-    if (
-        not isinstance(pair, list)
-        or len(pair) != 2
-        or not all(isinstance(v, (int, float)) and not isinstance(v, bool) for v in pair)
-    ):
-        raise FileFormatError(f"{path}: complex values must be [re, im] number pairs, got {pair!r}")
-    value = complex(float(pair[0]), float(pair[1]))
-    if not (np.isfinite(value.real) and np.isfinite(value.imag)):
-        raise FileFormatError(f"{path}: non-finite value {pair!r}")
-    return value
-
-
 def _complex_to_pair(value: complex) -> list[float]:
     if not (np.isfinite(value.real) and np.isfinite(value.imag)):
         raise FileFormatError(f"refusing to serialize non-finite value {value!r}")
     return [float(value.real), float(value.imag)]
 
 
-def _parse_values(raw, count: int, path: PathLike) -> np.ndarray:
-    if not isinstance(raw, list) or len(raw) != count:
+def _parse_values(raw, shape: tuple[int, ...], path: PathLike) -> np.ndarray:
+    """Complex array of ``shape`` from nested lists of [re, im] number pairs, in one pass."""
+    # With dtype=object, a ragged or too-shallow list gives a shallower shape, never an error.
+    pairs = np.array(raw, dtype=object)
+    if pairs.shape != shape + (2,):
         raise FileFormatError(
-            f"{path}: expected {count} values, got "
-            f"{len(raw) if isinstance(raw, list) else type(raw).__name__}"
+            f"{path}: expected an array of shape {shape} of [re, im] pairs, got shape {pairs.shape}"
         )
-    return np.asarray([_pair_to_complex(p, path) for p in raw], dtype=np.complex128)
+    kinds = set(map(type, pairs.flat))
+    if not kinds <= {int, float}:
+        names = sorted(kind.__name__ for kind in kinds - {int, float})
+        raise FileFormatError(f"{path}: [re, im] entries must be numbers, got {', '.join(names)}")
+    try:
+        floats = pairs.astype(np.float64)
+    except OverflowError as exc:
+        raise FileFormatError(f"{path}: a number is too large for a double: {exc}") from exc
+    if not np.isfinite(floats).all():
+        raise FileFormatError(f"{path}: non-finite value in a [re, im] pair")
+    # A (..., 2) float64 array is a (..., 1) complex128 array in memory; -0.0 survives.
+    return floats.view(np.complex128).reshape(shape)
 
 
 def save_function(path: PathLike, f: GFunction) -> None:
@@ -129,7 +129,7 @@ def load_function(path: PathLike) -> GFunction:
     data = _load_json(path)
     group = _parse_group(data, path)
     side = _parse_side(data.get("side"), path, "side")
-    values = _parse_values(data.get("values"), group.size, path)
+    values = _parse_values(data.get("values"), (group.size,), path)
     return GFunction(group, side, values)
 
 
@@ -156,10 +156,7 @@ def load_operator(path: PathLike) -> Operator:
     conjugate_input = data.get("conjugate_input")
     if not isinstance(conjugate_input, bool):
         raise FileFormatError(f'{path}: "conjugate_input" must be a boolean')
-    raw_matrix = data.get("matrix")
-    if not isinstance(raw_matrix, list) or len(raw_matrix) != group.size:
-        raise FileFormatError(f"{path}: matrix must have {group.size} rows")
-    matrix = np.stack([_parse_values(row, group.size, path) for row in raw_matrix])
+    matrix = _parse_values(data.get("matrix"), (group.size, group.size), path)
     return Operator.from_matrix(
         group, input_side, output_side, matrix, conjugate_input, label=str(path)
     )

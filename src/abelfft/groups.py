@@ -19,11 +19,6 @@ from .errors import (
 
 MAX_ENUMERABLE_SIZE = 1 << 20
 
-# Above this size the homomorphism check is sampled instead of exhaustive.
-EXHAUSTIVE_PAIR_LIMIT = 4096
-
-SAMPLED_PAIRS_PER_ELEMENT = 10
-
 
 @dataclass(frozen=True)
 class Group:
@@ -170,38 +165,28 @@ def _induced_index_map(matrix: np.ndarray, group: Group) -> np.ndarray:
     return images @ strides
 
 
-def find_additivity_violation(
-    perm: np.ndarray, group: Group, rng: np.random.Generator | None = None
-) -> tuple[int, int] | None:
-    """First pair (i, j) with perm[i + j] != perm[i] + perm[j], or None.
+def find_additivity_violation(perm: np.ndarray, group: Group) -> tuple[int, int] | None:
+    """First pair (i, j), in row-major order, with perm[i + j] != perm[i] + perm[j], or None.
 
-    Exhaustive for groups of size <= EXHAUSTIVE_PAIR_LIMIT; above that it
-    samples SAMPLED_PAIRS_PER_ELEMENT * size random pairs.
+    Deciding costs O(k * size): each element x is checked against each cyclic
+    generator e_k.  That suffices, because perm(x + e_k) = perm(x) + perm(e_k)
+    for all x and k forces perm(0) = 0 (take x = 0) and then, by induction on
+    y, perm(x + y) = perm(x) + perm(y).  Only when a violation exists are the
+    pair rows scanned, in order, to name the first one.
     """
     n = group.size
-    coords = group.coords_table
-    orders = np.asarray(group.orders, dtype=np.int64)
-    strides = np.asarray(group.strides, dtype=np.int64)
     perm = np.asarray(perm, dtype=np.int64)
-    image_coords = coords[perm]
-    if n <= EXHAUSTIVE_PAIR_LIMIT:
-        for i in range(n):
-            lhs = perm[((coords[i] + coords) % orders) @ strides]
-            rhs = ((image_coords[i] + image_coords) % orders) @ strides
-            bad = np.nonzero(lhs != rhs)[0]
-            if bad.size:
-                return i, int(bad[0])
+    elements = np.arange(n, dtype=np.int64)
+    # Index of each generator e_k; an order-1 factor's generator is the identity.
+    generators = (1 % np.asarray(group.orders)) * np.asarray(group.strides, dtype=np.int64)
+    lhs = perm[group.add_index(elements[:, None], generators[None, :])]
+    rhs = group.add_index(perm[:, None], perm[generators][None, :])
+    if np.array_equal(lhs, rhs):
         return None
-    rng = rng or np.random.default_rng(0xA5)
-    count = SAMPLED_PAIRS_PER_ELEMENT * n
-    xs = rng.integers(0, n, size=count)
-    ys = rng.integers(0, n, size=count)
-    lhs = perm[((coords[xs] + coords[ys]) % orders) @ strides]
-    rhs = ((image_coords[xs] + image_coords[ys]) % orders) @ strides
-    bad = np.nonzero(lhs != rhs)[0]
-    if bad.size:
-        return int(xs[bad[0]]), int(ys[bad[0]])
-    return None
+    # A generator violation is itself a violating pair, so some row below has one.
+    rows = (perm[group.add_index(i, elements)] != group.add_index(perm[i], perm) for i in range(n))
+    i, row = next((i, row) for i, row in enumerate(rows) if row.any())
+    return i, int(row.argmax())
 
 
 def is_automorphism(perm: Sequence[int] | np.ndarray, group: Group) -> bool:

@@ -1,11 +1,13 @@
 """Black-box operators between function spaces and the reference family.
 
 An operator declares its input and output sides; beyond that the engine only
-ever calls ``apply_batch``.  A dense matrix plus a conjugate-input flag is an
-optional serialized form: when present, apply(f) = matrix @ f.values, with
-f conjugated first if the flag is set, and ``apply_batch`` answers a whole
-block of probes with one matrix product.  An operator given only by its apply
-function stays a black box: ``apply_batch`` calls it once per probe.
+ever calls ``apply_batch`` and ``apply_point_masses``.  A dense matrix plus a
+conjugate-input flag is an optional serialized form: when present,
+apply(f) = matrix @ f.values, with f conjugated first if the flag is set;
+``apply_batch`` answers a whole block of probes with one matrix product, and
+``apply_point_masses`` reads the images of scaled point masses straight off
+the matrix columns.  An operator given only by its apply function stays a
+black box: both methods call it once per probe, in order.
 
 T-form operators map primal to dual, U-form operators map primal to primal.
 The reference family is parameterized by an automorphism psi and a
@@ -29,6 +31,13 @@ from .transform import character_matrix, fft_forward
 
 T_FORM = "T"
 U_FORM = "U"
+
+
+def point_mass_rows(size: int, start: int, stop: int, scale: complex = 1.0) -> np.ndarray:
+    """Rows ``scale * delta_x`` for x in range(start, stop), as a (stop - start, size) array."""
+    rows = np.zeros((stop - start, size), dtype=np.complex128)
+    rows[np.arange(stop - start), np.arange(start, stop)] = scale
+    return rows
 
 
 @dataclass(eq=False)
@@ -93,6 +102,17 @@ class Operator:
         for i, row in enumerate(values):
             out[i] = self.apply(GFunction(self.group, self.input_side, row)).values
         return out
+
+    def apply_point_masses(self, start: int, stop: int, scale: complex = 1.0) -> np.ndarray:
+        """Images of ``scale * delta_x`` for x in range(start, stop), one row each."""
+        n = self.group.size
+        if not 0 <= start <= stop <= n:
+            raise IndexError(f"point masses [{start}, {stop}) out of range for group of size {n}")
+        if self.matrix is not None:
+            # Column x of the matrix is the image of delta_x.
+            s = np.conj(scale) if self.conjugate_input else scale
+            return s * self.matrix.T[start:stop]
+        return self.apply_batch(point_mass_rows(n, start, stop, scale))
 
     @classmethod
     def from_matrix(

@@ -384,6 +384,27 @@ class TestBlockedProbes:
         assert all(e > 1e-3 for e in expected)
         assert np.max(np.abs(np.subtract(got, expected))) <= 1e-12
 
+    def test_dense_recover_and_verify_read_point_masses_off_columns(self):
+        group = Group((256,))
+        psi = random_automorphism(group, 3)
+        op = Operator.from_matrix(
+            group, PRIMAL, DUAL, reference_operator_matrix(group, psi, "T"), conjugate_input=True
+        )
+        batched_rows = []
+        apply_batch = op.apply_batch
+
+        def counting_apply_batch(values):
+            batched_rows.append(len(values))
+            return apply_batch(values)
+
+        op.apply_batch = counting_apply_batch
+        report = recover(op)
+        assert report.psi == psi and report.conjugation
+        assert verify_recovery(op, report) < 1e-9
+        # Only constants and random functions go through the matrix product;
+        # the 8 * 256 point masses of stages 2 and 5 and of verify do not.
+        assert sum(batched_rows) < group.size
+
 
 class TestNonFiniteNeverPasses:
     def test_all_nan_operator_fails_check(self):
@@ -420,6 +441,24 @@ class TestNonFiniteNeverPasses:
             recover(Operator(g, PRIMAL, PRIMAL, nan_at_two))
         assert excinfo.value.step == "point-mass-binary"
         assert excinfo.value.details["x"] == 2
+
+    @pytest.mark.parametrize("bad", [np.inf, np.nan])
+    @pytest.mark.parametrize("orders,form", [((8,), "U"), ((4, 2), "T"), ((70,), "T")])
+    def test_dense_operator_with_one_non_finite_entry(self, orders, form, bad):
+        group = Group(orders)
+        out_side = DUAL if form == "T" else PRIMAL
+        matrix = reference_operator_matrix(group, random_automorphism(group, 3), form)
+        report = recover(Operator.from_matrix(group, PRIMAL, out_side, matrix, True))
+        matrix = matrix.copy()
+        matrix[1, 2] = bad
+        op = Operator.from_matrix(group, PRIMAL, out_side, matrix, True)
+        with pytest.raises(NotEssentiallyFourierError) as excinfo:
+            recover(op)
+        assert excinfo.value.step == "unit-preservation"
+        assert excinfo.value.details == {"max_error": np.inf}
+        hypotheses = check_hypotheses(op, trials=3)
+        assert hypotheses.max_err_a == hypotheses.max_err_b == hypotheses.max_err_c == np.inf
+        assert verify_recovery(op, report, trials=2) == np.inf
 
     def test_verify_counts_nan_as_infinite(self):
         g = Group((4,))

@@ -191,6 +191,16 @@ class TestCheckCommand:
     def test_zero_trials_exits_2(self, tmp_path):
         assert main(["check", str(self.gen(tmp_path)), "--trials", "0"]) == 2
 
+    def test_big_integer_entry_exits_2(self, tmp_path, capsys):
+        out = self.gen(tmp_path)
+        data = json.loads(out.read_text())
+        data["matrix"][2][3] = [10**400, 0]
+        out.write_text(json.dumps(data))
+        capsys.readouterr()
+        assert main(["check", str(out)]) == 2
+        captured = capsys.readouterr()
+        assert "too large" in captured.err and "Traceback" not in captured.err
+
     @pytest.mark.filterwarnings("error::RuntimeWarning")
     def test_huge_entry_fails_with_null_errors(self, tmp_path, capsys):
         out = self.gen(tmp_path)

@@ -123,6 +123,45 @@ class TestOperatorFiles:
         with pytest.raises(FileFormatError):
             fileio.load_operator(path)
 
+    @pytest.mark.parametrize(
+        "row",
+        [
+            [[1, 0], [0, True]],
+            [[1, 0], [0, "0"]],
+            [[1, 0], [0, 0, 0]],
+            [[1, 0]],
+            [[1, 0], [0, None]],
+            [[1, 0], [0, 10**401]],
+            [[1, 0], [0, 1e400]],
+        ],
+        ids=["bool", "string", "triple", "short-row", "null", "big-integer", "overflowing-float"],
+    )
+    def test_rejects_malformed_entry(self, tmp_path, row):
+        path = tmp_path / "op.json"
+        record = {
+            "group": {"orders": [2]},
+            "input_side": "primal",
+            "output_side": "primal",
+            "conjugate_input": False,
+            "matrix": [[[1, 0], [0, 0]], row],
+        }
+        path.write_text(json.dumps(record))
+        with pytest.raises(FileFormatError):
+            fileio.load_operator(path)
+
+    def test_keeps_negative_zero(self, tmp_path):
+        path = tmp_path / "op.json"
+        record = {
+            "group": {"orders": [1]},
+            "input_side": "primal",
+            "output_side": "primal",
+            "conjugate_input": False,
+            "matrix": [[[-0.0, -0.0]]],
+        }
+        path.write_text(json.dumps(record))
+        value = fileio.load_operator(path).matrix[0, 0]
+        assert np.signbit(value.real) and np.signbit(value.imag)
+
     def test_rejects_missing_flag(self, tmp_path):
         path = tmp_path / "op.json"
         path.write_text(

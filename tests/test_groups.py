@@ -14,6 +14,7 @@ from abelfft import (
     InvalidPermutationError,
     RetryExhaustedError,
     character,
+    find_additivity_violation,
     is_automorphism,
     random_automorphism,
 )
@@ -211,9 +212,23 @@ class TestAutomorphisms:
         with pytest.raises(InvalidGroupError):
             random_automorphism(Group((2,) * 21), 0)
 
-    def test_sampled_homomorphism_check_on_large_group(self):
-        g = Group((2,) * 13)  # above the exhaustive pair limit
+    def test_homomorphism_check_on_large_group(self):
+        g = Group((2,) * 13)
         assert is_automorphism(np.arange(g.size), g)
         bad = np.arange(g.size)
         bad[[1, 2]] = bad[[2, 1]]
         assert not is_automorphism(bad, g)
+
+    @pytest.mark.parametrize(
+        "orders",
+        [(1,), (2,), (3,), (1, 3), (4,), (2, 2), (2, 1, 2), (5,), (6,), (2, 3), (3, 2)],
+    )
+    def test_additivity_check_matches_pair_loop(self, orders):
+        g = Group(orders)
+        pairs = [(i, j) for i in range(g.size) for j in range(g.size)]
+        for perm in itertools.permutations(range(g.size)):
+            first = next(
+                ((i, j) for i, j in pairs if perm[g.add_index(i, j)] != g.add_index(perm[i], perm[j])),
+                None,
+            )
+            assert find_additivity_violation(np.asarray(perm), g) == first

@@ -19,6 +19,8 @@ from abelfft import (
     random_function,
     reference_operator_matrix,
 )
+from abelfft.characterize import PROBE_SCALARS
+from abelfft.operators import point_mass_rows
 
 
 class TestReferenceOperators:
@@ -157,6 +159,27 @@ class TestApplyBatch:
         assert all(np.array_equal(seen, row) for seen, row in zip(calls, rows))
         assert np.array_equal(batch, 2 * rows)
 
+        # Point masses reach a callable one apply each, as scale * delta_x, in index order.
+        calls.clear()
+        images = op.apply_point_masses(1, 5, 1j)
+        assert len(calls) == 4
+        for x, seen in zip(range(1, 5), calls):
+            assert np.array_equal(seen, 1j * delta(g, x).values)
+        assert np.array_equal(images, 2j * np.eye(g.size)[1:5])
+
+    @pytest.mark.parametrize("conjugation", [False, True])
+    @pytest.mark.parametrize("scale", PROBE_SCALARS)
+    def test_dense_point_masses_match_batch_bit_for_bit(self, conjugation, scale):
+        g = Group((4, 6))
+        rng = np.random.default_rng(4)
+        matrix = rng.standard_normal((g.size, g.size)) + 1j * rng.standard_normal((g.size, g.size))
+        op = Operator.from_matrix(g, PRIMAL, DUAL, matrix, conjugation)
+        for start, stop in ((0, g.size), (3, 17), (5, 5)):
+            columns = op.apply_point_masses(start, stop, scale)
+            batch = op.apply_batch(point_mass_rows(g.size, start, stop, scale))
+            assert columns.shape == (stop - start, g.size)
+            assert np.array_equal(np.ascontiguousarray(columns).view(np.uint64), batch.view(np.uint64))
+
     def test_batch_shape_validation(self):
         g = Group((4,))
         op = Operator.from_matrix(g, PRIMAL, PRIMAL, np.eye(4))
@@ -164,3 +187,7 @@ class TestApplyBatch:
             op.apply_batch(np.zeros((2, 3)))
         with pytest.raises(GroupMismatchError):
             op.apply_batch(np.zeros(4))
+        with pytest.raises(IndexError):
+            op.apply_point_masses(2, 5)
+        with pytest.raises(IndexError):
+            op.apply_point_masses(3, 2)
