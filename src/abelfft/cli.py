@@ -15,7 +15,7 @@ from pathlib import Path
 
 from . import __version__
 from . import fileio
-from .bench import MAX_BENCH_SIZE, time_transform_paths
+from .bench import MAX_BENCH_SIZE, NAIVE_SIZE_CAP, time_transform_paths
 from .characterize import DEFAULT_TOL, check_hypotheses, recover, NotEssentiallyFourierError
 from .errors import AbelfftError
 from .functions import DUAL, PRIMAL, convolve
@@ -148,7 +148,7 @@ def cmd_bench(args: argparse.Namespace) -> int:
     _print_kv("reps", result["reps"])
     _print_kv("fft_median_s", f"{result['fft_median_s']:.6f}")
     if result["naive_median_s"] is None:
-        _print_kv("naive_median_s", "skipped (size above 4096)")
+        _print_kv("naive_median_s", f"skipped (size above {NAIVE_SIZE_CAP})")
     else:
         _print_kv("naive_median_s", f"{result['naive_median_s']:.6f}")
         _print_kv("speedup", f"{result['speedup']:.1f}")

@@ -4,7 +4,8 @@ All complex values are stored as [re, im] pairs in row-major element-index
 order.  Python's float serialization emits shortest round-trip decimals, so
 every finite double survives a save/load cycle bit-exactly.  Non-finite
 values are rejected in both directions, except in reports, where a
-non-finite error or residual is written as null.
+non-finite error or residual is written as null.  Each record is written as
+one compact JSON line, by json's C encoder; loaders accept any whitespace.
 
 Function file:   {"group": {"orders": [...]}, "side": "primal"|"dual",
                   "values": [[re, im], ...]}
@@ -53,7 +54,7 @@ def _load_json(path: PathLike) -> dict:
 
 
 def _dump_json(path: PathLike, payload: dict) -> None:
-    Path(path).write_text(json.dumps(payload, allow_nan=False, indent=1) + "\n")
+    Path(path).write_text(json.dumps(payload, allow_nan=False) + "\n")
 
 
 def finite_or_null(value):
@@ -86,10 +87,10 @@ def _parse_side(value, path: PathLike, key: str) -> str:
     return value
 
 
-def _complex_to_pair(value: complex) -> list[float]:
-    if not (np.isfinite(value.real) and np.isfinite(value.imag)):
-        raise FileFormatError(f"refusing to serialize non-finite value {value!r}")
-    return [float(value.real), float(value.imag)]
+def _complex_to_pairs(values: np.ndarray) -> list:
+    if not np.isfinite(values).all():
+        raise FileFormatError("refusing to serialize a non-finite value")
+    return np.stack([values.real, values.imag], axis=-1).tolist()
 
 
 def _parse_values(raw, shape: tuple[int, ...], path: PathLike) -> np.ndarray:
@@ -120,7 +121,7 @@ def save_function(path: PathLike, f: GFunction) -> None:
         {
             "group": {"orders": list(f.group.orders)},
             "side": f.side,
-            "values": [_complex_to_pair(v) for v in f.values],
+            "values": _complex_to_pairs(f.values),
         },
     )
 
@@ -143,7 +144,7 @@ def save_operator(path: PathLike, op: Operator) -> None:
             "input_side": op.input_side,
             "output_side": op.output_side,
             "conjugate_input": bool(op.conjugate_input),
-            "matrix": [[_complex_to_pair(v) for v in row] for row in op.matrix],
+            "matrix": _complex_to_pairs(op.matrix),
         },
     )
 

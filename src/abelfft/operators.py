@@ -124,13 +124,12 @@ class Operator:
         conjugate_input: bool = False,
         label: str = "matrix operator",
     ) -> "Operator":
-        matrix = np.asarray(matrix, dtype=np.complex128)
-
         def apply_fn(f: GFunction) -> GFunction:
             vec = np.conj(f.values) if conjugate_input else f.values
-            return GFunction(group, output_side, matrix @ vec)
+            return GFunction(group, output_side, op.matrix @ vec)
 
-        return cls(group, input_side, output_side, apply_fn, matrix, conjugate_input, label)
+        op = cls(group, input_side, output_side, apply_fn, matrix, conjugate_input, label)
+        return op
 
 
 def build_reference_operator(

@@ -228,3 +228,134 @@ class TestReportAndTruthFiles:
         assert loaded["psi"] == list(psi.perm)
         assert loaded["conjugation"] is True
         Automorphism(group, tuple(loaded["psi"]))
+
+
+def _reference_pairs(values):
+    """The per-entry [re, im] lists the writers produced before they were vectorized."""
+    values = np.asarray(values)
+    if values.ndim > 1:
+        return [_reference_pairs(row) for row in values]
+    return [[float(v.real), float(v.imag)] for v in values]
+
+
+def _parsed(path):
+    # Re-encoding makes -0.0 and 0.0 (equal under ==) compare as different text.
+    return json.dumps(json.loads(path.read_text()))
+
+
+class TestWriters:
+    @pytest.mark.parametrize("bad", [np.nan, np.inf, -np.inf, complex(0, np.nan), complex(1, -np.inf)])
+    def test_function_with_non_finite_value_leaves_no_file(self, tmp_path, bad):
+        values = np.array([1.0, bad, 2.0], dtype=np.complex128)
+        path = tmp_path / "f.json"
+        with pytest.raises(FileFormatError):
+            fileio.save_function(path, GFunction(Group((3,)), PRIMAL, values))
+        assert not path.exists()
+
+    @pytest.mark.parametrize("bad", [np.nan, np.inf, complex(0, -np.inf)])
+    def test_operator_with_non_finite_entry_leaves_no_file(self, tmp_path, bad):
+        matrix = np.eye(3, dtype=np.complex128)
+        matrix[2, 1] = bad
+        op = Operator.from_matrix(Group((3,)), PRIMAL, PRIMAL, matrix)
+        path = tmp_path / "op.json"
+        with pytest.raises(FileFormatError):
+            fileio.save_operator(path, op)
+        assert not path.exists()
+
+    def test_operator_negative_zeros_survive_bit_for_bit(self, tmp_path):
+        matrix = np.array(
+            [[complex(-0.0, 0.0), complex(0.0, -0.0)], [complex(-0.0, -0.0), 1.5]]
+        )
+        path = tmp_path / "op.json"
+        fileio.save_operator(path, Operator.from_matrix(Group((2,)), PRIMAL, PRIMAL, matrix))
+        loaded = fileio.load_operator(path).matrix
+        assert loaded.view(np.uint64).tolist() == matrix.view(np.uint64).tolist()
+
+    def test_non_contiguous_inputs_roundtrip(self, tmp_path):
+        rng = np.random.default_rng(3)
+        base = rng.standard_normal((6, 6)) + 1j * rng.standard_normal((6, 6))
+        group = Group((3, 2))
+        f = GFunction(group, DUAL, base[:, 1])
+        fileio.save_function(tmp_path / "f.json", f)
+        assert np.array_equal(fileio.load_function(tmp_path / "f.json").values, base[:, 1])
+        # A transposed matrix keeps its column-major layout in op.matrix.
+        op = Operator.from_matrix(group, PRIMAL, PRIMAL, base.T)
+        assert not op.matrix.flags.c_contiguous
+        fileio.save_operator(tmp_path / "op.json", op)
+        assert np.array_equal(fileio.load_operator(tmp_path / "op.json").matrix, base.T)
+
+    def test_indented_layout_still_loads(self, tmp_path):
+        rng = np.random.default_rng(4)
+        matrix = rng.standard_normal((4, 4)) + 1j * rng.standard_normal((4, 4))
+        matrix[0, 0] = complex(-0.0, -0.0)
+        record = {
+            "group": {"orders": [2, 2]},
+            "input_side": "primal",
+            "output_side": "dual",
+            "conjugate_input": True,
+            "matrix": _reference_pairs(matrix),
+        }
+        path = tmp_path / "op.json"
+        path.write_text(json.dumps(record, allow_nan=False, indent=1) + "\n")
+        loaded = fileio.load_operator(path)
+        assert loaded.conjugate_input is True and loaded.output_side == DUAL
+        assert loaded.matrix.view(np.uint64).tolist() == matrix.view(np.uint64).tolist()
+
+    def test_records_parse_to_the_per_entry_reference(self, tmp_path):
+        rng = np.random.default_rng(5)
+        group = Group((3, 2))
+        values = (rng.standard_normal(6) + 1j * rng.standard_normal(6)) * 1e-300
+        values[1] = complex(-0.0, 0.0)
+        fileio.save_function(tmp_path / "f.json", GFunction(group, PRIMAL, values))
+        assert _parsed(tmp_path / "f.json") == json.dumps(
+            {"group": {"orders": [3, 2]}, "side": "primal", "values": _reference_pairs(values)}
+        )
+
+        psi = random_automorphism(group, 2)
+        matrix = reference_operator_matrix(group, psi, "T")
+        op = Operator.from_matrix(group, PRIMAL, DUAL, matrix, conjugate_input=True)
+        fileio.save_operator(tmp_path / "op.json", op)
+        assert _parsed(tmp_path / "op.json") == json.dumps(
+            {
+                "group": {"orders": [3, 2]},
+                "input_side": "primal",
+                "output_side": "dual",
+                "conjugate_input": True,
+                "matrix": _reference_pairs(matrix),
+            }
+        )
+
+        report = {
+            "group": {"orders": [3, 2]},
+            "psi": list(psi.perm),
+            "conjugation": True,
+            "residual": np.float64(1 / 3),
+            "diagnostics": {"errors": [0.1, float("inf"), -0.0], "exhaustive": True},
+            "hypothesis_errors": {"a": float("nan"), "b": 2e-17},
+            "version": "0.1.0",
+            "seed": 7,
+        }
+        fileio.save_report(tmp_path / "rep.json", report)
+        assert _parsed(tmp_path / "rep.json") == json.dumps(
+            {
+                "group": {"orders": [3, 2]},
+                "psi": list(psi.perm),
+                "conjugation": True,
+                "residual": 1 / 3,
+                "diagnostics": {"errors": [0.1, None, -0.0], "exhaustive": True},
+                "hypothesis_errors": {"a": None, "b": 2e-17},
+                "version": "0.1.0",
+                "seed": 7,
+            }
+        )
+
+        fileio.save_truth(tmp_path / "t.json", group, np.array(psi.perm), False, 11)
+        assert _parsed(tmp_path / "t.json") == json.dumps(
+            {"group": {"orders": [3, 2]}, "psi": list(psi.perm), "conjugation": False, "seed": 11}
+        )
+
+    def test_records_are_one_line(self, tmp_path):
+        group = Group((4,))
+        fileio.save_function(tmp_path / "f.json", GFunction(group, PRIMAL, np.arange(4)))
+        assert fileio.load_function(tmp_path / "f.json").values.tolist() == [0, 1, 2, 3]
+        assert (tmp_path / "f.json").read_text().count("\n") == 1

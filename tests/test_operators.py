@@ -126,6 +126,15 @@ class TestOperatorContracts:
         assert Operator.from_matrix(g, PRIMAL, PRIMAL, np.eye(2)).form == "U"
         assert Operator.from_matrix(g, DUAL, PRIMAL, np.eye(2)).form == "other"
 
+    def test_from_matrix_ignores_later_writes_to_the_callers_array(self):
+        g = Group((3,))
+        m = np.eye(3, dtype=np.complex128)
+        op = Operator.from_matrix(g, PRIMAL, PRIMAL, m)
+        m[0, 0] = 5
+        assert op.apply(delta(g, 0)).values[0] == 1
+        assert op.apply_batch(point_mass_rows(3, 0, 1))[0, 0] == 1
+        assert op.apply_point_masses(0, 1)[0, 0] == 1
+
 
 class TestApplyBatch:
     @pytest.mark.parametrize("form", ["T", "U"])
