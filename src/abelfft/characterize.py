@@ -15,7 +15,12 @@ identities that characterize the reference family:
 ``recover`` reduces a primal->dual operator to a primal->primal one through
 the inverse transform, then reconstructs the relabeling automorphism from the
 supports of transformed point masses, reads the scalar map off constants, and
-classifies it as either the identity or complex conjugation.
+classifies it as either the identity or complex conjugation.  The constants
+go in two batches: the probe scalars, then the products and conjugate sums
+the scalar-map laws need.  Its last stage and ``verify_recovery`` score the
+operator against the model f -> conj?(f o psi) in one shared fit: the model
+image of alpha * delta_x is the single entry conj?(alpha) at psi^-1(x), so
+each point-mass image is scored at that entry and off it.
 
 Probes reach the operator in blocks of rows.  Scaled point masses go through
 ``Operator.apply_point_masses``, which reads a dense operator's columns, so
@@ -49,7 +54,7 @@ from .functions import (
     star_values,
 )
 from .groups import Automorphism, Group, find_additivity_violation
-from .operators import Operator, T_FORM, U_FORM, point_mass_rows
+from .operators import Operator, T_FORM, U_FORM
 from .transform import _idft_values, convolve_values
 
 PROBE_SCALARS: tuple[complex, ...] = (1 + 0j, -1 + 0j, 1j, 2 + 0j, 0.5 + 0j, 1 + 1j)
@@ -164,15 +169,60 @@ def _primal_rows(op: Operator, rows: np.ndarray) -> np.ndarray:
     return _to_primal(op, op.apply_batch(rows))
 
 
-def _model_residual(
-    probes: np.ndarray, images: np.ndarray, perm: np.ndarray, conjugation: bool
-) -> float:
-    """Worst deviation of the primal images of probe rows from the model
-    f -> conj?(f o psi)."""
-    expected = probes[:, perm]
-    if conjugation:
-        expected = np.conj(expected)
-    return float(_worst(np.abs(images - expected)))
+def _scalar_map(op: Operator, alphas, tol: float) -> tuple[dict[complex, complex], float]:
+    """m(alpha) for each scalar, read off the primal images of the constants
+    alpha * 1 probed as one batch, and the worst deviation of those images
+    from constants.  Raises at the first alpha whose image is not constant."""
+    constants = np.array(alphas, dtype=np.complex128)[:, None]
+    images = _primal_rows(op, np.repeat(constants, op.group.size, axis=1))
+    deviations = _worst(np.abs(images - images[:, :1]), axis=1)
+    for alpha, deviation in zip(alphas, deviations):
+        if deviation > tol:
+            raise NotEssentiallyFourierError(
+                "scalar-independence",
+                f"U({alpha} * 1) is not constant (max deviation {deviation:.3e})",
+                alpha=alpha,
+                deviation=float(deviation),
+            )
+    return dict(zip(alphas, (complex(v) for v in images[:, 0]))), float(_worst(deviations))
+
+
+def _model_fit(
+    op: Operator, psi: Automorphism, conjugation: bool, scalars, trials: int, seed: int
+) -> tuple[float, bool, float]:
+    """Worst residual against the model f -> conj?(f o psi) on the point masses
+    alpha * delta_x (alpha in ``scalars``), whether condition star holds on
+    them, and the worst residual on ``trials`` seeded random functions.  The
+    model image of alpha * delta_x is the single entry conj?(alpha) at phi(x),
+    phi = psi^-1, so each image is scored at that entry and off it."""
+    n = op.group.size
+    perm = psi.perm_array
+    phi = np.empty(n, dtype=np.int64)
+    phi[perm] = np.arange(n, dtype=np.int64)
+    residual_point = 0.0
+    condition_star_ok = True
+    for alpha in scalars:
+        expected = np.conj(alpha) if conjugation else alpha
+        for start, stop in _blocks(n, n):
+            images = _to_primal(op, op.apply_point_masses(start, stop, alpha))
+            rows, targets = np.arange(stop - start), phi[start:stop]
+            magnitude = np.abs(images)
+            support_tol = DEFAULT_SUPPORT_TOL_FACTOR * magnitude.max(axis=1)
+            on_point = magnitude[rows, targets]
+            magnitude[rows, targets] = 0.0
+            off_point = magnitude.max(axis=1)
+            worst = _worst(np.maximum(np.abs(images[rows, targets] - expected), off_point))
+            residual_point = max(residual_point, float(worst))
+            condition_star_ok &= bool(np.all((on_point > support_tol) & (off_point <= support_tol)))
+
+    rng = np.random.default_rng(seed)
+    residual_random = 0.0
+    for start, stop in _blocks(trials, n):
+        probes = _random_rows(op.group, rng, stop - start)
+        images = _primal_rows(op, probes)
+        expected = np.conj(probes[:, perm]) if conjugation else probes[:, perm]
+        residual_random = max(residual_random, float(_worst(np.abs(images - expected))))
+    return residual_point, condition_star_ok, residual_random
 
 
 def _identity_errors(op, f, g, op_f, op_g, op_prod, op_conv) -> np.ndarray:
@@ -197,9 +247,10 @@ def check_hypotheses(
 ) -> HypothesisReport:
     """Probe the three identities on point-mass pairs and random functions.
 
-    Point-mass pairs are exhausted whenever size^2 <= 4096; on top of that,
-    ``trials`` seeded pairs of complex-Gaussian functions are checked.  The
-    report carries the worst deviation per identity; nothing raises.
+    Point-mass pairs are exhausted whenever size^2 is at most
+    ``_EXHAUSTIVE_PAIR_BUDGET``; on top of that, ``trials`` seeded pairs of
+    complex-Gaussian functions are checked.  The report carries the worst
+    deviation per identity; nothing raises.
     """
     _require_checkable(op)
     if trials < 1:
@@ -332,32 +383,12 @@ def recover(
     psi_perm[phi] = np.arange(n, dtype=np.int64)
     psi = Automorphism(group, tuple(int(p) for p in psi_perm))
 
-    # Stage 4: the scalar map, read off constants, must be constant in x and
-    # must send i to one of +-i.
-    m_cache: dict[complex, complex] = {}
-    independence_error = 0.0
-
-    def m_at(alpha: complex) -> complex:
-        nonlocal independence_error
-        alpha = complex(alpha)
-        if alpha in m_cache:
-            return m_cache[alpha]
-        values = _primal_rows(op, np.full((1, n), alpha, dtype=np.complex128))[0]
-        m_value = complex(values[0])
-        deviation = float(_worst(np.abs(values - m_value)))
-        independence_error = max(independence_error, deviation)
-        if deviation > tol:
-            raise NotEssentiallyFourierError(
-                "scalar-independence",
-                f"U({alpha} * 1) is not constant (max deviation {deviation:.3e})",
-                alpha=alpha,
-                deviation=deviation,
-            )
-        m_cache[alpha] = m_value
-        return m_value
-
-    m_samples = [(alpha, m_at(alpha)) for alpha in PROBE_SCALARS]
-    m_i = m_at(1j)
+    # Stage 4: the scalar map m, read off constants, must be constant in x and
+    # must send i to one of +-i.  The probe scalars go in one batch; the
+    # products and conjugate sums that the scalar laws need go in a second.
+    m, independence_error = _scalar_map(op, PROBE_SCALARS, tol)
+    m_samples = [(alpha, m[alpha]) for alpha in PROBE_SCALARS]
+    m_i = m[1j]
     if abs(m_i - 1j) <= tol:
         conjugation = False
     elif abs(m_i + 1j) <= tol and abs(m_i + 1j) < abs(m_i - 1j):
@@ -368,12 +399,8 @@ def recover(
             f"m(i) = {m_i} matches neither i nor -i at tolerance {tol:.1e}",
             m_i=m_i,
         )
-
-    def scalar_image(z: np.ndarray | complex):
-        return np.conj(z) if conjugation else z
-
     probe_dichotomy_error = float(
-        _worst(np.array([abs(m_value - scalar_image(alpha)) for alpha, m_value in m_samples]))
+        _worst(np.array([abs(m[a] - (a.conjugate() if conjugation else a)) for a in PROBE_SCALARS]))
     )
     if probe_dichotomy_error > tol:
         raise DichotomyViolationError(
@@ -383,42 +410,19 @@ def recover(
             max_error=probe_dichotomy_error,
         )
 
-    m_mult_errors = []
-    m_conj_add_errors = []
-    for alpha in PROBE_SCALARS:
-        for beta in PROBE_SCALARS:
-            m_mult_errors.append(abs(m_at(alpha * beta) - m_at(alpha) * m_at(beta)))
-            m_conj_add_errors.append(
-                abs(m_at(alpha + beta.conjugate()) - m_at(alpha) - m_at(beta).conjugate())
-            )
+    pairs = [(alpha, beta) for alpha in PROBE_SCALARS for beta in PROBE_SCALARS]
+    derived = dict.fromkeys(z for a, b in pairs for z in (a * b, a + b.conjugate()))
+    m_derived, derived_error = _scalar_map(op, [z for z in derived if z not in m], tol)
+    m.update(m_derived)
+    independence_error = max(independence_error, derived_error)
+    m_mult_errors = [abs(m[a * b] - m[a] * m[b]) for a, b in pairs]
+    m_conj_add_errors = [abs(m[a + b.conjugate()] - m[a] - m[b].conjugate()) for a, b in pairs]
 
     # Stage 5: residual of U(f) against the reconstructed model on scaled point
-    # masses and seeded random functions, plus the vanishing correspondence
-    # between f(x) and U(f)(phi(x)) on the point-mass probes.
-    perm = psi.perm_array
-    residual_point = 0.0
-    condition_star_ok = True
-    for alpha in PROBE_SCALARS:
-        for start, stop in _blocks(n, n):
-            probes = point_mass_rows(n, start, stop, alpha)
-            images = _to_primal(op, op.apply_point_masses(start, stop, alpha))
-            residual = _model_residual(probes, images, perm, conjugation)
-            residual_point = max(residual_point, residual)
-            magnitude = np.abs(images)
-            support_tol = DEFAULT_SUPPORT_TOL_FACTOR * magnitude.max(axis=1)
-            rows, targets = np.arange(stop - start), phi[start:stop]
-            on_point = magnitude[rows, targets]
-            magnitude[rows, targets] = 0.0
-            off_point = magnitude.max(axis=1)
-            if not np.all((on_point > support_tol) & (off_point <= support_tol)):
-                condition_star_ok = False
-
-    rng = np.random.default_rng(seed)
-    residual_random = 0.0
-    for start, stop in _blocks(residual_trials, n):
-        probes = _random_rows(group, rng, stop - start)
-        residual = _model_residual(probes, _primal_rows(op, probes), perm, conjugation)
-        residual_random = max(residual_random, residual)
+    # masses and seeded random functions, plus condition star on the point masses.
+    residual_point, condition_star_ok, residual_random = _model_fit(
+        op, psi, conjugation, PROBE_SCALARS, residual_trials, seed
+    )
 
     diagnostics = {
         "unit_error": unit_error,
@@ -459,19 +463,7 @@ def verify_recovery(
     report carrying the wrong automorphism shows an order-one residual.
     """
     _require_checkable(op)
-    group = op.group
-    if report.psi.group != group:
+    if report.psi.group != op.group:
         raise SideMismatchError("report and operator live on different groups")
-    n = group.size
-    perm = report.psi.perm_array
-    residual = 0.0
-    for start, stop in _blocks(n, n):
-        probes = point_mass_rows(n, start, stop)
-        images = _to_primal(op, op.apply_point_masses(start, stop))
-        residual = max(residual, _model_residual(probes, images, perm, report.conjugation))
-    rng = np.random.default_rng(seed)
-    for start, stop in _blocks(trials, n):
-        probes = _random_rows(group, rng, stop - start)
-        images = _primal_rows(op, probes)
-        residual = max(residual, _model_residual(probes, images, perm, report.conjugation))
-    return residual
+    point, _, random = _model_fit(op, report.psi, report.conjugation, (1.0,), trials, seed)
+    return max(point, random)

@@ -10,6 +10,7 @@ from __future__ import annotations
 
 import argparse
 import json
+import math
 import sys
 from pathlib import Path
 
@@ -32,6 +33,22 @@ def _positive_int(text: str) -> int:
     if not text.strip().isdigit() or int(text) < 1:
         raise argparse.ArgumentTypeError(f"must be a positive integer, got {text!r}")
     return int(text)
+
+
+def _nonnegative_int(text: str) -> int:
+    if not text.strip().isdigit():
+        raise argparse.ArgumentTypeError(f"must be a non-negative integer, got {text!r}")
+    return int(text)
+
+
+def _tolerance(text: str) -> float:
+    try:
+        tol = float(text)
+    except ValueError:
+        tol = math.nan
+    if not 0 <= tol < math.inf:
+        raise argparse.ArgumentTypeError(f"must be a finite number >= 0, got {text!r}")
+    return tol
 
 
 def _truth_path(operator_path: str) -> Path:
@@ -181,7 +198,7 @@ def _build_parser() -> argparse.ArgumentParser:
 
     p = sub.add_parser("gen-operator", help="write a reference operator plus a truth sidecar")
     p.add_argument("--orders", nargs="+", type=int, required=True)
-    p.add_argument("--seed", type=int, default=0)
+    p.add_argument("--seed", type=_nonnegative_int, default=0)
     p.add_argument("--conjugate", action="store_true")
     p.add_argument("--form", choices=[T_FORM, U_FORM], required=True)
     p.add_argument("--psi", choices=["identity", "random"], default="random")
@@ -191,23 +208,23 @@ def _build_parser() -> argparse.ArgumentParser:
     p = sub.add_parser("check", help="check the algebraic hypotheses of an operator file")
     p.add_argument("operator")
     p.add_argument("--trials", type=_positive_int, default=16)
-    p.add_argument("--tol", type=float, default=DEFAULT_TOL)
-    p.add_argument("--seed", type=int, default=0)
+    p.add_argument("--tol", type=_tolerance, default=DEFAULT_TOL)
+    p.add_argument("--seed", type=_nonnegative_int, default=0)
     p.set_defaults(func=cmd_check)
 
     p = sub.add_parser("recover", help="recover the automorphism and conjugation flag")
     p.add_argument("operator")
     p.add_argument("-o", "--output")
-    p.add_argument("--tol", type=float, default=DEFAULT_TOL)
+    p.add_argument("--tol", type=_tolerance, default=DEFAULT_TOL)
     p.add_argument("--truth", help="truth sidecar to verify the recovery against")
     p.add_argument("--trials", type=_positive_int, default=8, help="random pairs for the embedded check")
-    p.add_argument("--check-seed", type=int, default=0)
+    p.add_argument("--check-seed", type=_nonnegative_int, default=0)
     p.set_defaults(func=cmd_recover)
 
     p = sub.add_parser("bench", help="time the fast path against the reference path")
     p.add_argument("--orders", nargs="+", type=int, required=True)
     p.add_argument("--reps", type=_positive_int, default=20)
-    p.add_argument("--seed", type=int, default=0)
+    p.add_argument("--seed", type=_nonnegative_int, default=0)
     p.set_defaults(func=cmd_bench)
 
     return parser

@@ -41,8 +41,8 @@ def _reject_constant(token: str):
 
 def _load_json(path: PathLike) -> dict:
     try:
-        text = Path(path).read_text()
-    except OSError as exc:
+        text = Path(path).read_text(encoding="utf-8")
+    except (OSError, UnicodeDecodeError) as exc:
         raise FileFormatError(f"cannot read {path}: {exc}") from exc
     try:
         data = json.loads(text, parse_constant=_reject_constant)

@@ -1,12 +1,13 @@
 """Black-box operators between function spaces and the reference family.
 
 An operator declares its input and output sides; beyond that the engine only
-ever calls ``apply_batch`` and ``apply_point_masses``.  A dense matrix plus a
-conjugate-input flag is an optional serialized form: when present,
-apply(f) = matrix @ f.values, with f conjugated first if the flag is set;
-``apply_batch`` answers a whole block of probes with one matrix product, and
-``apply_point_masses`` reads the images of scaled point masses straight off
-the matrix columns.  An operator given only by its apply function stays a
+ever calls ``apply_batch`` and ``apply_point_masses``.  An operator is given
+either by an apply function or by a dense matrix plus a conjugate-input flag,
+meaning apply(f) = matrix @ f.values, with f conjugated first if the flag is
+set.  A dense operator has one product path, ``apply_batch``, which answers a
+whole block of probes with one matrix product (``apply`` is a batch of one),
+and ``apply_point_masses`` reads the images of scaled point masses straight
+off the matrix columns.  An operator given only by its apply function stays a
 black box: both methods call it once per probe, in order.
 
 T-form operators map primal to dual, U-form operators map primal to primal.
@@ -47,7 +48,7 @@ class Operator:
     group: Group
     input_side: str
     output_side: str
-    apply_fn: Callable[[GFunction], GFunction]
+    apply_fn: Optional[Callable[[GFunction], GFunction]] = None
     matrix: Optional[np.ndarray] = None
     conjugate_input: bool = False
     label: str = field(default="operator")
@@ -57,6 +58,8 @@ class Operator:
             raise SideMismatchError(
                 f"operator sides must be in {SIDES}, got {self.input_side!r} -> {self.output_side!r}"
             )
+        if (self.apply_fn is None) == (self.matrix is None):
+            raise ValueError("an operator needs either an apply function or a matrix")
         if self.matrix is not None:
             matrix = np.array(self.matrix, dtype=np.complex128, copy=True)
             if matrix.shape != (self.group.size, self.group.size):
@@ -81,6 +84,8 @@ class Operator:
             raise SideMismatchError(
                 f"operator expects {self.input_side}-side input, got {f.side}"
             )
+        if self.matrix is not None:
+            return GFunction(self.group, self.output_side, self.apply_batch(f.values[None])[0])
         out = self.apply_fn(f)
         if out.group != self.group or out.side != self.output_side:
             raise SideMismatchError(
@@ -124,12 +129,7 @@ class Operator:
         conjugate_input: bool = False,
         label: str = "matrix operator",
     ) -> "Operator":
-        def apply_fn(f: GFunction) -> GFunction:
-            vec = np.conj(f.values) if conjugate_input else f.values
-            return GFunction(group, output_side, op.matrix @ vec)
-
-        op = cls(group, input_side, output_side, apply_fn, matrix, conjugate_input, label)
-        return op
+        return cls(group, input_side, output_side, None, matrix, conjugate_input, label)
 
 
 def build_reference_operator(
@@ -165,7 +165,6 @@ def build_reference_operator(
         PRIMAL,
         output_side,
         apply_fn,
-        matrix=None,
         conjugate_input=conjugation,
         label=f"reference-{form}",
     )

@@ -39,16 +39,33 @@ def convolve_values(a: np.ndarray, b: np.ndarray, group: Group, weight: float) -
 
 
 def _char_block(group: Group, rows: np.ndarray) -> np.ndarray:
-    """Rows of the matrix M[xi, x] = conj(<x, xi>) for the given dual indices."""
+    """Rows of the matrix M[xi, x] = conj(<x, xi>) for the given dual indices.
+
+    The phase sum_i x_i xi_i / n_i is k / size modulo 1, with
+    k = sum_i x_i xi_i (size / n_i) mod size.  Every product and partial sum
+    of k is an integer below size^2, which a double holds exactly for any
+    size whose matrix fits in memory, so the float matrix product that forms
+    k is exact.  Each entry is then one lookup in a table of
+    exp(-2 pi i k / size) and carries only that table's rounding.
+    """
+    size = group.size
     coords = group.coords_table.astype(np.float64)
-    inv_orders = 1.0 / np.asarray(group.orders, dtype=np.float64)
-    phase = (coords[rows] * inv_orders) @ coords.T
-    return np.exp(-2j * np.pi * phase)
+    k = (coords[rows] * (size // np.asarray(group.orders))) @ coords.T % size
+    return np.exp(-2j * np.pi * (np.arange(size) / size))[k.astype(np.int64)]
+
+
+def _row_blocks(size: int):
+    """Dual indices 0..size-1 as consecutive blocks of ``_NAIVE_BLOCK_ROWS``."""
+    for start in range(0, size, _NAIVE_BLOCK_ROWS):
+        yield np.arange(start, min(start + _NAIVE_BLOCK_ROWS, size))
 
 
 def character_matrix(group: Group) -> np.ndarray:
     """Full transform matrix, column j the transform of the point mass at j."""
-    return _char_block(group, np.arange(group.size))
+    out = np.empty((group.size, group.size), dtype=np.complex128)
+    for rows in _row_blocks(group.size):
+        out[rows] = _char_block(group, rows)
+    return out
 
 
 def dft_naive(f: GFunction) -> GFunction:
@@ -57,8 +74,7 @@ def dft_naive(f: GFunction) -> GFunction:
         raise SideMismatchError("the forward transform takes a primal-side function")
     group = f.group
     out = np.empty(group.size, dtype=np.complex128)
-    for start in range(0, group.size, _NAIVE_BLOCK_ROWS):
-        rows = np.arange(start, min(start + _NAIVE_BLOCK_ROWS, group.size))
+    for rows in _row_blocks(group.size):
         out[rows] = _char_block(group, rows) @ f.values
     return GFunction(group, DUAL, out)
 
@@ -69,8 +85,7 @@ def idft_naive(F: GFunction) -> GFunction:
         raise SideMismatchError("the inverse transform takes a dual-side function")
     group = F.group
     out = np.empty(group.size, dtype=np.complex128)
-    for start in range(0, group.size, _NAIVE_BLOCK_ROWS):
-        rows = np.arange(start, min(start + _NAIVE_BLOCK_ROWS, group.size))
+    for rows in _row_blocks(group.size):
         out[rows] = np.conj(_char_block(group, rows)) @ F.values
     return GFunction(group, PRIMAL, out / group.size)
 

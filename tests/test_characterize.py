@@ -52,6 +52,15 @@ def reference_fixture(orders, seed, conjugation, form):
 
 
 class TestCheckHypotheses:
+    @pytest.mark.parametrize("conjugation", [False, True])
+    def test_dense_t_form_of_size_1024_passes(self, conjugation):
+        # Exact characters: with phases rounded in floats, identity (c) failed here.
+        group = Group((1024,))
+        matrix = reference_operator_matrix(group, random_automorphism(group, 5), "T")
+        op = Operator.from_matrix(group, PRIMAL, DUAL, matrix, conjugation)
+        report = check_hypotheses(op)
+        assert report.passed, report.as_dict()
+
     def test_reference_t_form_passes(self):
         _, _, op = reference_fixture((4, 3), 0, False, "T")
         report = check_hypotheses(op, trials=8, seed=0, tol=1e-9)
@@ -116,6 +125,16 @@ class TestRecoverRoundTrips:
         assert diag["m_multiplicativity_error"] <= 1e-9
         assert diag["m_conjugate_additivity_error"] <= 1e-9
         assert diag["condition_star_ok"]
+
+    def test_off_point_leak_is_accepted_without_condition_star(self):
+        g = Group((8,))
+        matrix = np.eye(g.size, dtype=np.complex128)
+        matrix[5, 2] = 1e-10
+        report = recover(Operator.from_matrix(g, PRIMAL, PRIMAL, matrix))
+        assert report.psi == Automorphism.identity(g) and not report.conjugation
+        assert report.diagnostics["condition_star_ok"] is False
+        # The leak is scaled by the largest probe scalar, 2.
+        assert report.diagnostics["residual_point_masses"] == 2e-10
 
     def test_m_samples_follow_the_flag(self):
         _, _, op = reference_fixture((6,), 2, True, "U")
@@ -243,6 +262,23 @@ class TestRecoverFailures:
         with pytest.raises(NotEssentiallyFourierError) as excinfo:
             recover(op)
         assert excinfo.value.step == "scalar-independence"
+
+    def test_scalar_independence_violation_off_the_probe_scalars(self):
+        # Constant for every probe scalar, but not for 4 = 2 * 2, which only
+        # the scalar-map laws probe.
+        g = Group((4,))
+
+        def uneven_at_four(f):
+            values = f.values.copy()
+            if np.all(values == 4):
+                values[1] = 5
+            return GFunction(g, PRIMAL, values)
+
+        with pytest.raises(NotEssentiallyFourierError) as excinfo:
+            recover(Operator(g, PRIMAL, PRIMAL, uneven_at_four))
+        assert excinfo.value.step == "scalar-independence"
+        assert excinfo.value.details["alpha"] == 4 + 0j
+        assert excinfo.value.details["deviation"] == 1.0
 
 
 class TestVerifyRecovery:

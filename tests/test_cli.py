@@ -294,6 +294,40 @@ class TestBenchCommand:
         assert main(["bench", "--orders", "4", "--reps", "0"]) == 2
 
 
+class TestUsageErrors:
+    @pytest.mark.parametrize(
+        "args",
+        [
+            ["gen-operator", "--orders", "4", "--form", "U", "-o", "OP", "--seed", "-5"],
+            ["check", "OP", "--seed", "-1"],
+            ["recover", "OP", "--check-seed", "-3"],
+            ["bench", "--orders", "8", "--reps", "1", "--seed", "-2"],
+        ],
+    )
+    def test_negative_seed_exits_2(self, tmp_path, capsys, args):
+        op_path = tmp_path / "op.json"
+        assert main(["gen-operator", "--orders", "4", "--form", "U", "-o", str(op_path)]) == 0
+        capsys.readouterr()
+        assert main([str(op_path) if a == "OP" else a for a in args]) == 2
+        assert "non-negative integer" in capsys.readouterr().err
+
+    @pytest.mark.parametrize("command", ["check", "recover"])
+    @pytest.mark.parametrize("tol", ["nan", "-1", "inf"])
+    def test_tolerance_must_be_finite_and_non_negative(self, tmp_path, capsys, command, tol):
+        op_path = tmp_path / "op.json"
+        assert main(["gen-operator", "--orders", "4", "--form", "T", "-o", str(op_path)]) == 0
+        capsys.readouterr()
+        assert main([command, str(op_path), "--tol", tol]) == 2
+        assert "finite number >= 0" in capsys.readouterr().err
+
+    def test_non_utf8_record_exits_2(self, tmp_path, capsys):
+        bad = tmp_path / "op.json"
+        bad.write_bytes(b"\xff\xfe{}")
+        assert main(["check", str(bad)]) == 2
+        err = capsys.readouterr().err
+        assert err.startswith("error:") and "Traceback" not in err
+
+
 class TestVersion:
     def test_version_flag(self, capsys):
         assert main(["--version"]) == 0

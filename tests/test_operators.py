@@ -1,3 +1,6 @@
+import gc
+import weakref
+
 import numpy as np
 import pytest
 
@@ -134,6 +137,25 @@ class TestOperatorContracts:
         assert op.apply(delta(g, 0)).values[0] == 1
         assert op.apply_batch(point_mass_rows(3, 0, 1))[0, 0] == 1
         assert op.apply_point_masses(0, 1)[0, 0] == 1
+
+    def test_dense_operator_is_freed_with_its_last_reference(self):
+        g = Group((8,))
+        op = Operator.from_matrix(g, PRIMAL, PRIMAL, np.eye(8), conjugate_input=True)
+        assert np.array_equal(op.apply(1j * delta(g, 3)).values, -1j * delta(g, 3).values)
+        ref = weakref.ref(op)
+        gc.disable()
+        try:
+            del op
+            assert ref() is None
+        finally:
+            gc.enable()
+
+    def test_operator_needs_an_apply_function_or_a_matrix(self):
+        g = Group((2,))
+        with pytest.raises(ValueError):
+            Operator(g, PRIMAL, PRIMAL)
+        with pytest.raises(ValueError):
+            Operator(g, PRIMAL, PRIMAL, lambda f: f, np.eye(2))
 
 
 class TestApplyBatch:

@@ -7,6 +7,7 @@ from abelfft import (
     DUAL,
     Group,
     SideMismatchError,
+    character_matrix,
     constant_one,
     convolve,
     convolve_fast,
@@ -78,6 +79,19 @@ class TestNaive:
     def test_naive_inverse_requires_dual(self):
         with pytest.raises(SideMismatchError):
             idft_naive(delta(Group((3,)), 0))
+
+
+class TestCharacterMatrix:
+    @pytest.mark.parametrize("orders", [(4096,), (64, 64)])
+    def test_matches_numpy_fft_of_point_masses(self, orders):
+        g = Group(orders)
+        matrix = character_matrix(g)
+        axes = tuple(range(1, len(orders) + 1))
+        for start in range(0, g.size, 512):
+            # Row j of the batch is the transform of delta_j, i.e. column j of the matrix.
+            points = np.eye(512, g.size, start).reshape((512,) + orders)
+            columns = np.fft.fftn(points, axes=axes).reshape(512, g.size)
+            assert np.max(np.abs(matrix[:, start : start + 512].T - columns)) <= 1e-14
 
 
 class TestFastPath:
