@@ -197,8 +197,7 @@ def _model_fit(
     phi = psi^-1, so each image is scored at that entry and off it."""
     n = op.group.size
     perm = psi.perm_array
-    phi = np.empty(n, dtype=np.int64)
-    phi[perm] = np.arange(n, dtype=np.int64)
+    phi = np.argsort(perm)
     residual_point = 0.0
     condition_star_ok = True
     for alpha in scalars:
@@ -379,9 +378,7 @@ def recover(
             f"support map is not additive on the pair {violation}",
             pair=violation,
         )
-    psi_perm = np.empty(n, dtype=np.int64)
-    psi_perm[phi] = np.arange(n, dtype=np.int64)
-    psi = Automorphism(group, tuple(int(p) for p in psi_perm))
+    psi = Automorphism(group, tuple(np.argsort(phi)))
 
     # Stage 4: the scalar map m, read off constants, must be constant in x and
     # must send i to one of +-i.  The probe scalars go in one batch; the

@@ -58,14 +58,8 @@ def _truth_path(operator_path: str) -> Path:
 def cmd_transform(args: argparse.Namespace) -> int:
     f = fileio.load_function(args.input)
     if args.inverse:
-        if f.side != DUAL:
-            print("error: --inverse expects a dual-side function file", file=sys.stderr)
-            return 2
         out = idft_naive(f) if args.naive else fft_inverse(f)
     else:
-        if f.side != PRIMAL:
-            print("error: the forward transform expects a primal-side function file", file=sys.stderr)
-            return 2
         out = dft_naive(f) if args.naive else fft_forward(f)
     fileio.save_function(args.output, out)
     return 0
@@ -74,12 +68,6 @@ def cmd_transform(args: argparse.Namespace) -> int:
 def cmd_convolve(args: argparse.Namespace) -> int:
     f = fileio.load_function(args.f)
     g = fileio.load_function(args.g)
-    if f.group != g.group:
-        print("error: inputs live on different groups", file=sys.stderr)
-        return 2
-    if f.side != g.side:
-        print("error: inputs live on different sides", file=sys.stderr)
-        return 2
     out = convolve(f, g) if args.direct else convolve_fast(f, g)
     fileio.save_function(args.output, out)
     return 0

@@ -73,8 +73,8 @@ def _parse_group(data: dict, path: PathLike) -> Group:
     if not isinstance(record, dict) or "orders" not in record:
         raise FileFormatError(f'{path}: missing "group" record with an "orders" list')
     orders = record["orders"]
-    if not isinstance(orders, list) or not orders:
-        raise FileFormatError(f'{path}: "orders" must be a nonempty list')
+    if not isinstance(orders, list) or not orders or any(type(n) is not int for n in orders):
+        raise FileFormatError(f'{path}: "orders" must be a nonempty list of integers, got {orders!r}')
     try:
         return Group(tuple(orders))
     except Exception as exc:
@@ -158,21 +158,22 @@ def load_operator(path: PathLike) -> Operator:
     if not isinstance(conjugate_input, bool):
         raise FileFormatError(f'{path}: "conjugate_input" must be a boolean')
     matrix = _parse_values(data.get("matrix"), (group.size, group.size), path)
-    return Operator.from_matrix(
-        group, input_side, output_side, matrix, conjugate_input, label=str(path)
-    )
+    return Operator.from_matrix(group, input_side, output_side, matrix, conjugate_input)
 
 
-def _parse_permutation(raw, size: int, path: PathLike) -> list[int]:
-    if not isinstance(raw, list) or len(raw) != size:
-        raise FileFormatError(f'{path}: "psi" must be a permutation list of length {size}')
-    try:
-        perm = [int(v) for v in raw]
-    except (TypeError, ValueError) as exc:
-        raise FileFormatError(f'{path}: "psi" entries must be integers') from exc
-    if sorted(perm) != list(range(size)):
-        raise FileFormatError(f'{path}: "psi" is not a bijection of 0..{size - 1}')
-    return perm
+def _parse_assignment(data: dict, path: PathLike) -> tuple[Group, list[int], bool]:
+    """The group, "psi" permutation and "conjugation" flag of a report or truth sidecar."""
+    group = _parse_group(data, path)
+    perm = data.get("psi")
+    if not isinstance(perm, list) or len(perm) != group.size:
+        raise FileFormatError(f'{path}: "psi" must be a permutation list of length {group.size}')
+    if any(type(v) is not int for v in perm):
+        raise FileFormatError(f'{path}: "psi" entries must be integers')
+    if sorted(perm) != list(range(group.size)):
+        raise FileFormatError(f'{path}: "psi" is not a bijection of 0..{group.size - 1}')
+    if not isinstance(data.get("conjugation"), bool):
+        raise FileFormatError(f'{path}: "conjugation" must be a boolean')
+    return group, perm, data["conjugation"]
 
 
 def save_report(path: PathLike, payload: dict) -> None:
@@ -181,10 +182,7 @@ def save_report(path: PathLike, payload: dict) -> None:
 
 def load_report(path: PathLike) -> dict:
     data = _load_json(path)
-    group = _parse_group(data, path)
-    data["psi"] = _parse_permutation(data.get("psi"), group.size, path)
-    if not isinstance(data.get("conjugation"), bool):
-        raise FileFormatError(f'{path}: "conjugation" must be a boolean')
+    _parse_assignment(data, path)
     return data
 
 
@@ -201,9 +199,5 @@ def save_truth(path: PathLike, group: Group, perm, conjugation: bool, seed: int)
 
 
 def load_truth(path: PathLike) -> dict:
-    data = _load_json(path)
-    group = _parse_group(data, path)
-    perm = _parse_permutation(data.get("psi"), group.size, path)
-    if not isinstance(data.get("conjugation"), bool):
-        raise FileFormatError(f'{path}: "conjugation" must be a boolean')
-    return {"group": group, "psi": perm, "conjugation": data["conjugation"]}
+    group, perm, conjugation = _parse_assignment(_load_json(path), path)
+    return {"group": group, "psi": perm, "conjugation": conjugation}

@@ -161,12 +161,10 @@ def convolve(f: GFunction, g: GFunction) -> GFunction:
     """
     f._require_compatible(g)
     group = f.group
-    coords = group.coords_table
-    orders = np.asarray(group.orders, dtype=np.int64)
-    strides = np.asarray(group.strides, dtype=np.int64)
+    elements = np.arange(group.size)
     out = np.zeros(group.size, dtype=np.complex128)
     for y in np.flatnonzero(g.values):
-        shifted = ((coords - coords[y]) % orders) @ strides  # index of x - y for each x
+        shifted = group.add_index(elements, group.negation_perm[y])  # index of x - y for each x
         out += g.values[y] * f.values[shifted]
     return GFunction(group, f.side, out * f.weight)
 

@@ -48,34 +48,23 @@ class Group:
         return math.prod(self.orders)
 
     @cached_property
-    def strides(self) -> tuple[int, ...]:
-        out = []
-        acc = 1
-        for n in reversed(self.orders):
-            out.append(acc)
-            acc *= n
-        return tuple(reversed(out))
-
-    @cached_property
     def coords_table(self) -> np.ndarray:
         """(size, k) int64 table; row j holds the coordinates of element j."""
-        k = len(self.orders)
-        idx = np.arange(self.size, dtype=np.int64)
-        table = np.empty((self.size, k), dtype=np.int64)
-        for i in range(k - 1, -1, -1):
-            table[:, i] = idx % self.orders[i]
-            idx //= self.orders[i]
+        table = np.stack(np.unravel_index(np.arange(self.size), self.orders), axis=-1)
         table.setflags(write=False)
         return table
 
     @cached_property
     def negation_perm(self) -> np.ndarray:
         """Index permutation sending each element index to the index of its inverse."""
-        orders = np.asarray(self.orders, dtype=np.int64)
-        strides = np.asarray(self.strides, dtype=np.int64)
-        perm = ((-self.coords_table) % orders) @ strides
+        perm = self._wrap_index(-self.coords_table)
         perm.setflags(write=False)
         return perm
+
+    def _wrap_index(self, coords) -> np.ndarray:
+        """Index of each coordinate vector on the last axis, each coordinate taken mod its order."""
+        coords = np.moveaxis(np.asarray(coords), -1, 0)
+        return np.ravel_multi_index(tuple(coords), self.orders, mode="wrap")
 
     def identity(self) -> "Element":
         return Element(self, (0,) * len(self.orders))
@@ -84,15 +73,12 @@ class Group:
         j = int(j)
         if not 0 <= j < self.size:
             raise IndexError(f"element index {j} out of range for group of size {self.size}")
-        coords = []
-        for stride, n in zip(self.strides, self.orders):
-            coords.append((j // stride) % n)
-        return Element(self, tuple(coords))
+        return Element(self, np.unravel_index(j, self.orders))
 
     def index_of(self, x: "Element") -> int:
         if x.group != self:
             raise GroupMismatchError(f"element of {x.group.orders} indexed against {self.orders}")
-        return sum(c * s for c, s in zip(x.coords, self.strides))
+        return int(self._wrap_index(x.coords))
 
     def elements(self) -> Iterator["Element"]:
         for j in range(self.size):
@@ -100,10 +86,7 @@ class Group:
 
     def add_index(self, i, j):
         """Index of element_of(i) + element_of(j); elementwise for index arrays."""
-        coords = self.coords_table
-        orders = np.asarray(self.orders, dtype=np.int64)
-        summed = (coords[i] + coords[j]) % orders
-        index = summed @ np.asarray(self.strides, dtype=np.int64)
+        index = self._wrap_index(self.coords_table[i] + self.coords_table[j])
         return int(index) if np.ndim(index) == 0 else index
 
 
@@ -157,14 +140,6 @@ def character(x: Element, xi: Element) -> complex:
     return cmath.exp(2j * math.pi * turns)
 
 
-def _induced_index_map(matrix: np.ndarray, group: Group) -> np.ndarray:
-    """Index map of the endomorphism given by an integer matrix acting on coordinates."""
-    orders = np.asarray(group.orders, dtype=np.int64)
-    strides = np.asarray(group.strides, dtype=np.int64)
-    images = (group.coords_table @ matrix.T) % orders
-    return images @ strides
-
-
 def find_additivity_violation(perm: np.ndarray, group: Group) -> tuple[int, int] | None:
     """First pair (i, j), in row-major order, with perm[i + j] != perm[i] + perm[j], or None.
 
@@ -178,7 +153,7 @@ def find_additivity_violation(perm: np.ndarray, group: Group) -> tuple[int, int]
     perm = np.asarray(perm, dtype=np.int64)
     elements = np.arange(n, dtype=np.int64)
     # Index of each generator e_k; an order-1 factor's generator is the identity.
-    generators = (1 % np.asarray(group.orders)) * np.asarray(group.strides, dtype=np.int64)
+    generators = group._wrap_index(np.eye(len(group.orders), dtype=np.int64))
     lhs = perm[group.add_index(elements[:, None], generators[None, :])]
     rhs = group.add_index(perm[:, None], perm[generators][None, :])
     if np.array_equal(lhs, rhs):
@@ -244,9 +219,7 @@ class Automorphism:
         return Automorphism(self.group, tuple(self.perm_array[other.perm_array]))
 
     def inverse(self) -> "Automorphism":
-        inv = np.empty(self.group.size, dtype=np.int64)
-        inv[self.perm_array] = np.arange(self.group.size, dtype=np.int64)
-        return Automorphism(self.group, tuple(inv))
+        return Automorphism(self.group, tuple(np.argsort(self.perm_array)))
 
     def is_identity(self) -> bool:
         return all(p == i for i, p in enumerate(self.perm))
@@ -271,7 +244,7 @@ def random_automorphism(group: Group, seed: int, max_tries: int = 1000) -> Autom
             for j, nj in enumerate(group.orders):
                 g = math.gcd(ni, nj)
                 matrix[i, j] = (ni // g) * rng.integers(0, g)
-        induced = _induced_index_map(matrix, group)
+        induced = group._wrap_index(group.coords_table @ matrix.T)
         if np.bincount(induced, minlength=group.size).max() == 1:
             return Automorphism(group, tuple(induced))
     raise RetryExhaustedError(

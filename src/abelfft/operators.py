@@ -20,7 +20,7 @@ conjugation flag:
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from typing import Callable, Optional
 
 import numpy as np
@@ -51,7 +51,6 @@ class Operator:
     apply_fn: Optional[Callable[[GFunction], GFunction]] = None
     matrix: Optional[np.ndarray] = None
     conjugate_input: bool = False
-    label: str = field(default="operator")
 
     def __post_init__(self):
         if self.input_side not in SIDES or self.output_side not in SIDES:
@@ -60,6 +59,8 @@ class Operator:
             )
         if (self.apply_fn is None) == (self.matrix is None):
             raise ValueError("an operator needs either an apply function or a matrix")
+        if self.conjugate_input and self.matrix is None:
+            raise ValueError("conjugate_input describes a matrix; an apply function conjugates itself")
         if self.matrix is not None:
             matrix = np.array(self.matrix, dtype=np.complex128, copy=True)
             if matrix.shape != (self.group.size, self.group.size):
@@ -127,9 +128,8 @@ class Operator:
         output_side: str,
         matrix: np.ndarray,
         conjugate_input: bool = False,
-        label: str = "matrix operator",
     ) -> "Operator":
-        return cls(group, input_side, output_side, None, matrix, conjugate_input, label)
+        return cls(group, input_side, output_side, None, matrix, conjugate_input)
 
 
 def build_reference_operator(
@@ -160,14 +160,7 @@ def build_reference_operator(
 
         output_side = DUAL
 
-    return Operator(
-        group,
-        PRIMAL,
-        output_side,
-        apply_fn,
-        conjugate_input=conjugation,
-        label=f"reference-{form}",
-    )
+    return Operator(group, PRIMAL, output_side, apply_fn)
 
 
 def reference_operator_matrix(group: Group, psi: Automorphism, form: str) -> np.ndarray:
@@ -178,7 +171,5 @@ def reference_operator_matrix(group: Group, psi: Automorphism, form: str) -> np.
     if form == U_FORM:
         return np.eye(group.size, dtype=np.complex128)[perm]
     if form == T_FORM:
-        inv = np.empty(group.size, dtype=np.int64)
-        inv[perm] = np.arange(group.size, dtype=np.int64)
-        return character_matrix(group)[:, inv]
+        return character_matrix(group)[:, np.argsort(perm)]
     raise ValueError(f"form must be {T_FORM!r} or {U_FORM!r}, got {form!r}")

@@ -20,6 +20,12 @@ def write_function(path, f):
     return str(path)
 
 
+def assert_one_error_line(capsys):
+    err = capsys.readouterr().err
+    assert err.startswith("error:") and err.count("\n") == 1
+    assert "Traceback" not in err
+
+
 class TestTransformCommand:
     def test_point_mass_to_constant(self, tmp_path):
         g = Group((2,))
@@ -61,18 +67,30 @@ class TestTransformCommand:
         bad.write_text("{broken")
         assert main(["transform", str(bad), "-o", str(tmp_path / "out.json")]) == 2
 
-    def test_inverse_side_mismatch_exits_2(self, tmp_path):
+    def test_inverse_side_mismatch_exits_2(self, tmp_path, capsys):
         g = Group((2,))
         inp = write_function(tmp_path / "f.json", delta(g, 0))  # primal side
-        assert main(["transform", inp, "-o", str(tmp_path / "o.json"), "--inverse"]) == 2
+        for naive in ([], ["--naive"]):
+            assert main(["transform", inp, "-o", str(tmp_path / "o.json"), "--inverse"] + naive) == 2
+            assert_one_error_line(capsys)
 
-    def test_forward_side_mismatch_exits_2(self, tmp_path):
+    def test_forward_side_mismatch_exits_2(self, tmp_path, capsys):
         g = Group((2,))
         inp = write_function(tmp_path / "F.json", delta(g, 0, DUAL))
-        assert main(["transform", inp, "-o", str(tmp_path / "o.json")]) == 2
+        for naive in ([], ["--naive"]):
+            assert main(["transform", inp, "-o", str(tmp_path / "o.json")] + naive) == 2
+            assert_one_error_line(capsys)
 
     def test_missing_argument_exits_2(self):
         assert main(["transform"]) == 2
+
+    @pytest.mark.parametrize("orders", [[2.7], [True, 2]])
+    def test_non_integer_orders_exit_2(self, tmp_path, capsys, orders):
+        inp = tmp_path / "f.json"
+        inp.write_text(json.dumps({"group": {"orders": orders}, "side": "primal", "values": [[1, 0]] * 2}))
+        assert main(["transform", str(inp), "-o", str(tmp_path / "o.json")]) == 2
+        assert_one_error_line(capsys)
+        assert not (tmp_path / "o.json").exists()
 
 
 class TestConvolveCommand:
@@ -102,16 +120,20 @@ class TestConvolveCommand:
         assert main(["convolve", a, b, "-o", str(f_out), "--fft"]) == 0
         assert max_abs_diff(fileio.load_function(d_out), fileio.load_function(f_out)) <= 1e-9
 
-    def test_group_mismatch_exits_2(self, tmp_path):
+    def test_group_mismatch_exits_2(self, tmp_path, capsys):
         a = write_function(tmp_path / "a.json", delta(Group((2,)), 0))
         b = write_function(tmp_path / "b.json", delta(Group((3,)), 0))
-        assert main(["convolve", a, b, "-o", str(tmp_path / "c.json")]) == 2
+        for mode in ("--direct", "--fft"):
+            assert main(["convolve", a, b, "-o", str(tmp_path / "c.json"), mode]) == 2
+            assert_one_error_line(capsys)
 
-    def test_side_mismatch_exits_2(self, tmp_path):
+    def test_side_mismatch_exits_2(self, tmp_path, capsys):
         g = Group((2,))
         a = write_function(tmp_path / "a.json", delta(g, 0, PRIMAL))
         b = write_function(tmp_path / "b.json", delta(g, 0, DUAL))
-        assert main(["convolve", a, b, "-o", str(tmp_path / "c.json")]) == 2
+        for mode in ("--direct", "--fft"):
+            assert main(["convolve", a, b, "-o", str(tmp_path / "c.json"), mode]) == 2
+            assert_one_error_line(capsys)
 
 
 class TestGenOperatorCommand:
@@ -268,6 +290,19 @@ class TestRecoverCommand:
         bad = tmp_path / "bad.json"
         bad.write_text("{}")
         assert main(["recover", str(bad)]) == 2
+
+    @pytest.mark.parametrize("psi", [[0, 1, 2, 3.9], [0, True, 2, 3], [0, 1, 2, "3"]])
+    def test_non_integer_truth_psi_exits_2(self, tmp_path, capsys, psi):
+        op_path = tmp_path / "op.json"
+        assert main(["gen-operator", "--orders", "4", "--psi", "identity", "--form", "U", "-o", str(op_path)]) == 0
+        truth_path = tmp_path / "op.truth.json"
+        truth = json.loads(truth_path.read_text())
+        truth["psi"] = psi  # the identity [0, 1, 2, 3] if each entry were cast to int
+        truth_path.write_text(json.dumps(truth))
+        capsys.readouterr()
+        assert main(["recover", str(op_path), "--truth", str(truth_path)]) == 2
+        err = capsys.readouterr().err
+        assert err.startswith("error:") and "integers" in err and "Traceback" not in err
 
     def test_zero_trials_exits_2(self, tmp_path):
         op_path, _ = self.gen(tmp_path)

@@ -86,6 +86,13 @@ class TestFunctionFiles:
         with pytest.raises(FileFormatError):
             fileio.load_function(tmp_path / "absent.json")
 
+    @pytest.mark.parametrize("orders", [[2.7], [2.0], [True, 2], ["2"], [2, None]])
+    def test_orders_must_be_json_integers(self, tmp_path, orders):
+        path = tmp_path / "f.json"
+        path.write_text(json.dumps({"group": {"orders": orders}, "side": "primal", "values": [[1, 0]] * 2}))
+        with pytest.raises(FileFormatError, match="integers"):
+            fileio.load_function(path)
+
 
 class TestOperatorFiles:
     def test_roundtrip(self, tmp_path):
@@ -217,6 +224,27 @@ class TestReportAndTruthFiles:
         )
         with pytest.raises(FileFormatError):
             fileio.load_report(path)
+
+    @pytest.mark.parametrize("psi", [[0, 3.9, 2, 1], [0, 3.0, 2, 1], [0, True, 2, 3], [0, "3", 2, 1]])
+    @pytest.mark.parametrize("load", [fileio.load_report, fileio.load_truth])
+    def test_psi_entries_must_be_json_integers(self, tmp_path, psi, load):
+        path = tmp_path / "rec.json"
+        path.write_text(json.dumps({"group": {"orders": [4]}, "psi": psi, "conjugation": False}))
+        with pytest.raises(FileFormatError, match="integers"):
+            load(path)
+
+    @pytest.mark.parametrize("load", [fileio.load_report, fileio.load_truth])
+    def test_report_and_truth_share_their_checks(self, tmp_path, load):
+        path = tmp_path / "rec.json"
+        for record in (
+            {"group": {"orders": [2.0]}, "psi": [0, 1], "conjugation": False},
+            {"group": {"orders": [2]}, "psi": [0, 1, 2], "conjugation": False},
+            {"group": {"orders": [2]}, "psi": [1, 1], "conjugation": False},
+            {"group": {"orders": [2]}, "psi": [0, 1], "conjugation": 0},
+        ):
+            path.write_text(json.dumps(record))
+            with pytest.raises(FileFormatError):
+                load(path)
 
     def test_truth_roundtrip(self, tmp_path):
         group = Group((2, 2))

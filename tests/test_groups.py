@@ -78,6 +78,28 @@ class TestIndexing:
         for j in range(group.size):
             assert group.element_of(j).index == j
 
+    @pytest.mark.parametrize("orders", [(1,), (1, 3), (2, 1, 2), (3, 2), (2,) * 6])
+    def test_index_tables_match_coordinate_enumeration(self, orders):
+        # oracle: itertools.product enumerates coordinate tuples in row-major order
+        g = Group(orders)
+        coords = list(itertools.product(*(range(n) for n in orders)))
+        index = {c: j for j, c in enumerate(coords)}
+
+        def reduce(c):
+            return tuple(v % n for v, n in zip(c, orders))
+
+        assert g.coords_table.dtype == np.int64
+        assert g.coords_table.tolist() == [list(c) for c in coords]
+        assert g.negation_perm.tolist() == [index[reduce(-v for v in c)] for c in coords]
+        i, j = np.meshgrid(np.arange(g.size), np.arange(g.size), indexing="ij")
+        expected = [[index[reduce(a + b for a, b in zip(x, y))] for y in coords] for x in coords]
+        assert g.add_index(i, j).tolist() == expected
+        for j, c in enumerate(coords):
+            assert g.element_of(j).coords == c
+            assert g.index_of(Element(g, c)) == j
+            assert type(g.add_index(j, g.size - 1)) is int
+            assert g.add_index(j, g.size - 1) == expected[j][-1]
+
 
 class TestArithmetic:
     def test_mod_four_addition(self):
@@ -203,6 +225,27 @@ class TestAutomorphisms:
         a = random_automorphism(group, seed)
         assert is_automorphism(a.perm_array, group)
         assert a.perm[0] == 0
+
+    @pytest.mark.parametrize(
+        "orders, seed, perm",
+        [
+            ((5,), 0, [0, 4, 3, 2, 1]),
+            ((3, 2), 1, [0, 1, 2, 3, 4, 5]),
+            ((2, 2), 4, [0, 2, 3, 1]),
+            ((2, 1, 2), 2, [0, 3, 1, 2]),
+            ((2, 2, 2), 11, [0, 6, 2, 4, 1, 7, 3, 5]),
+            ((3, 3), 5, [0, 8, 4, 6, 5, 1, 3, 2, 7]),
+            ((4, 2), 9, [0, 5, 7, 2, 4, 1, 3, 6]),
+            (
+                (4, 6),
+                7,
+                [0, 17, 4, 15, 2, 13, 21, 8, 19, 6, 23, 10, 12, 5, 16, 3, 14, 1, 9, 20, 7, 18, 11, 22],
+            ),
+        ],
+    )
+    def test_random_automorphism_draws_are_pinned(self, orders, seed, perm):
+        # Truth sidecars written by gen-operator record these draws.
+        assert list(random_automorphism(Group(orders), seed).perm) == perm
 
     def test_retry_exhaustion(self):
         with pytest.raises(RetryExhaustedError):

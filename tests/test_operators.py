@@ -157,6 +157,21 @@ class TestOperatorContracts:
         with pytest.raises(ValueError):
             Operator(g, PRIMAL, PRIMAL, lambda f: f, np.eye(2))
 
+    def test_conjugate_input_needs_a_matrix(self):
+        g = Group((4,))
+        with pytest.raises(ValueError):
+            Operator(g, PRIMAL, PRIMAL, lambda f: f, conjugate_input=True)
+        # The reference closure conjugates by itself, so its operator carries no flag.
+        psi = random_automorphism(g, 1)
+        for form in ("T", "U"):
+            op = build_reference_operator(g, psi, True, form)
+            assert op.conjugate_input is False
+            f = random_function(g, 2)
+            expected = Operator.from_matrix(
+                g, PRIMAL, op.output_side, reference_operator_matrix(g, psi, form), True
+            ).apply(f)
+            assert max_abs_diff(op.apply(f), expected) < 1e-12
+
 
 class TestApplyBatch:
     @pytest.mark.parametrize("form", ["T", "U"])
