@@ -6,6 +6,7 @@ import statistics
 import time
 from typing import Optional
 
+from .errors import InvalidGroupError
 from .functions import random_function
 from .groups import Group
 from .transform import dft_naive, fft_forward
@@ -26,7 +27,7 @@ def _median_seconds(fn, arg, reps: int) -> float:
 def time_transform_paths(group: Group, reps: int = 20, seed: int = 0) -> dict:
     """Median seconds for the fast path and, below the size cap, the naive path."""
     if group.size > MAX_BENCH_SIZE:
-        raise ValueError(f"benchmark capped at size {MAX_BENCH_SIZE}, got {group.size}")
+        raise InvalidGroupError(f"benchmark capped at size {MAX_BENCH_SIZE}, got {group.size}")
     f = random_function(group, seed)
     fft_forward(f)  # warm up once so the medians compare steady state
     fft_median = _median_seconds(fft_forward, f, reps)

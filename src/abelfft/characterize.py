@@ -26,14 +26,17 @@ Probes reach the operator in blocks of rows.  Scaled point masses go through
 ``Operator.apply_point_masses``, which reads a dense operator's columns, so
 each costs O(size); every other probe (constants, random functions, sums)
 goes through ``Operator.apply_batch``, which a dense operator answers with one
-matrix product.  An operator given only by its apply function is called once
-per probe, in order, either way.  Point-mass probes stream in fixed blocks of
-about ``_BLOCK_ELEMENTS`` values, each reduced to per-probe scalars before the
-next is built, so memory stays flat and every stage still fails at the first
-offending point mass.  Any non-finite error counts as an infinite one, so NaN
-never passes a check; the public checks therefore silence numpy's overflow
-and invalid-value warnings, which a huge or non-finite operator raises and
-which would say nothing more.
+matrix product.  ``_to_primal`` then takes T-form images back to the primal
+side with one inverse transform.  An operator given only by its apply
+function is called once per probe, in order, either way.  The exhaustive
+branch of ``check_hypotheses`` transforms each of the n point-mass images
+once, so each of the n^2 pairs costs one inverse transform.  Point-mass
+probes stream in fixed blocks of about ``_BLOCK_ELEMENTS`` values, each
+reduced to per-probe scalars before the next is built, so memory stays flat
+and every stage still fails at the first offending point mass.  Any
+non-finite error counts as an infinite one, so NaN never passes a check; the
+public checks therefore silence numpy's overflow and invalid-value warnings,
+which a huge or non-finite operator raises and which would say nothing more.
 """
 
 from __future__ import annotations
@@ -44,6 +47,7 @@ import numpy as np
 
 from .errors import (
     DichotomyViolationError,
+    GroupMismatchError,
     NotEssentiallyFourierError,
     SideMismatchError,
 )
@@ -55,11 +59,12 @@ from .functions import (
 )
 from .groups import Automorphism, Group, find_additivity_violation
 from .operators import Operator, T_FORM, U_FORM
-from .transform import _idft_values, convolve_values
+from .transform import _dft_values, _idft_values, convolve_values
 
 PROBE_SCALARS: tuple[complex, ...] = (1 + 0j, -1 + 0j, 1j, 2 + 0j, 0.5 + 0j, 1 + 1j)
 
 DEFAULT_TOL = 1e-9
+DEFAULT_CHECK_TRIALS = 16
 DEFAULT_RESIDUAL_TRIALS = 32
 DEFAULT_RECOVER_SEED = 1789
 _EXHAUSTIVE_PAIR_BUDGET = 4096
@@ -164,17 +169,12 @@ def _to_primal(op: Operator, images: np.ndarray) -> np.ndarray:
     return _idft_values(images, op.group) if op.form == T_FORM else images
 
 
-def _primal_rows(op: Operator, rows: np.ndarray) -> np.ndarray:
-    """Images of probe rows under the primal->primal map."""
-    return _to_primal(op, op.apply_batch(rows))
-
-
 def _scalar_map(op: Operator, alphas, tol: float) -> tuple[dict[complex, complex], float]:
     """m(alpha) for each scalar, read off the primal images of the constants
     alpha * 1 probed as one batch, and the worst deviation of those images
     from constants.  Raises at the first alpha whose image is not constant."""
     constants = np.array(alphas, dtype=np.complex128)[:, None]
-    images = _primal_rows(op, np.repeat(constants, op.group.size, axis=1))
+    images = _to_primal(op, op.apply_batch(np.repeat(constants, op.group.size, axis=1)))
     deviations = _worst(np.abs(images - images[:, :1]), axis=1)
     for alpha, deviation in zip(alphas, deviations):
         if deviation > tol:
@@ -218,19 +218,20 @@ def _model_fit(
     residual_random = 0.0
     for start, stop in _blocks(trials, n):
         probes = _random_rows(op.group, rng, stop - start)
-        images = _primal_rows(op, probes)
+        images = _to_primal(op, op.apply_batch(probes))
         expected = np.conj(probes[:, perm]) if conjugation else probes[:, perm]
         residual_random = max(residual_random, float(_worst(np.abs(images - expected))))
     return residual_point, condition_star_ok, residual_random
 
 
-def _identity_errors(op, f, g, op_f, op_g, op_prod, op_conv) -> np.ndarray:
-    """Worst errors of identities (a), (b), (c) over a block of probe pairs given as rows."""
+def _identity_errors(op, f, g, op_f, op_g, hat_f, hat_g, op_prod, op_conv) -> np.ndarray:
+    """Worst errors of identities (a), (b), (c) over a block of probe pairs given as rows;
+    ``hat_f`` and ``hat_g`` are the forward transforms of the images ``op_f`` and ``op_g``."""
     group, out_side = op.group, op.output_side
     lhs_a = op.apply_batch(f + star_values(g, group, op.input_side))
     rhs_a = op_f + star_values(op_g, group, out_side)
     product = op_f * op_g
-    convolution = convolve_values(op_f, op_g, group, haar_weight(group, out_side))
+    convolution = _idft_values(hat_f * hat_g, group) * haar_weight(group, out_side)
     rhs_b, rhs_c = (convolution, product) if op.form == T_FORM else (product, convolution)
     return np.array(
         [_worst(np.abs(lhs_a - rhs_a)), _worst(np.abs(op_prod - rhs_b)), _worst(np.abs(op_conv - rhs_c))]
@@ -240,7 +241,7 @@ def _identity_errors(op, f, g, op_f, op_g, op_prod, op_conv) -> np.ndarray:
 @np.errstate(over="ignore", invalid="ignore")
 def check_hypotheses(
     op: Operator,
-    trials: int = 16,
+    trials: int = DEFAULT_CHECK_TRIALS,
     seed: int = 0,
     tol: float = DEFAULT_TOL,
 ) -> HypothesisReport:
@@ -261,6 +262,7 @@ def check_hypotheses(
     if n * n <= _EXHAUSTIVE_PAIR_BUDGET:
         points = np.eye(n, dtype=np.complex128)
         op_delta = op.apply_point_masses(0, n)
+        hat_delta = _dft_values(op_delta, group)
         op_zero = op.apply_batch(np.zeros((1, n), dtype=np.complex128))
         xs, ys = np.divmod(np.arange(n * n), n)
         sums = group.add_index(xs, ys)
@@ -271,7 +273,8 @@ def check_hypotheses(
             op_prod = np.where((x == y)[:, None], op_delta[x], op_zero)
             op_conv = op_delta[sums[start:stop]]
             pair_errors = _identity_errors(
-                op, points[x], points[y], op_delta[x], op_delta[y], op_prod, op_conv
+                op, points[x], points[y], op_delta[x], op_delta[y], hat_delta[x], hat_delta[y],
+                op_prod, op_conv,
             )
             errors = np.maximum(errors, pair_errors)
 
@@ -280,14 +283,10 @@ def check_hypotheses(
     for start, stop in _blocks(trials, n):
         draws = _random_rows(group, rng, 2 * (stop - start))
         f, g = draws[0::2], draws[1::2]
+        op_f, op_g = op.apply_batch(f), op.apply_batch(g)
+        op_prod, op_conv = op.apply_batch(f * g), op.apply_batch(convolve_values(f, g, group, in_weight))
         pair_errors = _identity_errors(
-            op,
-            f,
-            g,
-            op.apply_batch(f),
-            op.apply_batch(g),
-            op.apply_batch(f * g),
-            op.apply_batch(convolve_values(f, g, group, in_weight)),
+            op, f, g, op_f, op_g, _dft_values(op_f, group), _dft_values(op_g, group), op_prod, op_conv
         )
         errors = np.maximum(errors, pair_errors)
 
@@ -296,13 +295,7 @@ def check_hypotheses(
 
 
 @np.errstate(over="ignore", invalid="ignore")
-def recover(
-    op: Operator,
-    tol: float = DEFAULT_TOL,
-    *,
-    residual_trials: int = DEFAULT_RESIDUAL_TRIALS,
-    seed: int = DEFAULT_RECOVER_SEED,
-) -> RecoveryReport:
+def recover(op: Operator, tol: float = DEFAULT_TOL) -> RecoveryReport:
     """Reconstruct the automorphism and conjugation flag behind a conforming operator.
 
     Raises NotEssentiallyFourierError (or its DichotomyViolationError
@@ -314,7 +307,7 @@ def recover(
     n = group.size
 
     # Stage 1: constants must be preserved.
-    u_one = _primal_rows(op, np.ones((1, n), dtype=np.complex128))
+    u_one = _to_primal(op, op.apply_batch(np.ones((1, n), dtype=np.complex128)))
     unit_error = float(_worst(np.abs(u_one - 1.0)))
     if unit_error > tol:
         raise NotEssentiallyFourierError(
@@ -352,14 +345,11 @@ def recover(
         phi[start:stop] = near_one.argmax(axis=1)
 
     # Stage 3: the support map must be an automorphism; its inverse is psi.
-    if np.bincount(phi, minlength=n).max() != 1:
-        seen: dict[int, int] = {}
-        collision = (0, 0)
-        for x, v in enumerate(phi):
-            if int(v) in seen:
-                collision = (seen[int(v)], x)
-                break
-            seen[int(v)] = x
+    # The first repeat is the first index that is not a first occurrence.
+    _, first = np.unique(phi, return_index=True)
+    if first.size != n:
+        x = int(np.setdiff1d(np.arange(n), first)[0])
+        collision = (int((phi == phi[x]).argmax()), x)
         raise NotEssentiallyFourierError(
             "support-map-bijection",
             f"point masses at {collision[0]} and {collision[1]} map to the same support",
@@ -388,7 +378,7 @@ def recover(
     m_i = m[1j]
     if abs(m_i - 1j) <= tol:
         conjugation = False
-    elif abs(m_i + 1j) <= tol and abs(m_i + 1j) < abs(m_i - 1j):
+    elif abs(m_i + 1j) <= tol:
         conjugation = True
     else:
         raise DichotomyViolationError(
@@ -418,7 +408,7 @@ def recover(
     # Stage 5: residual of U(f) against the reconstructed model on scaled point
     # masses and seeded random functions, plus condition star on the point masses.
     residual_point, condition_star_ok, residual_random = _model_fit(
-        op, psi, conjugation, PROBE_SCALARS, residual_trials, seed
+        op, psi, conjugation, PROBE_SCALARS, DEFAULT_RESIDUAL_TRIALS, DEFAULT_RECOVER_SEED
     )
 
     diagnostics = {
@@ -443,7 +433,7 @@ def recover(
         m_samples=m_samples,
         diagnostics=diagnostics,
         tol=tol,
-        seed=seed,
+        seed=DEFAULT_RECOVER_SEED,
     )
 
 
@@ -461,6 +451,6 @@ def verify_recovery(
     """
     _require_checkable(op)
     if report.psi.group != op.group:
-        raise SideMismatchError("report and operator live on different groups")
+        raise GroupMismatchError("report and operator live on different groups")
     point, _, random = _model_fit(op, report.psi, report.conjugation, (1.0,), trials, seed)
     return max(point, random)

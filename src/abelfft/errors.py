@@ -6,7 +6,8 @@ class AbelfftError(Exception):
 
 
 class InvalidGroupError(AbelfftError, ValueError):
-    """Raised for malformed group descriptions (empty or non-positive orders)."""
+    """Raised for malformed group descriptions (empty, non-integer or non-positive orders,
+    non-integer coordinates), or a group too large for the operation."""
 
 
 class GroupMismatchError(AbelfftError, ValueError):

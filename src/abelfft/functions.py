@@ -11,12 +11,12 @@ what the transform maps the primal involution to.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Iterable, Union
+from typing import Union
 
 import numpy as np
 
 from .errors import GroupMismatchError, SideMismatchError
-from .groups import Element, Group
+from .groups import Element, Group, as_int
 
 PRIMAL = "primal"
 DUAL = "dual"
@@ -106,7 +106,7 @@ class SupportSet:
 
 def delta(group: Group, at: Union[int, Element], side: str = PRIMAL) -> GFunction:
     """Point mass: 1 at the given element, 0 elsewhere."""
-    j = at.index if isinstance(at, Element) else int(at)
+    j = group.index_of(at) if isinstance(at, Element) else as_int(at, IndexError, "an element index")
     if not 0 <= j < group.size:
         raise IndexError(f"element index {j} out of range for group of size {group.size}")
     values = np.zeros(group.size, dtype=np.complex128)
@@ -191,7 +191,3 @@ def norm_2(f: GFunction) -> float:
 def max_abs_diff(f: GFunction, g: GFunction) -> float:
     f._require_compatible(g)
     return float(np.max(np.abs(f.values - g.values)))
-
-
-def from_values(group: Group, side: str, values: Iterable[complex]) -> GFunction:
-    return GFunction(group, side, np.asarray(list(values), dtype=np.complex128))

@@ -4,6 +4,7 @@ from __future__ import annotations
 
 import cmath
 import math
+import operator
 from dataclasses import dataclass
 from functools import cached_property
 from typing import Iterator, Sequence
@@ -20,6 +21,17 @@ from .errors import (
 MAX_ENUMERABLE_SIZE = 1 << 20
 
 
+def as_int(value, error: type[Exception], what: str) -> int:
+    """``value`` as an int, through ``__index__`` so numpy integers pass; a bool,
+    float or string raises ``error`` instead of being truncated."""
+    if not isinstance(value, bool):
+        try:
+            return operator.index(value)
+        except TypeError:
+            pass
+    raise error(f"{what} must be an integer, got {value!r}")
+
+
 @dataclass(frozen=True)
 class Group:
     """Direct product Z_n1 x ... x Z_nk, written additively.
@@ -34,8 +46,8 @@ class Group:
 
     def __post_init__(self):
         try:
-            orders = tuple(int(n) for n in self.orders)
-        except (TypeError, ValueError) as exc:
+            orders = tuple(as_int(n, InvalidGroupError, "a cyclic order") for n in self.orders)
+        except TypeError as exc:
             raise InvalidGroupError(f"orders must be a sequence of integers, got {self.orders!r}") from exc
         if not orders:
             raise InvalidGroupError("a group needs at least one cyclic factor")
@@ -70,7 +82,7 @@ class Group:
         return Element(self, (0,) * len(self.orders))
 
     def element_of(self, j: int) -> "Element":
-        j = int(j)
+        j = as_int(j, IndexError, "an element index")
         if not 0 <= j < self.size:
             raise IndexError(f"element index {j} out of range for group of size {self.size}")
         return Element(self, np.unravel_index(j, self.orders))
@@ -102,7 +114,10 @@ class Element:
             raise InvalidGroupError(
                 f"expected {len(self.group.orders)} coordinates, got {len(self.coords)}"
             )
-        reduced = tuple(int(c) % n for c, n in zip(self.coords, self.group.orders))
+        reduced = tuple(
+            as_int(c, InvalidGroupError, "a coordinate") % n
+            for c, n in zip(self.coords, self.group.orders)
+        )
         object.__setattr__(self, "coords", reduced)
 
     @property
@@ -188,7 +203,7 @@ class Automorphism:
     perm: tuple[int, ...]
 
     def __post_init__(self):
-        perm = tuple(int(p) for p in self.perm)
+        perm = tuple(as_int(p, InvalidPermutationError, "a permutation entry") for p in self.perm)
         object.__setattr__(self, "perm", perm)
         if not is_automorphism(np.asarray(perm, dtype=np.int64), self.group):
             raise InvalidPermutationError(

@@ -88,7 +88,11 @@ class Operator:
         if self.matrix is not None:
             return GFunction(self.group, self.output_side, self.apply_batch(f.values[None])[0])
         out = self.apply_fn(f)
-        if out.group != self.group or out.side != self.output_side:
+        if out.group != self.group:
+            raise GroupMismatchError(
+                f"operator produced an output on {out.group.orders}, declared {self.group.orders}"
+            )
+        if out.side != self.output_side:
             raise SideMismatchError(
                 f"operator produced a {out.side}-side output, declared {self.output_side}"
             )

@@ -10,6 +10,7 @@ from abelfft import (
     DichotomyViolationError,
     GFunction,
     Group,
+    GroupMismatchError,
     NotEssentiallyFourierError,
     Operator,
     SideMismatchError,
@@ -211,6 +212,22 @@ class TestRecoverFailures:
         assert excinfo.value.step == "support-map-bijection"
         assert excinfo.value.details["pair"] == (1, 2)
 
+    def test_first_of_two_support_collisions_is_named(self):
+        g = Group((12,))
+        images = {7: 3, 9: 2}
+
+        def collide(f):
+            # nonlinear box sending delta_7 to delta_3 and delta_9 to delta_2
+            for x, image in images.items():
+                if np.array_equal(f.values, delta(g, x).values):
+                    return delta(g, image)
+            return GFunction(g, PRIMAL, f.values)
+
+        with pytest.raises(NotEssentiallyFourierError) as excinfo:
+            recover(Operator(g, PRIMAL, PRIMAL, collide))
+        assert excinfo.value.step == "support-map-bijection"
+        assert excinfo.value.details["pair"] == (3, 7)
+
     def test_unit_preservation_violation(self):
         g = Group((4,))
         op = Operator.from_matrix(g, PRIMAL, PRIMAL, 2 * np.eye(4, dtype=complex))
@@ -299,6 +316,12 @@ class TestVerifyRecovery:
         report = recover(op)
         wrong = dataclasses.replace(report, psi=Automorphism(g, (0, 3, 2, 1)))
         assert verify_recovery(op, wrong, trials=4) >= 0.5
+
+    def test_report_on_another_group_is_rejected(self):
+        report = recover(build_reference_operator(Group((4,)), Automorphism.identity(Group((4,)))))
+        op = build_reference_operator(Group((2, 2)), Automorphism.identity(Group((2, 2))))
+        with pytest.raises(GroupMismatchError):
+            verify_recovery(op, report)
 
     def test_wrong_flag_shows_large_residual(self):
         g = Group((5,))

@@ -53,6 +53,10 @@ class TestGFunction:
         assert np.allclose(f.values, [1, 2, 0])
         assert np.allclose((-f).values, [-1, -2, 0])
 
+    def test_point_mass_at_an_element_of_another_group(self):
+        with pytest.raises(GroupMismatchError):
+            delta(Group((4,)), Group((2, 2)).element_of(3))
+
     def test_side_mismatch_in_addition(self):
         g = Group((3,))
         with pytest.raises(SideMismatchError):

@@ -14,6 +14,7 @@ from abelfft import (
     InvalidPermutationError,
     RetryExhaustedError,
     character,
+    delta,
     find_additivity_violation,
     is_automorphism,
     random_automorphism,
@@ -45,6 +46,37 @@ class TestGroupConstruction:
     def test_rejects_bad_orders(self, orders):
         with pytest.raises(InvalidGroupError):
             Group(orders)
+
+    @pytest.mark.parametrize(
+        "build,error",
+        [
+            (lambda: Group((2.7,)), InvalidGroupError),
+            (lambda: Group((True, 2)), InvalidGroupError),
+            (lambda: Group(("4",)), InvalidGroupError),
+            (lambda: Element(Group((4,)), (1.9,)), InvalidGroupError),
+            (lambda: Element(Group((4, 2)), (1, False)), InvalidGroupError),
+            (lambda: Group((4,)).element_of(2.7), IndexError),
+            (lambda: Group((4,)).element_of(True), IndexError),
+            (lambda: delta(Group((4,)), 2.7), IndexError),
+            (lambda: Automorphism(Group((4,)), (0, 3.2, 2, 1.9)), InvalidPermutationError),
+            (lambda: Automorphism(Group((2,)), (False, True)), InvalidPermutationError),
+        ],
+        ids=[
+            "float-order", "bool-order", "str-order", "float-coord", "bool-coord",
+            "float-index", "bool-index", "float-delta", "float-perm", "bool-perm",
+        ],
+    )
+    def test_rejects_non_integer_data(self, build, error):
+        with pytest.raises(error, match="must be an integer"):
+            build()
+
+    def test_accepts_numpy_integers(self):
+        g = Group((np.int64(4), np.int32(3)))
+        assert g.orders == (4, 3) and all(type(n) is int for n in g.orders)
+        assert Element(g, (np.int64(5), np.uint8(7))).coords == (1, 1)
+        assert g.element_of(np.intp(7)).coords == (2, 1)
+        assert delta(g, np.int64(5)).values[5] == 1
+        assert Automorphism(Group((4,)), np.array([0, 3, 2, 1])).perm == (0, 3, 2, 1)
 
     def test_groups_with_equal_orders_compare_equal(self):
         assert Group((4, 2)) == Group((4, 2))

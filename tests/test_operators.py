@@ -107,6 +107,12 @@ class TestOperatorContracts:
         with pytest.raises(GroupMismatchError):
             op.apply(delta(Group((3,)), 0))
 
+    def test_apply_checks_output_group(self):
+        g = Group((4,))
+        op = Operator(g, PRIMAL, PRIMAL, lambda f: delta(Group((2, 2)), 0))
+        with pytest.raises(GroupMismatchError):
+            op.apply(delta(g, 0))
+
     def test_apply_checks_side(self):
         g = Group((2,))
         op = build_reference_operator(g, Automorphism.identity(g), False, "U")
