@@ -20,7 +20,9 @@ go in two batches: the probe scalars, then the products and conjugate sums
 the scalar-map laws need.  Its last stage and ``verify_recovery`` score the
 operator against the model f -> conj?(f o psi) in one shared fit: the model
 image of alpha * delta_x is the single entry conj?(alpha) at psi^-1(x), so
-each point-mass image is scored at that entry and off it.
+each point-mass image is scored at that entry and off it.  The unit point
+masses delta_x are probed once: stage 2 reads the support map off them and
+scores them for the fit, so the last stage probes the other five scalars.
 
 Probes reach the operator in blocks of rows.  Scaled point masses go through
 ``Operator.apply_point_masses``, which reads a dense operator's columns, so
@@ -30,7 +32,8 @@ matrix product.  ``_to_primal`` then takes T-form images back to the primal
 side with one inverse transform.  An operator given only by its apply
 function is called once per probe, in order, either way.  The exhaustive
 branch of ``check_hypotheses`` transforms each of the n point-mass images
-once, so each of the n^2 pairs costs one inverse transform.  Point-mass
+once, so each of the n^2 pairs costs one inverse transform, and builds each
+block of pairs by broadcasting the rows of its x against all y.  Point-mass
 probes stream in fixed blocks of about ``_BLOCK_ELEMENTS`` values, each
 reduced to per-probe scalars before the next is built, so memory stays flat
 and every stage still fails at the first offending point mass.  Any
@@ -54,7 +57,6 @@ from .errors import (
 from .functions import (
     DEFAULT_SUPPORT_TOL_FACTOR,
     haar_weight,
-    random_function,
     star_values,
 )
 from .groups import Automorphism, Group, find_additivity_violation
@@ -159,8 +161,10 @@ def _blocks(count: int, size: int):
 
 
 def _random_rows(group: Group, rng: np.random.Generator, count: int) -> np.ndarray:
-    """``count`` seeded random functions as rows, drawn in order."""
-    return np.stack([random_function(group, rng).values for _ in range(count)])
+    """``count`` seeded random functions as rows, drawn in one call but in the
+    order, and with the values, of ``count`` calls to ``random_function``."""
+    draws = rng.standard_normal((count, 2, group.size))
+    return draws[:, 0] + 1j * draws[:, 1]
 
 
 def _to_primal(op: Operator, images: np.ndarray) -> np.ndarray:
@@ -187,6 +191,20 @@ def _scalar_map(op: Operator, alphas, tol: float) -> tuple[dict[complex, complex
     return dict(zip(alphas, (complex(v) for v in images[:, 0]))), float(_worst(deviations))
 
 
+def _score_point_masses(images, magnitude, targets, expected) -> tuple[float, bool]:
+    """Worst residual of a block of point-mass images against the model, whose
+    image of each row is the single entry ``expected`` at ``targets``, and
+    whether condition star holds on the block.  ``magnitude`` is |images|,
+    taken once by the caller; it is overwritten."""
+    rows = np.arange(len(targets))
+    on_point = magnitude[rows, targets]
+    magnitude[rows, targets] = 0.0
+    off_point = magnitude.max(axis=1)
+    support_tol = DEFAULT_SUPPORT_TOL_FACTOR * np.maximum(on_point, off_point)
+    worst = _worst(np.maximum(np.abs(images[rows, targets] - expected), off_point))
+    return float(worst), bool(np.all((on_point > support_tol) & (off_point <= support_tol)))
+
+
 def _model_fit(
     op: Operator, psi: Automorphism, conjugation: bool, scalars, trials: int, seed: int
 ) -> tuple[float, bool, float]:
@@ -204,15 +222,9 @@ def _model_fit(
         expected = np.conj(alpha) if conjugation else alpha
         for start, stop in _blocks(n, n):
             images = _to_primal(op, op.apply_point_masses(start, stop, alpha))
-            rows, targets = np.arange(stop - start), phi[start:stop]
-            magnitude = np.abs(images)
-            support_tol = DEFAULT_SUPPORT_TOL_FACTOR * magnitude.max(axis=1)
-            on_point = magnitude[rows, targets]
-            magnitude[rows, targets] = 0.0
-            off_point = magnitude.max(axis=1)
-            worst = _worst(np.maximum(np.abs(images[rows, targets] - expected), off_point))
-            residual_point = max(residual_point, float(worst))
-            condition_star_ok &= bool(np.all((on_point > support_tol) & (off_point <= support_tol)))
+            worst, star_ok = _score_point_masses(images, np.abs(images), phi[start:stop], expected)
+            residual_point = max(residual_point, worst)
+            condition_star_ok &= star_ok
 
     rng = np.random.default_rng(seed)
     residual_random = 0.0
@@ -224,18 +236,28 @@ def _model_fit(
     return residual_point, condition_star_ok, residual_random
 
 
-def _identity_errors(op, f, g, op_f, op_g, hat_f, hat_g, op_prod, op_conv) -> np.ndarray:
-    """Worst errors of identities (a), (b), (c) over a block of probe pairs given as rows;
-    ``hat_f`` and ``hat_g`` are the forward transforms of the images ``op_f`` and ``op_g``."""
-    group, out_side = op.group, op.output_side
-    lhs_a = op.apply_batch(f + star_values(g, group, op.input_side))
-    rhs_a = op_f + star_values(op_g, group, out_side)
-    product = op_f * op_g
-    convolution = _idft_values(hat_f * hat_g, group) * haar_weight(group, out_side)
+def _identity_errors(op, probe_sum, image_sum, product, hat_product, op_prod, op_conv) -> np.ndarray:
+    """Worst errors of identities (a), (b), (c) over a block of probe pairs (f, g)
+    given as rows: ``probe_sum`` is f + g* and ``image_sum`` is U(f) + U(g)*,
+    ``product`` is U(f) U(g) and ``hat_product`` the product of their forward
+    transforms, ``op_prod`` and ``op_conv`` are the images of f g and f conv g."""
+    group = op.group
+    # The transform goes first: right after a dense operator's BLAS product,
+    # numpy's FFT ran up to four times slower on an AVX-512 Xeon.
+    convolution = _idft_values(hat_product, group) * haar_weight(group, op.output_side)
+    lhs_a = op.apply_batch(probe_sum)
     rhs_b, rhs_c = (convolution, product) if op.form == T_FORM else (product, convolution)
     return np.array(
-        [_worst(np.abs(lhs_a - rhs_a)), _worst(np.abs(op_prod - rhs_b)), _worst(np.abs(op_conv - rhs_c))]
+        [_worst(np.abs(lhs_a - image_sum)), _worst(np.abs(op_prod - rhs_b)), _worst(np.abs(op_conv - rhs_c))]
     )
+
+
+def _pair_rows(pairs: np.ndarray, start: int, stop: int) -> np.ndarray:
+    """Rows [start, stop) of the pair order (x, y) -> x * n + y, out of an
+    (x1 - x0, n, n) array over the x in [x0, x1) with x0 = start // n."""
+    n = pairs.shape[-1]
+    offset = start // n * n
+    return pairs.reshape(-1, n)[start - offset : stop - offset]
 
 
 @np.errstate(over="ignore", invalid="ignore")
@@ -260,21 +282,28 @@ def check_hypotheses(
     errors = np.zeros(3)
 
     if n * n <= _EXHAUSTIVE_PAIR_BUDGET:
+        # Pair (x, y) is row x * n + y.  A block's rows come from broadcasting
+        # the rows of the x it spans against the rows of every y.
         points = np.eye(n, dtype=np.complex128)
+        star_points = star_values(points, group, op.input_side)
         op_delta = op.apply_point_masses(0, n)
+        star_op_delta = star_values(op_delta, group, op.output_side)
         hat_delta = _dft_values(op_delta, group)
         op_zero = op.apply_batch(np.zeros((1, n), dtype=np.complex128))
-        xs, ys = np.divmod(np.arange(n * n), n)
-        sums = group.add_index(xs, ys)
+        sums = group.add_index(*np.divmod(np.arange(n * n), n))
         for start, stop in _blocks(n * n, n):
-            x, y = xs[start:stop], ys[start:stop]
+            xs = slice(start // n, -(-stop // n))
             # delta_x * delta_y is exactly delta_x or zero; their primal
             # convolution is exactly the point mass at x + y.
-            op_prod = np.where((x == y)[:, None], op_delta[x], op_zero)
-            op_conv = op_delta[sums[start:stop]]
+            op_prod = np.where(np.eye(n, dtype=bool)[xs, :, None], op_delta[xs, None], op_zero)
             pair_errors = _identity_errors(
-                op, points[x], points[y], op_delta[x], op_delta[y], hat_delta[x], hat_delta[y],
-                op_prod, op_conv,
+                op,
+                _pair_rows(points[xs, None] + star_points[None], start, stop),
+                _pair_rows(op_delta[xs, None] + star_op_delta[None], start, stop),
+                _pair_rows(op_delta[xs, None] * op_delta[None], start, stop),
+                _pair_rows(hat_delta[xs, None] * hat_delta[None], start, stop),
+                _pair_rows(op_prod, start, stop),
+                op_delta[sums[start:stop]],
             )
             errors = np.maximum(errors, pair_errors)
 
@@ -286,7 +315,13 @@ def check_hypotheses(
         op_f, op_g = op.apply_batch(f), op.apply_batch(g)
         op_prod, op_conv = op.apply_batch(f * g), op.apply_batch(convolve_values(f, g, group, in_weight))
         pair_errors = _identity_errors(
-            op, f, g, op_f, op_g, _dft_values(op_f, group), _dft_values(op_g, group), op_prod, op_conv
+            op,
+            f + star_values(g, group, op.input_side),
+            op_f + star_values(op_g, group, op.output_side),
+            op_f * op_g,
+            _dft_values(op_f, group) * _dft_values(op_g, group),
+            op_prod,
+            op_conv,
         )
         errors = np.maximum(errors, pair_errors)
 
@@ -316,13 +351,17 @@ def recover(op: Operator, tol: float = DEFAULT_TOL) -> RecoveryReport:
             max_error=unit_error,
         )
 
-    # Stage 2: each transformed point mass must be a {0,1} indicator of a single point.
+    # Stage 2: each transformed point mass must be a {0,1} indicator of a single
+    # point.  These images are also the model fit's probes 1 * delta_x, and the
+    # support map phi is psi^-1 once stage 3 passes, so they are scored here.
     phi = np.empty(n, dtype=np.int64)
     binary_error = 0.0
+    unit_residual, unit_star_ok = 0.0, True
     for start, stop in _blocks(n, n):
         images = _to_primal(op, op.apply_point_masses(start, stop))
-        deviation = _worst(np.minimum(np.abs(images), np.abs(images - 1.0)), axis=1)
-        near_one = np.abs(images - 1.0) <= tol
+        magnitude, distance_to_one = np.abs(images), np.abs(images - 1.0)
+        deviation = _worst(np.minimum(magnitude, distance_to_one), axis=1)
+        near_one = distance_to_one <= tol
         failing = np.flatnonzero((deviation > tol) | (near_one.sum(axis=1) != 1))
         if failing.size:
             row = int(failing[0])
@@ -343,6 +382,9 @@ def recover(op: Operator, tol: float = DEFAULT_TOL) -> RecoveryReport:
             )
         binary_error = max(binary_error, float(deviation.max()))
         phi[start:stop] = near_one.argmax(axis=1)
+        worst, star_ok = _score_point_masses(images, magnitude, phi[start:stop], 1.0)
+        unit_residual = max(unit_residual, worst)
+        unit_star_ok &= star_ok
 
     # Stage 3: the support map must be an automorphism; its inverse is psi.
     # The first repeat is the first index that is not a first occurrence.
@@ -407,9 +449,13 @@ def recover(op: Operator, tol: float = DEFAULT_TOL) -> RecoveryReport:
 
     # Stage 5: residual of U(f) against the reconstructed model on scaled point
     # masses and seeded random functions, plus condition star on the point masses.
-    residual_point, condition_star_ok, residual_random = _model_fit(
-        op, psi, conjugation, PROBE_SCALARS, DEFAULT_RESIDUAL_TRIALS, DEFAULT_RECOVER_SEED
+    # Stage 2 has scored the unit scalar, PROBE_SCALARS[0] = 1 (its model entry
+    # conj?(1) = 1 needs no flag); the fit probes the other five.
+    fit_point, fit_star_ok, residual_random = _model_fit(
+        op, psi, conjugation, PROBE_SCALARS[1:], DEFAULT_RESIDUAL_TRIALS, DEFAULT_RECOVER_SEED
     )
+    residual_point = max(unit_residual, fit_point)
+    condition_star_ok = unit_star_ok and fit_star_ok
 
     diagnostics = {
         "unit_error": unit_error,

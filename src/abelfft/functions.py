@@ -91,7 +91,7 @@ class SupportSet:
     indices: frozenset[int]
 
     def __contains__(self, j: int) -> bool:
-        return int(j) in self.indices
+        return j in self.indices
 
     def __len__(self) -> int:
         return len(self.indices)

@@ -7,8 +7,11 @@ meaning apply(f) = matrix @ f.values, with f conjugated first if the flag is
 set.  A dense operator has one product path, ``apply_batch``, which answers a
 whole block of probes with one matrix product (``apply`` is a batch of one),
 and ``apply_point_masses`` reads the images of scaled point masses straight
-off the matrix columns.  An operator given only by its apply function stays a
-black box: both methods call it once per probe, in order.
+off the matrix columns.  The operator keeps its own copy of a dense matrix,
+stored column-major (Fortran order), so each point-mass image is a contiguous
+row of ``matrix.T``; record files stay row-major.  An operator given only by
+its apply function stays a black box: both methods call it once per probe,
+in order.
 
 T-form operators map primal to dual, U-form operators map primal to primal.
 The reference family is parameterized by an automorphism psi and a
@@ -62,7 +65,7 @@ class Operator:
         if self.conjugate_input and self.matrix is None:
             raise ValueError("conjugate_input describes a matrix; an apply function conjugates itself")
         if self.matrix is not None:
-            matrix = np.array(self.matrix, dtype=np.complex128, copy=True)
+            matrix = np.array(self.matrix, dtype=np.complex128, copy=True, order="F")
             if matrix.shape != (self.group.size, self.group.size):
                 raise GroupMismatchError(
                     f"operator matrix has shape {matrix.shape}, group has size {self.group.size}"
@@ -88,6 +91,8 @@ class Operator:
         if self.matrix is not None:
             return GFunction(self.group, self.output_side, self.apply_batch(f.values[None])[0])
         out = self.apply_fn(f)
+        if not isinstance(out, GFunction):
+            raise TypeError(f"operator apply function returned {type(out).__name__}, expected GFunction")
         if out.group != self.group:
             raise GroupMismatchError(
                 f"operator produced an output on {out.group.orders}, declared {self.group.orders}"
@@ -119,7 +124,7 @@ class Operator:
         if not 0 <= start <= stop <= n:
             raise IndexError(f"point masses [{start}, {stop}) out of range for group of size {n}")
         if self.matrix is not None:
-            # Column x of the matrix is the image of delta_x.
+            # Column x of the matrix is the image of delta_x, a contiguous row of matrix.T.
             s = np.conj(scale) if self.conjugate_input else scale
             return s * self.matrix.T[start:stop]
         return self.apply_batch(point_mass_rows(n, start, stop, scale))
@@ -168,12 +173,14 @@ def build_reference_operator(
 
 
 def reference_operator_matrix(group: Group, psi: Automorphism, form: str) -> np.ndarray:
-    """Dense matrix of the reference operator (the conjugation flag is stored separately)."""
+    """Dense matrix of the reference operator (the conjugation flag is stored separately),
+    built column-major: column x is the image of delta_x, which sits at phi = psi^-1."""
     if psi.group != group:
         raise GroupMismatchError("automorphism and group do not match")
-    perm = psi.perm_array
+    phi = np.argsort(psi.perm_array)
     if form == U_FORM:
-        return np.eye(group.size, dtype=np.complex128)[perm]
+        return np.eye(group.size, dtype=np.complex128)[phi].T
     if form == T_FORM:
-        return character_matrix(group)[:, np.argsort(perm)]
+        # The character matrix is symmetric, so its rows at phi are its columns at phi.
+        return character_matrix(group)[phi].T
     raise ValueError(f"form must be {T_FORM!r} or {U_FORM!r}, got {form!r}")

@@ -29,6 +29,7 @@ from abelfft import (
     verify_recovery,
     zero,
 )
+from abelfft.characterize import _random_rows
 
 ROUND_TRIP_CASES = [
     ((4, 2), 0, False, "T"),
@@ -461,8 +462,49 @@ class TestBlockedProbes:
         assert report.psi == psi and report.conjugation
         assert verify_recovery(op, report) < 1e-9
         # Only constants and random functions go through the matrix product;
-        # the 8 * 256 point masses of stages 2 and 5 and of verify do not.
+        # the 7 * 256 point masses of stages 2 and 5 and of verify do not.
         assert sum(batched_rows) < group.size
+
+
+def counted_reference_operator(group, psi, conjugation, form):
+    """The callable reference operator, and a list that grows by one per apply."""
+    reference = build_reference_operator(group, psi, conjugation, form)
+    calls = []
+
+    def counted(f):
+        calls.append(None)
+        return reference.apply_fn(f)
+
+    return Operator(group, PRIMAL, reference.output_side, counted), calls
+
+
+class TestProbeCounts:
+    @pytest.mark.parametrize("form", ["T", "U"])
+    def test_callable_apply_counts(self, form):
+        group = Group((8, 8))
+        n = group.size
+        psi = random_automorphism(group, 4)
+        op, calls = counted_reference_operator(group, psi, True, form)
+        report = recover(op)
+        assert report.psi == psi and report.conjugation
+        # Stage 2's unit point masses are the model fit's unit-scalar probes, so
+        # 6n point masses, 1 + 6 + 24 constants and 32 random functions.
+        assert len(calls) == 6 * n + 63 == 447
+        calls.clear()
+        assert verify_recovery(op, report) < 1e-9
+        assert len(calls) == n + 32
+        calls.clear()
+        assert check_hypotheses(op).passed
+        # n point masses, the zero function, n^2 pairs and 16 random pairs of five probes.
+        assert len(calls) == n + 1 + n * n + 5 * 16 == 4241
+
+    def test_random_rows_match_random_function_draws(self):
+        group = Group((3, 4))
+        rng, reference = np.random.default_rng(8), np.random.default_rng(8)
+        rows = _random_rows(group, rng, 5)
+        expected = np.stack([random_function(group, reference).values for _ in range(5)])
+        assert rows.view(np.uint64).tolist() == expected.view(np.uint64).tolist()
+        assert rng.standard_normal() == reference.standard_normal()
 
 
 class TestNonFiniteNeverPasses:

@@ -297,7 +297,7 @@ class TestWriters:
         path = tmp_path / "op.json"
         fileio.save_operator(path, Operator.from_matrix(Group((2,)), PRIMAL, PRIMAL, matrix))
         loaded = fileio.load_operator(path).matrix
-        assert loaded.view(np.uint64).tolist() == matrix.view(np.uint64).tolist()
+        assert np.ascontiguousarray(loaded).view(np.uint64).tolist() == matrix.view(np.uint64).tolist()
 
     def test_non_contiguous_inputs_roundtrip(self, tmp_path):
         rng = np.random.default_rng(3)
@@ -311,6 +311,26 @@ class TestWriters:
         assert not op.matrix.flags.c_contiguous
         fileio.save_operator(tmp_path / "op.json", op)
         assert np.array_equal(fileio.load_operator(tmp_path / "op.json").matrix, base.T)
+
+    @pytest.mark.parametrize("orders,form,conjugation", [((8, 16), "T", False), ((2, 64), "U", True)])
+    def test_operator_record_stays_row_major(self, tmp_path, orders, form, conjugation):
+        # op.matrix is stored column-major; the file holds the rows, as before.
+        group = Group(orders)
+        psi = random_automorphism(group, 5)
+        op = Operator.from_matrix(
+            group, PRIMAL, DUAL if form == "T" else PRIMAL, reference_operator_matrix(group, psi, form), conjugation
+        )
+        assert op.matrix.flags.f_contiguous
+        record = {
+            "group": {"orders": list(orders)},
+            "input_side": PRIMAL,
+            "output_side": op.output_side,
+            "conjugate_input": conjugation,
+            "matrix": _reference_pairs(np.ascontiguousarray(op.matrix)),
+        }
+        path = tmp_path / "op.json"
+        fileio.save_operator(path, op)
+        assert path.read_bytes() == (json.dumps(record, allow_nan=False) + "\n").encode()
 
     def test_indented_layout_still_loads(self, tmp_path):
         rng = np.random.default_rng(4)
@@ -327,7 +347,7 @@ class TestWriters:
         path.write_text(json.dumps(record, allow_nan=False, indent=1) + "\n")
         loaded = fileio.load_operator(path)
         assert loaded.conjugate_input is True and loaded.output_side == DUAL
-        assert loaded.matrix.view(np.uint64).tolist() == matrix.view(np.uint64).tolist()
+        assert np.ascontiguousarray(loaded.matrix).view(np.uint64).tolist() == matrix.view(np.uint64).tolist()
 
     def test_records_parse_to_the_per_entry_reference(self, tmp_path):
         rng = np.random.default_rng(5)

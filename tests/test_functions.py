@@ -175,6 +175,11 @@ class TestSupportAndNorms:
         s = support(delta(g, 2))
         assert 2 in s and 3 not in s and len(s) == 1
 
+    def test_membership_does_not_truncate(self):
+        s = support(delta(Group((4,)), 2))
+        assert 2.7 not in s and 2 in s
+        assert np.int64(2) in s and np.int32(2) in s and np.int64(1) not in s
+
     def test_norms(self):
         g = Group((4,))
         f = GFunction(g, PRIMAL, np.array([3, 4, 0, 0]))

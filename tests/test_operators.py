@@ -14,6 +14,7 @@ from abelfft import (
     Operator,
     SideMismatchError,
     build_reference_operator,
+    character_matrix,
     delta,
     dft_naive,
     fft_forward,
@@ -91,6 +92,23 @@ class TestOperatorMatrices:
         f = random_function(g, 8)
         assert max_abs_diff(closure.apply(f), boxed.apply(f)) < 1e-12
 
+    @pytest.mark.parametrize("orders", [(1,), (6,), (4, 6), (2, 3, 4), (64,)])
+    def test_matrix_equals_the_row_major_construction(self, orders):
+        g = Group(orders)
+        for seed in range(3):
+            psi = random_automorphism(g, seed)
+            perm = psi.perm_array
+            rows = {
+                "U": np.eye(g.size, dtype=np.complex128)[perm],
+                "T": character_matrix(g)[:, np.argsort(perm)],
+            }
+            for form, expected in rows.items():
+                got = reference_operator_matrix(g, psi, form)
+                assert got.shape == expected.shape
+                assert np.array_equal(
+                    np.ascontiguousarray(got).view(np.uint64), np.ascontiguousarray(expected).view(np.uint64)
+                )
+
     def test_matrix_columns_probe_with_point_masses(self):
         g = Group((4,))
         psi = Automorphism(g, (0, 3, 2, 1))
@@ -112,6 +130,14 @@ class TestOperatorContracts:
         op = Operator(g, PRIMAL, PRIMAL, lambda f: delta(Group((2, 2)), 0))
         with pytest.raises(GroupMismatchError):
             op.apply(delta(g, 0))
+
+    def test_apply_requires_a_gfunction_output(self):
+        g = Group((4,))
+        op = Operator(g, PRIMAL, PRIMAL, lambda f: f.values)
+        with pytest.raises(TypeError, match="ndarray"):
+            op.apply(delta(g, 0))
+        with pytest.raises(TypeError, match="ndarray"):
+            op.apply_point_masses(0, 2)
 
     def test_apply_checks_side(self):
         g = Group((2,))
@@ -231,6 +257,21 @@ class TestApplyBatch:
             batch = op.apply_batch(point_mass_rows(g.size, start, stop, scale))
             assert columns.shape == (stop - start, g.size)
             assert np.array_equal(np.ascontiguousarray(columns).view(np.uint64), batch.view(np.uint64))
+
+    @pytest.mark.parametrize("form", ["T", "U"])
+    def test_dense_storage_is_column_major(self, form):
+        g = Group((4, 6))
+        psi = random_automorphism(g, 2)
+        out_side = DUAL if form == "T" else PRIMAL
+        matrix = reference_operator_matrix(g, psi, form)
+        assert matrix.flags.f_contiguous
+        for given in (matrix, np.ascontiguousarray(matrix)):
+            op = Operator.from_matrix(g, PRIMAL, out_side, given, True)
+            assert op.matrix.flags.f_contiguous and np.array_equal(op.matrix, matrix)
+            for start, stop in ((0, g.size), (3, 17)):
+                rows = op.apply_point_masses(start, stop, 1j)
+                assert rows.flags.c_contiguous
+                assert np.array_equal(rows, -1j * matrix[:, start:stop].T)
 
     def test_batch_shape_validation(self):
         g = Group((4,))
