@@ -20,9 +20,14 @@ go in two batches: the probe scalars, then the products and conjugate sums
 the scalar-map laws need.  Its last stage and ``verify_recovery`` score the
 operator against the model f -> conj?(f o psi) in one shared fit: the model
 image of alpha * delta_x is the single entry conj?(alpha) at psi^-1(x), so
-each point-mass image is scored at that entry and off it.  The unit point
-masses delta_x are probed once: stage 2 reads the support map off them and
-scores them for the fit, so the last stage probes the other five scalars.
+each point-mass image is scored at that entry and off it, through two
+statistics per image: its value at that entry and its largest magnitude off
+it.  The unit point masses delta_x are probed once: stage 2 reads the support
+map off them and keeps their statistics for the fit.  A dense operator's
+image of alpha * delta_x is s * column x with s = ``point_mass_scale(alpha)``,
+so the fit scores its five other scalars off stage 2's statistics times s,
+with no further transform; an operator given by its apply function is still
+probed once per scalar.
 
 Probes reach the operator in blocks of rows.  Scaled point masses go through
 ``Operator.apply_point_masses``, which reads a dense operator's columns, so
@@ -69,6 +74,7 @@ DEFAULT_TOL = 1e-9
 DEFAULT_CHECK_TRIALS = 16
 DEFAULT_RESIDUAL_TRIALS = 32
 DEFAULT_RECOVER_SEED = 1789
+DEFAULT_VERIFY_SEED = 905
 _EXHAUSTIVE_PAIR_BUDGET = 4096
 # Values per probe block: 32 probes at size 1024.
 _BLOCK_ELEMENTS = 1 << 15
@@ -191,28 +197,56 @@ def _scalar_map(op: Operator, alphas, tol: float) -> tuple[dict[complex, complex
     return dict(zip(alphas, (complex(v) for v in images[:, 0]))), float(_worst(deviations))
 
 
-def _score_point_masses(images, magnitude, targets, expected) -> tuple[float, bool]:
-    """Worst residual of a block of point-mass images against the model, whose
-    image of each row is the single entry ``expected`` at ``targets``, and
-    whether condition star holds on the block.  ``magnitude`` is |images|,
+def _point_mass_stats(images, magnitude, targets) -> tuple[np.ndarray, np.ndarray]:
+    """Per-row statistics of a block of point-mass images against the model,
+    whose image of each row is a single entry at ``targets``: the complex value
+    at the target and the largest magnitude off it.  ``magnitude`` is |images|,
     taken once by the caller; it is overwritten."""
     rows = np.arange(len(targets))
-    on_point = magnitude[rows, targets]
+    on_value = images[rows, targets]
     magnitude[rows, targets] = 0.0
-    off_point = magnitude.max(axis=1)
+    return on_value, magnitude.max(axis=1)
+
+
+def _score_point_masses(on_value, off_point, expected) -> tuple[float, bool]:
+    """Worst residual of point-mass images, given by their statistics, against
+    the model entry ``expected`` at the target and zero off it, and whether
+    condition star holds on them."""
+    on_point = np.abs(on_value)
     support_tol = DEFAULT_SUPPORT_TOL_FACTOR * np.maximum(on_point, off_point)
-    worst = _worst(np.maximum(np.abs(images[rows, targets] - expected), off_point))
+    worst = _worst(np.maximum(np.abs(on_value - expected), off_point))
     return float(worst), bool(np.all((on_point > support_tol) & (off_point <= support_tol)))
 
 
+def _probed_stats(op: Operator, alpha: complex, phi: np.ndarray):
+    """Statistics of the primal images of alpha * delta_x against phi, one probe block at a time."""
+    n = op.group.size
+    for start, stop in _blocks(n, n):
+        images = _to_primal(op, op.apply_point_masses(start, stop, alpha))
+        yield _point_mass_stats(images, np.abs(images), phi[start:stop])
+
+
 def _model_fit(
-    op: Operator, psi: Automorphism, conjugation: bool, scalars, trials: int, seed: int
+    op: Operator,
+    psi: Automorphism,
+    conjugation: bool,
+    scalars,
+    trials: int,
+    seed: int,
+    unit_stats: tuple[np.ndarray, np.ndarray] | None = None,
 ) -> tuple[float, bool, float]:
     """Worst residual against the model f -> conj?(f o psi) on the point masses
     alpha * delta_x (alpha in ``scalars``), whether condition star holds on
     them, and the worst residual on ``trials`` seeded random functions.  The
     model image of alpha * delta_x is the single entry conj?(alpha) at phi(x),
-    phi = psi^-1, so each image is scored at that entry and off it."""
+    phi = psi^-1, so each image is scored at that entry and off it.
+
+    ``unit_stats`` are the statistics of the primal images of the unit point
+    masses 1 * delta_x against phi.  Given them, the fit does not probe the
+    unit scalar again, nor any scalar whose images are the unit images times
+    s = ``op.point_mass_scale(alpha)``: it scores those from the unit
+    statistics times s (|s| off the target).  The inverse transform is linear,
+    so this matches probing up to rounding."""
     n = op.group.size
     perm = psi.perm_array
     phi = np.argsort(perm)
@@ -220,9 +254,14 @@ def _model_fit(
     condition_star_ok = True
     for alpha in scalars:
         expected = np.conj(alpha) if conjugation else alpha
-        for start, stop in _blocks(n, n):
-            images = _to_primal(op, op.apply_point_masses(start, stop, alpha))
-            worst, star_ok = _score_point_masses(images, np.abs(images), phi[start:stop], expected)
+        scale = 1 if alpha == 1 else op.point_mass_scale(alpha)
+        if unit_stats is not None and scale is not None:
+            on_value, off_point = unit_stats
+            stats = [(scale * on_value, abs(scale) * off_point)]
+        else:
+            stats = _probed_stats(op, alpha, phi)
+        for on_value, off_point in stats:
+            worst, star_ok = _score_point_masses(on_value, off_point, expected)
             residual_point = max(residual_point, worst)
             condition_star_ok &= star_ok
 
@@ -353,10 +392,11 @@ def recover(op: Operator, tol: float = DEFAULT_TOL) -> RecoveryReport:
 
     # Stage 2: each transformed point mass must be a {0,1} indicator of a single
     # point.  These images are also the model fit's probes 1 * delta_x, and the
-    # support map phi is psi^-1 once stage 3 passes, so they are scored here.
+    # support map phi is psi^-1 once stage 3 passes, so their statistics
+    # against phi are kept for the fit: two values per point mass.
     phi = np.empty(n, dtype=np.int64)
+    on_value, off_point = np.empty(n, dtype=np.complex128), np.empty(n)
     binary_error = 0.0
-    unit_residual, unit_star_ok = 0.0, True
     for start, stop in _blocks(n, n):
         images = _to_primal(op, op.apply_point_masses(start, stop))
         magnitude, distance_to_one = np.abs(images), np.abs(images - 1.0)
@@ -382,9 +422,7 @@ def recover(op: Operator, tol: float = DEFAULT_TOL) -> RecoveryReport:
             )
         binary_error = max(binary_error, float(deviation.max()))
         phi[start:stop] = near_one.argmax(axis=1)
-        worst, star_ok = _score_point_masses(images, magnitude, phi[start:stop], 1.0)
-        unit_residual = max(unit_residual, worst)
-        unit_star_ok &= star_ok
+        on_value[start:stop], off_point[start:stop] = _point_mass_stats(images, magnitude, phi[start:stop])
 
     # Stage 3: the support map must be an automorphism; its inverse is psi.
     # The first repeat is the first index that is not a first occurrence.
@@ -449,13 +487,17 @@ def recover(op: Operator, tol: float = DEFAULT_TOL) -> RecoveryReport:
 
     # Stage 5: residual of U(f) against the reconstructed model on scaled point
     # masses and seeded random functions, plus condition star on the point masses.
-    # Stage 2 has scored the unit scalar, PROBE_SCALARS[0] = 1 (its model entry
-    # conj?(1) = 1 needs no flag); the fit probes the other five.
-    fit_point, fit_star_ok, residual_random = _model_fit(
-        op, psi, conjugation, PROBE_SCALARS[1:], DEFAULT_RESIDUAL_TRIALS, DEFAULT_RECOVER_SEED
+    # The fit scores the unit scalar, and every scalar of a dense operator, off
+    # stage 2's statistics; it probes the other scalars of a callable operator.
+    residual_point, condition_star_ok, residual_random = _model_fit(
+        op,
+        psi,
+        conjugation,
+        PROBE_SCALARS,
+        DEFAULT_RESIDUAL_TRIALS,
+        DEFAULT_RECOVER_SEED,
+        unit_stats=(on_value, off_point),
     )
-    residual_point = max(unit_residual, fit_point)
-    condition_star_ok = unit_star_ok and fit_star_ok
 
     diagnostics = {
         "unit_error": unit_error,
@@ -487,15 +529,18 @@ def recover(op: Operator, tol: float = DEFAULT_TOL) -> RecoveryReport:
 def verify_recovery(
     op: Operator,
     report: RecoveryReport,
-    trials: int = 32,
-    seed: int = 905,
+    trials: int = DEFAULT_RESIDUAL_TRIALS,
+    seed: int = DEFAULT_VERIFY_SEED,
 ) -> float:
     """Independent residual of the operator against a report's model.
 
     Probes every point mass plus ``trials`` fresh random functions, so a
     report carrying the wrong automorphism shows an order-one residual.
+    ``trials = 0`` checks the point masses only.
     """
     _require_checkable(op)
+    if trials < 0:
+        raise ValueError(f"trials must be >= 0, got {trials}")
     if report.psi.group != op.group:
         raise GroupMismatchError("report and operator live on different groups")
     point, _, random = _model_fit(op, report.psi, report.conjugation, (1.0,), trials, seed)

@@ -7,11 +7,13 @@ meaning apply(f) = matrix @ f.values, with f conjugated first if the flag is
 set.  A dense operator has one product path, ``apply_batch``, which answers a
 whole block of probes with one matrix product (``apply`` is a batch of one),
 and ``apply_point_masses`` reads the images of scaled point masses straight
-off the matrix columns.  The operator keeps its own copy of a dense matrix,
-stored column-major (Fortran order), so each point-mass image is a contiguous
-row of ``matrix.T``; record files stay row-major.  An operator given only by
+off the matrix columns: the image of alpha * delta_x is column x times
+``point_mass_scale(alpha)``, which is conj?(alpha) by the flag.  The operator
+keeps its own copy of a dense matrix, stored column-major (Fortran order), so
+each point-mass image is a contiguous row of ``matrix.T``; record files stay
+row-major.  An operator given only by
 its apply function stays a black box: both methods call it once per probe,
-in order.
+in order, and ``point_mass_scale`` is None for it.
 
 T-form operators map primal to dual, U-form operators map primal to primal.
 The reference family is parameterized by an automorphism psi and a
@@ -118,14 +120,21 @@ class Operator:
             out[i] = self.apply(GFunction(self.group, self.input_side, row)).values
         return out
 
+    def point_mass_scale(self, alpha: complex) -> Optional[complex]:
+        """The factor s with image(alpha * delta_x) = s * image(delta_x) for every x:
+        conj?(alpha) for a dense operator, None for one given by an apply function."""
+        if self.matrix is None:
+            return None
+        return np.conj(alpha) if self.conjugate_input else alpha
+
     def apply_point_masses(self, start: int, stop: int, scale: complex = 1.0) -> np.ndarray:
         """Images of ``scale * delta_x`` for x in range(start, stop), one row each."""
         n = self.group.size
         if not 0 <= start <= stop <= n:
             raise IndexError(f"point masses [{start}, {stop}) out of range for group of size {n}")
-        if self.matrix is not None:
+        s = self.point_mass_scale(scale)
+        if s is not None:
             # Column x of the matrix is the image of delta_x, a contiguous row of matrix.T.
-            s = np.conj(scale) if self.conjugate_input else scale
             return s * self.matrix.T[start:stop]
         return self.apply_batch(point_mass_rows(n, start, stop, scale))
 

@@ -332,6 +332,16 @@ class TestVerifyRecovery:
         flipped = dataclasses.replace(report, conjugation=True)
         assert verify_recovery(op, flipped, trials=8) >= 0.5
 
+    def test_negative_trials_rejected(self):
+        _, _, op = reference_fixture((4,), 1, False, "U")
+        report = recover(op)
+        with pytest.raises(ValueError, match="-5"):
+            verify_recovery(op, report, trials=-5)
+        # Zero trials still checks the point masses.
+        assert verify_recovery(op, report, trials=0) == 0.0
+        wrong = dataclasses.replace(report, psi=Automorphism(op.group, (0, 3, 2, 1)))
+        assert verify_recovery(op, wrong, trials=0) >= 0.5
+
 
 class TestNegativeProperty:
     @pytest.mark.parametrize("orders,seed,conjugation,form", ROUND_TRIP_CASES[:8])
@@ -462,8 +472,75 @@ class TestBlockedProbes:
         assert report.psi == psi and report.conjugation
         assert verify_recovery(op, report) < 1e-9
         # Only constants and random functions go through the matrix product;
-        # the 7 * 256 point masses of stages 2 and 5 and of verify do not.
+        # the point masses of stage 2 and of verify do not.
         assert sum(batched_rows) < group.size
+
+
+def perturbed_dense_pair(orders, form, conjugation, perturbation):
+    """A dense reference operator with a small primal-side perturbation, and
+    its callable twin, whose apply function is the same matrix product."""
+    group = Group(orders)
+    n = group.size
+    psi = random_automorphism(group, 2)
+    phi = np.argsort(psi.perm_array)
+    primal = reference_operator_matrix(group, psi, "U").copy()
+    if perturbation == "noise":
+        rng = np.random.default_rng(11)
+        primal += 1e-13 * (rng.standard_normal((n, n)) + 1j * rng.standard_normal((n, n)))
+    elif perturbation == "leak":
+        primal[(phi + 1) % n, np.arange(n)] += 1e-11
+    elif perturbation == "nudge":
+        primal[3, 5] += 2e-10
+    matrix = character_matrix(group) @ primal if form == "T" else primal
+    out_side = DUAL if form == "T" else PRIMAL
+    dense = Operator.from_matrix(group, PRIMAL, out_side, matrix, conjugation)
+
+    def twin_apply(f):
+        values = np.conj(f.values) if conjugation else f.values
+        return GFunction(group, out_side, dense.matrix @ values)
+
+    return psi, dense, Operator(group, PRIMAL, out_side, twin_apply)
+
+
+class TestDenseModelFit:
+    @pytest.mark.parametrize("conjugation", [False, True])
+    @pytest.mark.parametrize("form", ["T", "U"])
+    def test_recover_reads_each_point_mass_once(self, form, conjugation):
+        psi, op, _ = perturbed_dense_pair((8, 8), form, conjugation, None)
+        rows = []
+        apply_point_masses = op.apply_point_masses
+
+        def counting_apply_point_masses(start, stop, scale=1.0):
+            rows.append(stop - start)
+            return apply_point_masses(start, stop, scale)
+
+        op.apply_point_masses = counting_apply_point_masses
+        report = recover(op)
+        assert report.psi == psi and report.conjugation is conjugation
+        # Stage 2's unit point masses; the fit scales their statistics.
+        assert sum(rows) == op.group.size
+
+    @pytest.mark.parametrize("perturbation", ["noise", "leak", "nudge"])
+    @pytest.mark.parametrize("conjugation", [False, True])
+    @pytest.mark.parametrize("form", ["T", "U"])
+    def test_dense_operator_matches_its_callable_twin(self, form, conjugation, perturbation):
+        psi, dense, twin = perturbed_dense_pair((8, 8), form, conjugation, perturbation)
+        fast, probed = recover(dense), recover(twin)
+        assert fast.psi == probed.psi == psi
+        assert fast.conjugation is probed.conjugation is conjugation
+        star_ok = fast.diagnostics["condition_star_ok"]
+        assert star_ok is probed.diagnostics["condition_star_ok"]
+        assert star_ok is (perturbation == "noise")
+        assert fast.diagnostics.keys() == probed.diagnostics.keys()
+        point_masses = ("point_mass_binary_error", "residual_point_masses")
+        for key, value in fast.diagnostics.items():
+            if isinstance(value, float):
+                # Constants and random functions reach the dense operator as one
+                # matrix product per block and the twin as one matrix-vector
+                # product each, which round differently, by up to about 5e-15.
+                bound = 1e-15 if key in point_masses else 1e-14
+                assert abs(value - probed.diagnostics[key]) <= bound, key
+        assert abs(fast.residual - probed.residual) <= 1e-15
 
 
 def counted_reference_operator(group, psi, conjugation, form):

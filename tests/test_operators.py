@@ -244,6 +244,7 @@ class TestApplyBatch:
         for x, seen in zip(range(1, 5), calls):
             assert np.array_equal(seen, 1j * delta(g, x).values)
         assert np.array_equal(images, 2j * np.eye(g.size)[1:5])
+        assert op.point_mass_scale(1j) is None
 
     @pytest.mark.parametrize("conjugation", [False, True])
     @pytest.mark.parametrize("scale", PROBE_SCALARS)
@@ -252,8 +253,11 @@ class TestApplyBatch:
         rng = np.random.default_rng(4)
         matrix = rng.standard_normal((g.size, g.size)) + 1j * rng.standard_normal((g.size, g.size))
         op = Operator.from_matrix(g, PRIMAL, DUAL, matrix, conjugation)
+        s = op.point_mass_scale(scale)
+        assert s == (np.conj(scale) if conjugation else scale)
         for start, stop in ((0, g.size), (3, 17), (5, 5)):
             columns = op.apply_point_masses(start, stop, scale)
+            assert np.array_equal(columns, s * op.apply_point_masses(start, stop))
             batch = op.apply_batch(point_mass_rows(g.size, start, stop, scale))
             assert columns.shape == (stop - start, g.size)
             assert np.array_equal(np.ascontiguousarray(columns).view(np.uint64), batch.view(np.uint64))
