@@ -37,14 +37,15 @@ matrix product.  ``_to_primal`` then takes T-form images back to the primal
 side with one inverse transform.  An operator given only by its apply
 function is called once per probe, in order, either way.  The exhaustive
 branch of ``check_hypotheses`` transforms each of the n point-mass images
-once, so each of the n^2 pairs costs one inverse transform, and builds each
-block of pairs by broadcasting the rows of its x against all y.  Point-mass
-probes stream in fixed blocks of about ``_BLOCK_ELEMENTS`` values, each
-reduced to per-probe scalars before the next is built, so memory stays flat
-and every stage still fails at the first offending point mass.  Any
-non-finite error counts as an infinite one, so NaN never passes a check; the
-public checks therefore silence numpy's overflow and invalid-value warnings,
-which a huge or non-finite operator raises and which would say nothing more.
+once, so each of the n^2 pairs costs one inverse transform; each of its
+blocks holds every y for a run of x, broadcast into rows.  Point-mass probes
+stream in fixed blocks of about ``_BLOCK_ELEMENTS`` values, each reduced to
+per-probe scalars before the next is built, so memory stays flat and every
+stage still fails at the first offending point mass.  Any non-finite error
+counts as an infinite one and every tolerance must be finite and >= 0, so NaN
+never passes a check; the public checks therefore silence numpy's overflow
+and invalid-value warnings, which a huge or non-finite operator raises and
+which would say nothing more.
 """
 
 from __future__ import annotations
@@ -152,6 +153,11 @@ def _require_checkable(op: Operator) -> None:
             f"only primal->dual and primal->primal operators are supported, "
             f"got {op.input_side} -> {op.output_side}"
         )
+
+
+def _require_tolerance(tol: float) -> None:
+    if not 0 <= tol < np.inf:
+        raise ValueError(f"tol must be a finite number >= 0, got {tol}")
 
 
 def _worst(errors: np.ndarray, axis: int | None = None):
@@ -275,28 +281,25 @@ def _model_fit(
     return residual_point, condition_star_ok, residual_random
 
 
-def _identity_errors(op, probe_sum, image_sum, product, hat_product, op_prod, op_conv) -> np.ndarray:
-    """Worst errors of identities (a), (b), (c) over a block of probe pairs (f, g)
-    given as rows: ``probe_sum`` is f + g* and ``image_sum`` is U(f) + U(g)*,
-    ``product`` is U(f) U(g) and ``hat_product`` the product of their forward
-    transforms, ``op_prod`` and ``op_conv`` are the images of f g and f conv g."""
+def _identity_errors(op, f, g, op_f, op_g, hat_f, hat_g, op_prod, op_conv) -> np.ndarray:
+    """Worst errors of identities (a), (b), (c) over a block of probe pairs (f, g).
+
+    The arguments broadcast together to (..., n), one pair per broadcast row:
+    ``op_f`` and ``op_g`` are U(f) and U(g), ``hat_f`` and ``hat_g`` their
+    forward transforms, ``op_prod`` and ``op_conv`` the images of f g and
+    f conv g.  Each side is formed once and read as (-1, n) rows in broadcast
+    order, which is the order in which the probes f + g* reach ``apply_batch``."""
     group = op.group
+    n = group.size
     # The transform goes first: right after a dense operator's BLAS product,
     # numpy's FFT ran up to four times slower on an AVX-512 Xeon.
-    convolution = _idft_values(hat_product, group) * haar_weight(group, op.output_side)
-    lhs_a = op.apply_batch(probe_sum)
+    convolution = _idft_values((hat_f * hat_g).reshape(-1, n), group) * haar_weight(group, op.output_side)
+    lhs_a = op.apply_batch((f + star_values(g, group, op.input_side)).reshape(-1, n))
+    rhs_a = (op_f + star_values(op_g, group, op.output_side)).reshape(-1, n)
+    product = (op_f * op_g).reshape(-1, n)
     rhs_b, rhs_c = (convolution, product) if op.form == T_FORM else (product, convolution)
-    return np.array(
-        [_worst(np.abs(lhs_a - image_sum)), _worst(np.abs(op_prod - rhs_b)), _worst(np.abs(op_conv - rhs_c))]
-    )
-
-
-def _pair_rows(pairs: np.ndarray, start: int, stop: int) -> np.ndarray:
-    """Rows [start, stop) of the pair order (x, y) -> x * n + y, out of an
-    (x1 - x0, n, n) array over the x in [x0, x1) with x0 = start // n."""
-    n = pairs.shape[-1]
-    offset = start // n * n
-    return pairs.reshape(-1, n)[start - offset : stop - offset]
+    sides = [(lhs_a, rhs_a), (op_prod.reshape(-1, n), rhs_b), (op_conv.reshape(-1, n), rhs_c)]
+    return np.array([_worst(np.abs(lhs - rhs)) for lhs, rhs in sides])
 
 
 @np.errstate(over="ignore", invalid="ignore")
@@ -314,6 +317,7 @@ def check_hypotheses(
     deviation per identity; nothing raises.
     """
     _require_checkable(op)
+    _require_tolerance(tol)
     if trials < 1:
         raise ValueError(f"trials must be >= 1, got {trials}")
     group = op.group
@@ -321,28 +325,20 @@ def check_hypotheses(
     errors = np.zeros(3)
 
     if n * n <= _EXHAUSTIVE_PAIR_BUDGET:
-        # Pair (x, y) is row x * n + y.  A block's rows come from broadcasting
-        # the rows of the x it spans against the rows of every y.
+        # Pair (x, y) is row x * n + y: each block holds every y for a run of x.
         points = np.eye(n, dtype=np.complex128)
-        star_points = star_values(points, group, op.input_side)
         op_delta = op.apply_point_masses(0, n)
-        star_op_delta = star_values(op_delta, group, op.output_side)
         hat_delta = _dft_values(op_delta, group)
         op_zero = op.apply_batch(np.zeros((1, n), dtype=np.complex128))
-        sums = group.add_index(*np.divmod(np.arange(n * n), n))
-        for start, stop in _blocks(n * n, n):
-            xs = slice(start // n, -(-stop // n))
+        ys = np.arange(n)
+        for x0, x1 in _blocks(n, n * n):
+            xs = np.arange(x0, x1)[:, None]
             # delta_x * delta_y is exactly delta_x or zero; their primal
             # convolution is exactly the point mass at x + y.
-            op_prod = np.where(np.eye(n, dtype=bool)[xs, :, None], op_delta[xs, None], op_zero)
+            op_prod = np.where((xs == ys)[..., None], op_delta[xs], op_zero)
+            op_conv = op_delta[group.add_index(xs, ys)]
             pair_errors = _identity_errors(
-                op,
-                _pair_rows(points[xs, None] + star_points[None], start, stop),
-                _pair_rows(op_delta[xs, None] + star_op_delta[None], start, stop),
-                _pair_rows(op_delta[xs, None] * op_delta[None], start, stop),
-                _pair_rows(hat_delta[xs, None] * hat_delta[None], start, stop),
-                _pair_rows(op_prod, start, stop),
-                op_delta[sums[start:stop]],
+                op, points[xs], points, op_delta[xs], op_delta, hat_delta[xs], hat_delta, op_prod, op_conv
             )
             errors = np.maximum(errors, pair_errors)
 
@@ -353,16 +349,8 @@ def check_hypotheses(
         f, g = draws[0::2], draws[1::2]
         op_f, op_g = op.apply_batch(f), op.apply_batch(g)
         op_prod, op_conv = op.apply_batch(f * g), op.apply_batch(convolve_values(f, g, group, in_weight))
-        pair_errors = _identity_errors(
-            op,
-            f + star_values(g, group, op.input_side),
-            op_f + star_values(op_g, group, op.output_side),
-            op_f * op_g,
-            _dft_values(op_f, group) * _dft_values(op_g, group),
-            op_prod,
-            op_conv,
-        )
-        errors = np.maximum(errors, pair_errors)
+        hat_f, hat_g = _dft_values(op_f, group), _dft_values(op_g, group)
+        errors = np.maximum(errors, _identity_errors(op, f, g, op_f, op_g, hat_f, hat_g, op_prod, op_conv))
 
     err_a, err_b, err_c = (float(e) for e in errors)
     return HypothesisReport(err_a, err_b, err_c, trials, seed, tol)
@@ -377,6 +365,7 @@ def recover(op: Operator, tol: float = DEFAULT_TOL) -> RecoveryReport:
     failing stage and carries the offending data.
     """
     _require_checkable(op)
+    _require_tolerance(tol)
     group = op.group
     n = group.size
 

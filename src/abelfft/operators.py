@@ -11,9 +11,9 @@ off the matrix columns: the image of alpha * delta_x is column x times
 ``point_mass_scale(alpha)``, which is conj?(alpha) by the flag.  The operator
 keeps its own copy of a dense matrix, stored column-major (Fortran order), so
 each point-mass image is a contiguous row of ``matrix.T``; record files stay
-row-major.  An operator given only by
-its apply function stays a black box: both methods call it once per probe,
-in order, and ``point_mass_scale`` is None for it.
+row-major.  An operator given only by its apply function stays a black box:
+both methods call it once per probe, in order, and ``point_mass_scale`` is
+None for it.
 
 T-form operators map primal to dual, U-form operators map primal to primal.
 The reference family is parameterized by an automorphism psi and a

@@ -99,6 +99,17 @@ class TestCheckHypotheses:
         with pytest.raises(SideMismatchError):
             check_hypotheses(op)
 
+    @pytest.mark.parametrize("tol", [np.inf, np.nan, -1.0])
+    def test_tolerance_must_be_finite_and_non_negative(self, tol):
+        # An infinite tol would pass an all-NaN operator, whose errors count as inf.
+        g = Group((4, 2))
+        nan_op = Operator.from_matrix(g, PRIMAL, PRIMAL, np.full((8, 8), np.nan, dtype=complex))
+        identity = build_reference_operator(g, Automorphism.identity(g), False, "U")
+        with pytest.raises(ValueError, match=f"tol must be a finite number >= 0, got {tol}"):
+            check_hypotheses(nan_op, trials=2, tol=tol)
+        with pytest.raises(ValueError, match=f"got {tol}"):
+            recover(identity, tol=tol)
+
     def test_report_dict_roundtrips_flags(self):
         _, _, op = reference_fixture((4,), 1, True, "U")
         report = check_hypotheses(op, trials=2, seed=5)
@@ -265,6 +276,21 @@ class TestRecoverFailures:
         op = Operator(g, PRIMAL, PRIMAL, absolute_value)
         with pytest.raises(DichotomyViolationError):
             recover(op)
+
+    def test_dichotomy_cross_validation(self):
+        # m(i) = i picks the identity branch; m(2) = 2.5 then contradicts it.
+        g = Group((4, 2))
+
+        def identity_but_two(f):
+            values = f.values.copy()
+            if np.all(values == 2):
+                values[:] = 2.5
+            return GFunction(g, PRIMAL, values)
+
+        with pytest.raises(DichotomyViolationError) as excinfo:
+            recover(Operator(g, PRIMAL, PRIMAL, identity_but_two))
+        assert excinfo.value.step == "dichotomy-cross-validation"
+        assert excinfo.value.details["max_error"] == 0.5
 
     def test_scalar_independence_violation(self):
         g = Group((4,))
@@ -439,7 +465,15 @@ class TestBlockedProbes:
         return errors
 
     @pytest.mark.parametrize(
-        "orders,form,conjugation", [((8, 8), "T", True), ((64,), "T", False), ((4, 4, 4), "U", True)]
+        "orders,form,conjugation",
+        [
+            ((8, 8), "T", True),
+            ((64,), "T", False),
+            ((4, 4, 4), "U", True),
+            # 2^15 values are not a whole number of x-rows of n^2 values at n = 36 and 49.
+            ((6, 6), "U", True),
+            ((7, 7), "T", False),
+        ],
     )
     def test_exhaustive_check_matches_per_pair_loop(self, orders, form, conjugation):
         group = Group(orders)

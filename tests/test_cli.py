@@ -238,6 +238,27 @@ class TestCheckCommand:
         assert errors["passed"] is False
         assert None in (errors["a"], errors["b"], errors["c"])
 
+    def test_overflowing_float_entry_exits_2(self, tmp_path, capsys):
+        # json reads 1e400 as inf.
+        out = self.gen(tmp_path)
+        data = json.loads(out.read_text())
+        data["matrix"][2][3] = [123.25, 0.0]
+        out.write_text(json.dumps(data).replace("123.25", "1e400"))
+        capsys.readouterr()
+        assert main(["check", str(out)]) == 2
+        err = capsys.readouterr().err
+        assert "non-finite value" in err and "Traceback" not in err
+
+    def test_zero_group_order_exits_2(self, tmp_path, capsys):
+        out = self.gen(tmp_path)
+        data = json.loads(out.read_text())
+        data["group"]["orders"] = [0]
+        out.write_text(json.dumps(data))
+        capsys.readouterr()
+        assert main(["check", str(out)]) == 2
+        err = capsys.readouterr().err
+        assert "bad group orders" in err and "Traceback" not in err
+
 
 class TestRecoverCommand:
     def gen(self, tmp_path, *extra):
@@ -290,6 +311,16 @@ class TestRecoverCommand:
         bad = tmp_path / "bad.json"
         bad.write_text("{}")
         assert main(["recover", str(bad)]) == 2
+
+    def test_truth_of_another_group_exits_2(self, tmp_path, capsys):
+        (tmp_path / "a").mkdir()
+        (tmp_path / "b").mkdir()
+        small, big = tmp_path / "a" / "op.json", tmp_path / "b" / "op.json"
+        assert main(["gen-operator", "--orders", "2", "2", "--form", "U", "-o", str(small)]) == 0
+        assert main(["gen-operator", "--orders", "4", "--form", "U", "-o", str(big)]) == 0
+        capsys.readouterr()
+        assert main(["recover", str(big), "--truth", str(tmp_path / "a" / "op.truth.json")]) == 2
+        assert "truth sidecar describes a different group" in capsys.readouterr().err
 
     @pytest.mark.parametrize("psi", [[0, 1, 2, 3.9], [0, True, 2, 3], [0, 1, 2, "3"]])
     def test_non_integer_truth_psi_exits_2(self, tmp_path, capsys, psi):
@@ -354,6 +385,13 @@ class TestUsageErrors:
         capsys.readouterr()
         assert main([command, str(op_path), "--tol", tol]) == 2
         assert "finite number >= 0" in capsys.readouterr().err
+
+    def test_non_numeric_tolerance_exits_2(self, tmp_path, capsys):
+        op_path = tmp_path / "op.json"
+        assert main(["gen-operator", "--orders", "4", "--form", "T", "-o", str(op_path)]) == 0
+        capsys.readouterr()
+        assert main(["check", str(op_path), "--tol", "abc"]) == 2
+        assert "finite number >= 0, got 'abc'" in capsys.readouterr().err
 
     def test_non_utf8_record_exits_2(self, tmp_path, capsys):
         bad = tmp_path / "op.json"

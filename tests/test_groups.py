@@ -221,6 +221,16 @@ class TestAutomorphisms:
         g = Group((4,))
         assert not is_automorphism(np.asarray([0, 2, 1, 3]), g)
 
+    def test_zero_map_rejected(self):
+        # Additive and fixes 0; only the bijection test rejects it.
+        g = Group((4,))
+        assert not is_automorphism([0, 0, 0, 0], g)
+        with pytest.raises(InvalidPermutationError):
+            Automorphism(g, (0, 0, 0, 0))
+
+    def test_out_of_range_index_rejected(self):
+        assert not is_automorphism([0, 1, 2, 4], Group((4,)))
+
     def test_census_z4(self):
         auts = brute_force_automorphisms(Group((4,)))
         assert len(auts) == 2
