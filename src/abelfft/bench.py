@@ -26,6 +26,8 @@ def _median_seconds(fn, arg, reps: int) -> float:
 
 def time_transform_paths(group: Group, reps: int = 20, seed: int = 0) -> dict:
     """Median seconds for the fast path and, below the size cap, the naive path."""
+    if reps < 1:
+        raise ValueError(f"reps must be >= 1, got {reps}")
     if group.size > MAX_BENCH_SIZE:
         raise InvalidGroupError(f"benchmark capped at size {MAX_BENCH_SIZE}, got {group.size}")
     f = random_function(group, seed)

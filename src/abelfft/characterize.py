@@ -38,7 +38,11 @@ side with one inverse transform.  An operator given only by its apply
 function is called once per probe, in order, either way.  The exhaustive
 branch of ``check_hypotheses`` transforms each of the n point-mass images
 once, so each of the n^2 pairs costs one inverse transform; each of its
-blocks holds every y for a run of x, broadcast into rows.  Point-mass probes
+blocks holds every y for a run of x, broadcast into rows, and stays under
+``_PAIR_BLOCK_ELEMENTS`` values.  Every other side of a pair is gathered from
+the point-mass images: on a dense operator, the image of delta_x + delta_y*
+too, as the sum of columns x and -y.  The random branch sends its five probe
+sets (f, g, f g, f conv g, f + g*) as one batch per block.  Point-mass probes
 stream in fixed blocks of about ``_BLOCK_ELEMENTS`` values, each reduced to
 per-probe scalars before the next is built, so memory stays flat and every
 stage still fails at the first offending point mass.  Any non-finite error
@@ -79,6 +83,9 @@ DEFAULT_VERIFY_SEED = 905
 _EXHAUSTIVE_PAIR_BUDGET = 4096
 # Values per probe block: 32 probes at size 1024.
 _BLOCK_ELEMENTS = 1 << 15
+# Values per exhaustive pair block: each complex temporary stays under glibc's
+# 128 KiB mmap threshold, so blocks reuse heap memory instead of faulting it in.
+_PAIR_BLOCK_ELEMENTS = 1 << 12
 
 
 @dataclass(frozen=True)
@@ -166,9 +173,9 @@ def _worst(errors: np.ndarray, axis: int | None = None):
     return np.where(np.isnan(largest), np.inf, largest)
 
 
-def _blocks(count: int, size: int):
+def _blocks(count: int, size: int, budget: int = _BLOCK_ELEMENTS):
     """(start, stop) ranges over ``count`` probes of ``size`` values, in order."""
-    step = max(1, _BLOCK_ELEMENTS // size)
+    step = max(1, budget // size)
     return ((start, min(start + step, count)) for start in range(0, count, step))
 
 
@@ -281,25 +288,22 @@ def _model_fit(
     return residual_point, condition_star_ok, residual_random
 
 
-def _identity_errors(op, f, g, op_f, op_g, hat_f, hat_g, op_prod, op_conv) -> np.ndarray:
-    """Worst errors of identities (a), (b), (c) over a block of probe pairs (f, g).
+def _identity_errors(op, op_f, op_g, hat_f, hat_g, lhs) -> np.ndarray:
+    """Largest deviation of identities (a), (b), (c) over a block of probe pairs
+    (f, g), NaN where any deviation is NaN.
 
     The arguments broadcast together to (..., n), one pair per broadcast row:
     ``op_f`` and ``op_g`` are U(f) and U(g), ``hat_f`` and ``hat_g`` their
-    forward transforms, ``op_prod`` and ``op_conv`` the images of f g and
-    f conv g.  Each side is formed once and read as (-1, n) rows in broadcast
-    order, which is the order in which the probes f + g* reach ``apply_batch``."""
+    forward transforms, and ``lhs`` holds the images of f + g*, f g and
+    f conv g.  Each right side is formed once, as (-1, n) rows in broadcast
+    order."""
     group = op.group
     n = group.size
-    # The transform goes first: right after a dense operator's BLAS product,
-    # numpy's FFT ran up to four times slower on an AVX-512 Xeon.
     convolution = _idft_values((hat_f * hat_g).reshape(-1, n), group) * haar_weight(group, op.output_side)
-    lhs_a = op.apply_batch((f + star_values(g, group, op.input_side)).reshape(-1, n))
-    rhs_a = (op_f + star_values(op_g, group, op.output_side)).reshape(-1, n)
     product = (op_f * op_g).reshape(-1, n)
     rhs_b, rhs_c = (convolution, product) if op.form == T_FORM else (product, convolution)
-    sides = [(lhs_a, rhs_a), (op_prod.reshape(-1, n), rhs_b), (op_conv.reshape(-1, n), rhs_c)]
-    return np.array([_worst(np.abs(lhs - rhs)) for lhs, rhs in sides])
+    rhs = ((op_f + star_values(op_g, group, op.output_side)).reshape(-1, n), rhs_b, rhs_c)
+    return np.array([np.abs(left.reshape(-1, n) - right).max() for left, right in zip(lhs, rhs)])
 
 
 @np.errstate(over="ignore", invalid="ignore")
@@ -322,37 +326,43 @@ def check_hypotheses(
         raise ValueError(f"trials must be >= 1, got {trials}")
     group = op.group
     n = group.size
-    errors = np.zeros(3)
+    block_errors = []
 
     if n * n <= _EXHAUSTIVE_PAIR_BUDGET:
         # Pair (x, y) is row x * n + y: each block holds every y for a run of x.
-        points = np.eye(n, dtype=np.complex128)
         op_delta = op.apply_point_masses(0, n)
         hat_delta = _dft_values(op_delta, group)
-        op_zero = op.apply_batch(np.zeros((1, n), dtype=np.complex128))
-        ys = np.arange(n)
-        for x0, x1 in _blocks(n, n * n):
-            xs = np.arange(x0, x1)[:, None]
-            # delta_x * delta_y is exactly delta_x or zero; their primal
-            # convolution is exactly the point mass at x + y.
-            op_prod = np.where((xs == ys)[..., None], op_delta[xs], op_zero)
-            op_conv = op_delta[group.add_index(xs, ys)]
-            pair_errors = _identity_errors(
-                op, points[xs], points, op_delta[xs], op_delta, hat_delta[xs], hat_delta, op_prod, op_conv
-            )
-            errors = np.maximum(errors, pair_errors)
+        # Row n of images is U(0).  delta_x * delta_y is exactly delta_x or zero,
+        # and their primal convolution is exactly the point mass at x + y.
+        images = np.concatenate([op_delta, op.apply_batch(np.zeros((1, n), dtype=np.complex128))])
+        xs, ys = np.indices((n, n))
+        image_rows = np.stack([np.where(xs == ys, xs, n), group.add_index(xs, ys)])
+        points = np.eye(n, dtype=np.complex128)
+        star_points = star_values(points, group, op.input_side)
+        # delta_y* is the point mass at -y, so a dense operator's image of
+        # delta_x + delta_y* is the sum of two of its columns.
+        op_star = op_delta[group.negation_perm] if op.point_mass_scale(1) is not None else None
+        for x0, x1 in _blocks(n, n * n, _PAIR_BLOCK_ELEMENTS):
+            op_x = op_delta[x0:x1, None]
+            if op_star is None:
+                op_sum = op.apply_batch((points[x0:x1, None] + star_points).reshape(-1, n))
+            else:
+                op_sum = op_x + op_star
+            lhs = (op_sum, *images[image_rows[:, x0:x1]])
+            block_errors.append(_identity_errors(op, op_x, op_delta, hat_delta[x0:x1, None], hat_delta, lhs))
 
     rng = np.random.default_rng(seed)
-    in_weight = haar_weight(group, op.input_side)
+    weight = haar_weight(group, op.input_side)
     for start, stop in _blocks(trials, n):
         draws = _random_rows(group, rng, 2 * (stop - start))
         f, g = draws[0::2], draws[1::2]
-        op_f, op_g = op.apply_batch(f), op.apply_batch(g)
-        op_prod, op_conv = op.apply_batch(f * g), op.apply_batch(convolve_values(f, g, group, in_weight))
+        # The five probe sets reach the operator as one batch, in this order.
+        probes = [f, g, f * g, convolve_values(f, g, group, weight), f + star_values(g, group, op.input_side)]
+        op_f, op_g, op_prod, op_conv, op_sum = np.split(op.apply_batch(np.concatenate(probes)), 5)
         hat_f, hat_g = _dft_values(op_f, group), _dft_values(op_g, group)
-        errors = np.maximum(errors, _identity_errors(op, f, g, op_f, op_g, hat_f, hat_g, op_prod, op_conv))
+        block_errors.append(_identity_errors(op, op_f, op_g, hat_f, hat_g, (op_sum, op_prod, op_conv)))
 
-    err_a, err_b, err_c = (float(e) for e in errors)
+    err_a, err_b, err_c = (float(e) for e in _worst(np.array(block_errors), axis=0))
     return HypothesisReport(err_a, err_b, err_c, trials, seed, tol)
 
 

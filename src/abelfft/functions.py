@@ -173,7 +173,7 @@ def support(f: GFunction, support_tol: float | None = None) -> SupportSet:
     """Indices with |f| > support_tol (default: 1e-12 times the sup norm)."""
     if support_tol is None:
         support_tol = DEFAULT_SUPPORT_TOL_FACTOR * norm_inf(f)
-    if support_tol < 0:
+    if not support_tol >= 0:  # NaN included, given or derived from a NaN value
         raise ValueError(f"support tolerance must be >= 0, got {support_tol}")
     idx = np.flatnonzero(np.abs(f.values) > support_tol)
     return SupportSet(frozenset(int(j) for j in idx))

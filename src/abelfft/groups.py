@@ -73,6 +73,13 @@ class Group:
         perm.setflags(write=False)
         return perm
 
+    @cached_property
+    def _transform_plan(self) -> tuple:
+        """The transform kernel's runs of factors, with their matrices, built once per group."""
+        from .transform import _plan_runs  # transform imports this module
+
+        return _plan_runs(self)
+
     def _wrap_index(self, coords) -> np.ndarray:
         """Index of each coordinate vector on the last axis, each coordinate taken mod its order."""
         coords = np.moveaxis(np.asarray(coords), -1, 0)

@@ -1,0 +1,174 @@
+"""A fixed battery of ``check_hypotheses`` outcomes, pinned against a golden file.
+
+Each case is a dense operator (or its callable twin) built from numpy alone:
+a reference matrix for a seeded automorphism, in T or U form, with or without
+conjugated input, optionally perturbed.  The golden file pins every pass flag
+exactly and every error to ``ERROR_RTOL`` relative, above a floor for errors
+made of rounding alone, so a change to the transform kernel or to the check's
+probe blocks that moves an outcome shows here.  A change to
+``battery_golden.json`` is a change in behaviour: say which outcomes moved and
+why.
+
+Regenerate the golden file (only for such a change) with
+
+    PYTHONPATH=src python tests/test_battery.py
+"""
+
+from __future__ import annotations
+
+import json
+import math
+from pathlib import Path
+
+import numpy as np
+import pytest
+
+from abelfft import (
+    DUAL,
+    PRIMAL,
+    GFunction,
+    Group,
+    Operator,
+    check_hypotheses,
+    random_automorphism,
+    reference_operator_matrix,
+)
+
+GOLDEN = Path(__file__).with_name("battery_golden.json")
+ERROR_RTOL = 1e-15
+# An error made of rounding alone moves with the transform kernel's summation
+# order.  The compared entries reach about n in size (a T-form product of two
+# transforms), so such an error is pinned to ROUNDING_FLOOR * n absolute, n the
+# group size.  Replacing numpy's FFT by the small-factor kernel moved such
+# errors by up to 33 eps * n over 3,576 checks of groups up to n = 256.
+ROUNDING_FLOOR = 64 * np.finfo(np.float64).eps
+
+# size^2 <= 4096: every point-mass pair is checked.
+EXHAUSTIVE_SHAPES = [(4,), (2, 2), (3, 4), (2, 2, 2, 2), (16,)]
+EXHAUSTIVE_LARGE = [(7, 7), (3, 21), (64,), (8, 8), (4, 4, 4), (2, 4, 8), (2,) * 6]
+# Random pairs only.
+RANDOM_SHAPES = [(128,), (256,), (16, 16), (4, 4, 4, 4), (2,) * 8, (3, 5, 7), (2, 3, 5, 7)]
+
+PERTURBATIONS = ("exact", "noise-1e-13", "noise-1e-6", "nan", "inf", "1e300", "column-swap")
+FORMS = [(form, flag) for form in ("T", "U") for flag in (False, True)]
+
+
+def perturbed_matrix(group: Group, form: str, perturbation: str, seed: int) -> np.ndarray:
+    """The reference matrix of a seeded automorphism, with one seeded perturbation."""
+    rng = np.random.default_rng(seed)
+    matrix = np.array(reference_operator_matrix(group, random_automorphism(group, seed), form))
+    n = group.size
+    i, j = (int(v) for v in rng.integers(0, n, size=2))
+    if perturbation.startswith("noise-"):
+        scale = float(perturbation.removeprefix("noise-"))
+        matrix += scale * (rng.standard_normal((n, n)) + 1j * rng.standard_normal((n, n)))
+    elif perturbation in ("nan", "inf", "1e300"):
+        matrix[i, j] = float(perturbation)
+    elif perturbation == "column-swap":
+        k = (j + 1 + int(rng.integers(0, n - 1))) % n if n > 1 else j
+        matrix[:, [j, k]] = matrix[:, [k, j]]
+    return matrix
+
+
+def build_operator(orders, form, flag, perturbation, seed, callable_twin=False) -> Operator:
+    group = Group(orders)
+    matrix = perturbed_matrix(group, form, perturbation, seed)
+    output_side = DUAL if form == "T" else PRIMAL
+    if not callable_twin:
+        return Operator.from_matrix(group, PRIMAL, output_side, matrix, conjugate_input=flag)
+
+    def apply_fn(f: GFunction) -> GFunction:
+        values = np.conj(f.values) if flag else f.values
+        return GFunction(group, output_side, matrix @ values)
+
+    return Operator(group, PRIMAL, output_side, apply_fn)
+
+
+def battery_cases():
+    """(case id, builder arguments, check arguments), in a fixed order."""
+    cases = []
+
+    def add(orders, form, flag, perturbation, twin=False, trials=16, seed=0):
+        kind = "callable" if twin else "dense"
+        shape = "x".join(map(str, orders))
+        case_id = f"{kind}-{shape}-{form}{'c' if flag else ''}-{perturbation}-t{trials}s{seed}"
+        op_seed = sum(orders) * 7 + len(orders)
+        cases.append((case_id, (orders, form, flag, perturbation, op_seed, twin), (trials, seed)))
+
+    for orders in EXHAUSTIVE_SHAPES + RANDOM_SHAPES:
+        for form, flag in FORMS:
+            for perturbation in PERTURBATIONS:
+                add(orders, form, flag, perturbation)
+    for orders in EXHAUSTIVE_LARGE:
+        for form, flag in FORMS:
+            for perturbation in ("exact", "noise-1e-13", "nan", "column-swap"):
+                add(orders, form, flag, perturbation)
+    for orders in [(4,), (2, 2), (3, 4), (2, 2, 2, 2)]:
+        for form, flag in FORMS:
+            for perturbation in ("exact", "noise-1e-6", "nan", "inf"):
+                add(orders, form, flag, perturbation, twin=True)
+    for orders in [(8,), (2, 4)]:
+        add(orders, "T", True, "exact", trials=3, seed=5)
+        add(orders, "U", False, "noise-1e-13", trials=3, seed=5)
+    return cases
+
+
+def outcome(case) -> dict:
+    _, build_args, (trials, seed) = case
+    report = check_hypotheses(build_operator(*build_args), trials=trials, seed=seed)
+    return {key: report.as_dict()[key] for key in ("a", "b", "c", "pass_a", "pass_b", "pass_c")}
+
+
+def _close(actual: float, expected: float, size: int) -> bool:
+    if math.isinf(expected) or math.isnan(expected):
+        return actual == expected or (math.isnan(actual) and math.isnan(expected))
+    return abs(actual - expected) <= ERROR_RTOL * abs(expected) + ROUNDING_FLOOR * size
+
+
+@pytest.fixture(scope="module")
+def golden():
+    return json.loads(GOLDEN.read_text())
+
+
+def test_battery_covers_every_case(golden):
+    assert sorted(golden) == sorted(case[0] for case in battery_cases())
+
+
+def test_battery_matches_golden(golden):
+    mismatches = []
+    for case in battery_cases():
+        got, want = outcome(case), golden[case[0]]
+        flags_equal = all(got[k] == want[k] for k in ("pass_a", "pass_b", "pass_c"))
+        size = math.prod(case[1][0])
+        if not flags_equal or not all(_close(got[k], want[k], size) for k in "abc"):
+            mismatches.append((case[0], got, want))
+    assert not mismatches, mismatches[:5]
+
+
+def test_battery_rejects_every_perturbation_but_small_noise(golden):
+    for case_id, result in golden.items():
+        passed = result["pass_a"] and result["pass_b"] and result["pass_c"]
+        assert passed == ("-exact-" in case_id or "-noise-1e-13-" in case_id), case_id
+
+
+@pytest.mark.parametrize("value", [np.nan, np.inf])
+@pytest.mark.parametrize("form", ["T", "U"])
+def test_non_finite_column_gives_infinite_error_dense_and_callable(value, form):
+    group = Group((4, 4))
+    matrix = reference_operator_matrix(group, random_automorphism(group, 2), form)
+    matrix[:, 5] = value
+    output_side = DUAL if form == "T" else PRIMAL
+    dense = Operator.from_matrix(group, PRIMAL, output_side, matrix, conjugate_input=True)
+    twin = Operator(
+        group, PRIMAL, output_side, lambda f: GFunction(group, output_side, matrix @ np.conj(f.values))
+    )
+    for op in (dense, twin):
+        report = check_hypotheses(op, trials=2)
+        assert report.max_err_a == report.max_err_b == report.max_err_c == np.inf
+        assert not report.passed
+
+
+if __name__ == "__main__":
+    results = {case[0]: outcome(case) for case in battery_cases()}
+    GOLDEN.write_text(json.dumps(results, indent=1, sort_keys=True) + "\n")
+    print(f"wrote {len(results)} outcomes to {GOLDEN}")

@@ -12,6 +12,7 @@ from abelfft import (
     max_abs_diff,
     random_function,
 )
+from abelfft.bench import time_transform_paths
 from abelfft.cli import main
 
 
@@ -358,6 +359,13 @@ class TestBenchCommand:
 
     def test_zero_reps_exits_2(self):
         assert main(["bench", "--orders", "4", "--reps", "0"]) == 2
+
+
+class TestBenchLibrary:
+    @pytest.mark.parametrize("reps", [0, -3])
+    def test_non_positive_reps_raise_value_error(self, reps):
+        with pytest.raises(ValueError, match=f"reps must be >= 1, got {reps}"):
+            time_transform_paths(Group((4,)), reps=reps)
 
 
 class TestUsageErrors:

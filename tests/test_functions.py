@@ -170,6 +170,15 @@ class TestSupportAndNorms:
         with pytest.raises(ValueError):
             support(delta(Group((2,)), 0), -1.0)
 
+    def test_nan_tolerance_rejected(self):
+        with pytest.raises(ValueError, match="nan"):
+            support(delta(Group((2,)), 0), float("nan"))
+
+    def test_nan_value_rejected_through_derived_tolerance(self):
+        f = GFunction(Group((4,)), PRIMAL, [np.nan, 1, 0, 0])
+        with pytest.raises(ValueError, match="nan"):
+            support(f)
+
     def test_membership_interface(self):
         g = Group((6,))
         s = support(delta(g, 2))

@@ -22,7 +22,7 @@ from abelfft import (
     random_function,
     star,
 )
-from abelfft.transform import _dft_values, _idft_values
+from abelfft.transform import _char_block, _dft_values, _idft_values
 
 from conftest import random_orders, small_groups
 
@@ -152,6 +152,65 @@ class TestFastPath:
     def test_roundtrip_property(self, group, seed):
         f = random_function(group, seed)
         assert max_abs_diff(fft_inverse(fft_forward(f)), f) <= 1e-9
+
+
+def relative_error(actual, expected):
+    return np.max(np.abs(actual - expected)) / np.max(np.abs(expected))
+
+
+class TestSmallFactorKernel:
+    """Runs of small factors go through exact character matrices, not one FFT pass per axis."""
+
+    @pytest.mark.parametrize(
+        "orders", [(2,) * k for k in range(1, 11)] + [(2, 3, 5, 7), (4, 4, 4), (8, 9, 5, 7), (2, 2, 64)]
+    )
+    def test_matches_naive(self, orders):
+        g = Group(orders)
+        f, F = random_function(g, 3), random_function(g, 4, DUAL)
+        assert relative_error(fft_forward(f).values, dft_naive(f).values) <= 1e-12
+        assert relative_error(fft_inverse(F).values, idft_naive(F).values) <= 1e-12
+
+    @pytest.mark.parametrize("orders", [(2,) * 11, (2,) * 12, (3,) * 8])
+    def test_matches_defining_sum_on_sampled_rows(self, orders):
+        # dft_naive's own row blocks, on 256 of the dual indices: the full
+        # quadratic sum takes seconds at these sizes.
+        g = Group(orders)
+        rows = np.sort(np.random.default_rng(5).choice(g.size, 256, replace=False))
+        f, F = random_function(g, 3), random_function(g, 4, DUAL)
+        block = _char_block(g, rows)
+        assert relative_error(fft_forward(f).values[rows], block @ f.values) <= 1e-12
+        assert relative_error(fft_inverse(F).values[rows], np.conj(block) @ F.values / g.size) <= 1e-12
+
+    @pytest.mark.parametrize("orders", [(4, 4, 4), (2, 4, 8), (2,) * 6])
+    def test_batched_rows_match_character_matrix(self, orders):
+        g = Group(orders)
+        rng = np.random.default_rng(11)
+        rows = rng.standard_normal((512, g.size)) + 1j * rng.standard_normal((512, g.size))
+        matrix = character_matrix(g)
+        assert relative_error(_dft_values(rows, g), rows @ matrix.T) <= 1e-12
+        assert relative_error(_idft_values(rows, g), rows @ np.conj(matrix).T / g.size) <= 1e-12
+
+    @pytest.mark.parametrize("n", [1, 2, 64, 1000, 4099])
+    def test_one_factor_group_is_bit_identical_to_numpy(self, n):
+        g = Group((n,))
+        values = random_function(g, n).values
+        assert np.array_equal(fft_forward(random_function(g, n)).values, np.fft.fft(values))
+        assert np.array_equal(_idft_values(values, g), np.fft.ifft(values))
+        batch = np.stack([values, 2 * values])
+        assert np.array_equal(_dft_values(batch, g), np.fft.fft(batch, axis=-1))
+
+    def test_run_matrices_are_built_once_per_group(self):
+        g = Group((2,) * 12)
+        fft_forward(random_function(g, 0))
+        plan = g._transform_plan
+        shape, fft_axes, products = plan
+        assert shape == (-1, 64, 64) and fft_axes == [] and [axis for axis, _ in products] == [1, 2]
+        fft_inverse(random_function(g, 1, DUAL))
+        assert g._transform_plan is plan
+
+    def test_runs_merge_greedily_and_one_factor_runs_stay_on_fft(self):
+        shape, fft_axes, products = Group((8, 9, 5, 7))._transform_plan
+        assert shape == (-1, 8, 45, 7) and fft_axes == [1, 3] and [axis for axis, _ in products] == [2]
 
 
 class TestExchangeIdentities:
