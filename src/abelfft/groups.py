@@ -75,7 +75,7 @@ class Group:
 
     @cached_property
     def _transform_plan(self) -> tuple:
-        """The transform kernel's runs of factors, with their matrices, built once per group."""
+        """The transform kernel's runs of factors, with their matrices and Rader tables, built once per group."""
         from .transform import _plan_runs  # transform imports this module
 
         return _plan_runs(self)

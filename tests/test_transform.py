@@ -22,7 +22,7 @@ from abelfft import (
     random_function,
     star,
 )
-from abelfft.transform import _char_block, _dft_values, _idft_values
+from abelfft.transform import _char_block, _dft_values, _idft_values, _rader
 
 from conftest import random_orders, small_groups
 
@@ -190,7 +190,7 @@ class TestSmallFactorKernel:
         assert relative_error(_dft_values(rows, g), rows @ matrix.T) <= 1e-12
         assert relative_error(_idft_values(rows, g), rows @ np.conj(matrix).T / g.size) <= 1e-12
 
-    @pytest.mark.parametrize("n", [1, 2, 64, 1000, 4099])
+    @pytest.mark.parametrize("n", [1, 2, 64, 1000, 4099, 257])
     def test_one_factor_group_is_bit_identical_to_numpy(self, n):
         g = Group((n,))
         values = random_function(g, n).values
@@ -211,6 +211,82 @@ class TestSmallFactorKernel:
     def test_runs_merge_greedily_and_one_factor_runs_stay_on_fft(self):
         shape, fft_axes, products = Group((8, 9, 5, 7))._transform_plan
         assert shape == (-1, 8, 45, 7) and fft_axes == [1, 3] and [axis for axis, _ in products] == [2]
+
+
+class TestRader:
+    """Prime orders p >= 400 with 7-smooth p - 1 go through Rader's length-(p - 1) convolution."""
+
+    @pytest.mark.parametrize(
+        "orders, fft_axes, rader_axes",
+        [
+            ((65537,), [], [1]),
+            ((449,), [], [1]),
+            ((2, 769), [1], [2]),
+            ((769, 3), [2], [1]),
+            ((2, 2, 449), [], [2]),
+            ((257,), [1], []),  # below the crossover
+            ((4099,), [1], []),  # 4098 = 2 * 3 * 683 is not 7-smooth
+            ((1 << 18,), [1], []),
+        ],
+    )
+    def test_qualifying_orders_take_rader_path(self, orders, fft_axes, rader_axes):
+        _, planned_fft_axes, steps = Group(orders)._transform_plan
+        assert planned_fft_axes == fft_axes
+        assert [axis for axis, step in steps if step.func is _rader] == rader_axes
+
+    @pytest.mark.parametrize("orders", [(449,), (769,), (3457,), (2, 769), (769, 3), (2, 2, 449)])
+    def test_matches_defining_sum(self, orders):
+        g = Group(orders)
+        f, F = random_function(g, 3), random_function(g, 4, DUAL)
+        assert relative_error(fft_forward(f).values, dft_naive(f).values) <= 1e-12
+        assert relative_error(fft_inverse(F).values, idft_naive(F).values) <= 1e-12
+
+    def test_matches_defining_sum_on_sampled_rows(self):
+        g = Group((65537,))
+        rows = np.sort(np.random.default_rng(5).choice(g.size, 256, replace=False))
+        f, F = random_function(g, 3), random_function(g, 4, DUAL)
+        block = _char_block(g, rows)
+        assert relative_error(fft_forward(f).values[rows], block @ f.values) <= 1e-12
+        assert relative_error(fft_inverse(F).values[rows], np.conj(block) @ F.values / g.size) <= 1e-12
+
+    @pytest.mark.parametrize("orders", [(769,), (2, 449), (449, 2)])
+    def test_batched_rows_match_character_matrix(self, orders):
+        g = Group(orders)
+        rng = np.random.default_rng(11)
+        rows = rng.standard_normal((5, g.size)) + 1j * rng.standard_normal((5, g.size))
+        matrix = character_matrix(g)
+        assert relative_error(_dft_values(rows, g), rows @ matrix.T) <= 1e-12
+        assert relative_error(_idft_values(rows, g), rows @ np.conj(matrix).T / g.size) <= 1e-12
+
+    @pytest.mark.parametrize("orders", [(65537,), (2, 769), (769, 3)])
+    def test_batched_round_trip(self, orders):
+        g = Group(orders)
+        rng = np.random.default_rng(13)
+        rows = rng.standard_normal((3, g.size)) + 1j * rng.standard_normal((3, g.size))
+        assert relative_error(_idft_values(_dft_values(rows, g), g), rows) <= 1e-12
+
+    def test_convolution_matches_direct_sum_on_both_sides(self):
+        g = Group((449,))
+        for side in ("primal", "dual"):
+            f, h = random_function(g, 1, side), random_function(g, 2, side)
+            assert relative_error(convolve_fast(f, h).values, convolve(f, h).values) <= 1e-12
+
+    def test_plan_is_built_once_per_group(self):
+        g = Group((769,))
+        fft_forward(random_function(g, 0))
+        plan = g._transform_plan
+        fft_inverse(random_function(g, 1, DUAL))
+        convolve_fast(random_function(g, 2), random_function(g, 3))
+        assert g._transform_plan is plan
+
+    @pytest.mark.parametrize("orders", [(769,), (2,) * 12])
+    def test_cached_plan_tables_are_read_only(self, orders):
+        _, _, steps = Group(orders)._transform_plan
+        tables = [table for _, step in steps for table in step.args]
+        assert tables
+        for table in tables:
+            with pytest.raises(ValueError):
+                table[(0,) * table.ndim] = 0
 
 
 class TestExchangeIdentities:
