@@ -158,6 +158,30 @@ def relative_error(actual, expected):
     return np.max(np.abs(actual - expected)) / np.max(np.abs(expected))
 
 
+def assert_matches_defining_sum(g):
+    f, F = random_function(g, 3), random_function(g, 4, DUAL)
+    assert relative_error(fft_forward(f).values, dft_naive(f).values) <= 1e-12
+    assert relative_error(fft_inverse(F).values, idft_naive(F).values) <= 1e-12
+
+
+def assert_matches_defining_sum_on_sampled_rows(g):
+    # dft_naive's own row blocks, on 256 of the dual indices: the full
+    # quadratic sum takes seconds at these sizes.
+    rows = np.sort(np.random.default_rng(5).choice(g.size, 256, replace=False))
+    f, F = random_function(g, 3), random_function(g, 4, DUAL)
+    block = _char_block(g, rows)
+    assert relative_error(fft_forward(f).values[rows], block @ f.values) <= 1e-12
+    assert relative_error(fft_inverse(F).values[rows], np.conj(block) @ F.values / g.size) <= 1e-12
+
+
+def assert_batched_rows_match_character_matrix(g, count):
+    rng = np.random.default_rng(11)
+    rows = rng.standard_normal((count, g.size)) + 1j * rng.standard_normal((count, g.size))
+    matrix = character_matrix(g)
+    assert relative_error(_dft_values(rows, g), rows @ matrix.T) <= 1e-12
+    assert relative_error(_idft_values(rows, g), rows @ np.conj(matrix).T / g.size) <= 1e-12
+
+
 class TestSmallFactorKernel:
     """Runs of small factors go through exact character matrices, not one FFT pass per axis."""
 
@@ -165,30 +189,15 @@ class TestSmallFactorKernel:
         "orders", [(2,) * k for k in range(1, 11)] + [(2, 3, 5, 7), (4, 4, 4), (8, 9, 5, 7), (2, 2, 64)]
     )
     def test_matches_naive(self, orders):
-        g = Group(orders)
-        f, F = random_function(g, 3), random_function(g, 4, DUAL)
-        assert relative_error(fft_forward(f).values, dft_naive(f).values) <= 1e-12
-        assert relative_error(fft_inverse(F).values, idft_naive(F).values) <= 1e-12
+        assert_matches_defining_sum(Group(orders))
 
     @pytest.mark.parametrize("orders", [(2,) * 11, (2,) * 12, (3,) * 8])
     def test_matches_defining_sum_on_sampled_rows(self, orders):
-        # dft_naive's own row blocks, on 256 of the dual indices: the full
-        # quadratic sum takes seconds at these sizes.
-        g = Group(orders)
-        rows = np.sort(np.random.default_rng(5).choice(g.size, 256, replace=False))
-        f, F = random_function(g, 3), random_function(g, 4, DUAL)
-        block = _char_block(g, rows)
-        assert relative_error(fft_forward(f).values[rows], block @ f.values) <= 1e-12
-        assert relative_error(fft_inverse(F).values[rows], np.conj(block) @ F.values / g.size) <= 1e-12
+        assert_matches_defining_sum_on_sampled_rows(Group(orders))
 
     @pytest.mark.parametrize("orders", [(4, 4, 4), (2, 4, 8), (2,) * 6])
     def test_batched_rows_match_character_matrix(self, orders):
-        g = Group(orders)
-        rng = np.random.default_rng(11)
-        rows = rng.standard_normal((512, g.size)) + 1j * rng.standard_normal((512, g.size))
-        matrix = character_matrix(g)
-        assert relative_error(_dft_values(rows, g), rows @ matrix.T) <= 1e-12
-        assert relative_error(_idft_values(rows, g), rows @ np.conj(matrix).T / g.size) <= 1e-12
+        assert_batched_rows_match_character_matrix(Group(orders), 512)
 
     @pytest.mark.parametrize("n", [1, 2, 64, 1000, 4099, 257])
     def test_one_factor_group_is_bit_identical_to_numpy(self, n):
@@ -236,27 +245,14 @@ class TestRader:
 
     @pytest.mark.parametrize("orders", [(449,), (769,), (3457,), (2, 769), (769, 3), (2, 2, 449)])
     def test_matches_defining_sum(self, orders):
-        g = Group(orders)
-        f, F = random_function(g, 3), random_function(g, 4, DUAL)
-        assert relative_error(fft_forward(f).values, dft_naive(f).values) <= 1e-12
-        assert relative_error(fft_inverse(F).values, idft_naive(F).values) <= 1e-12
+        assert_matches_defining_sum(Group(orders))
 
     def test_matches_defining_sum_on_sampled_rows(self):
-        g = Group((65537,))
-        rows = np.sort(np.random.default_rng(5).choice(g.size, 256, replace=False))
-        f, F = random_function(g, 3), random_function(g, 4, DUAL)
-        block = _char_block(g, rows)
-        assert relative_error(fft_forward(f).values[rows], block @ f.values) <= 1e-12
-        assert relative_error(fft_inverse(F).values[rows], np.conj(block) @ F.values / g.size) <= 1e-12
+        assert_matches_defining_sum_on_sampled_rows(Group((65537,)))
 
     @pytest.mark.parametrize("orders", [(769,), (2, 449), (449, 2)])
     def test_batched_rows_match_character_matrix(self, orders):
-        g = Group(orders)
-        rng = np.random.default_rng(11)
-        rows = rng.standard_normal((5, g.size)) + 1j * rng.standard_normal((5, g.size))
-        matrix = character_matrix(g)
-        assert relative_error(_dft_values(rows, g), rows @ matrix.T) <= 1e-12
-        assert relative_error(_idft_values(rows, g), rows @ np.conj(matrix).T / g.size) <= 1e-12
+        assert_batched_rows_match_character_matrix(Group(orders), 5)
 
     @pytest.mark.parametrize("orders", [(65537,), (2, 769), (769, 3)])
     def test_batched_round_trip(self, orders):
