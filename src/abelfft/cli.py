@@ -2,8 +2,8 @@
 
 Exit codes follow one contract everywhere: 0 success / pass, 1 checked
 failure (hypotheses fail, recovery impossible, truth mismatch), 2 usage or
-format error.  All commands are deterministic given their --seed; reports
-embed the seed and the tool version.
+format error, or not enough memory.  All commands are deterministic given
+their --seed; reports embed the seed and the tool version.
 """
 
 from __future__ import annotations
@@ -224,6 +224,9 @@ def main(argv=None) -> int:
         return args.func(args)
     except (AbelfftError, OSError) as exc:
         print(f"error: {exc}", file=sys.stderr)
+        return 2
+    except MemoryError as exc:
+        print(f"error: out of memory: {exc}" if str(exc) else "error: out of memory", file=sys.stderr)
         return 2
 
 

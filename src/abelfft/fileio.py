@@ -5,7 +5,11 @@ order.  Python's float serialization emits shortest round-trip decimals, so
 every finite double survives a save/load cycle bit-exactly.  Non-finite
 values are rejected in both directions, except in reports, where a
 non-finite error or residual is written as null.  Each record is written as
-one compact JSON line, by json's C encoder; loaders accept any whitespace.
+one compact JSON line; loaders accept any whitespace.
+
+The [re, im] array is written as text straight from the numpy array, each
+distinct value formatted once; the bytes are exactly those json.dumps writes
+for the per-entry float lists.
 
 Function file:   {"group": {"orders": [...]}, "side": "primal"|"dual",
                   "values": [[re, im], ...]}
@@ -22,6 +26,7 @@ from __future__ import annotations
 
 import json
 import math
+from itertools import chain
 from pathlib import Path
 from typing import Union
 
@@ -48,6 +53,8 @@ def _load_json(path: PathLike) -> dict:
         data = json.loads(text, parse_constant=_reject_constant)
     except json.JSONDecodeError as exc:
         raise FileFormatError(f"{path} is not valid JSON: {exc}") from exc
+    except RecursionError as exc:
+        raise FileFormatError(f"{path} nests its values too deeply") from exc
     if not isinstance(data, dict):
         raise FileFormatError(f"{path}: top-level value must be an object")
     return data
@@ -87,43 +94,64 @@ def _parse_side(value, path: PathLike, key: str) -> str:
     return value
 
 
-def _complex_to_pairs(values: np.ndarray) -> list:
+def _pairs_text(values: np.ndarray) -> str:
+    """JSON text of a complex array as nested [re, im] pairs in row-major order.
+
+    The text is what json.dumps writes for the per-entry float lists, but each
+    distinct value (by bit pattern, so -0.0 stays apart from 0.0) is formatted
+    once, and the text is joined in one pass with no Python float per entry.
+    """
     if not np.isfinite(values).all():
         raise FileFormatError("refusing to serialize a non-finite value")
-    return np.stack([values.real, values.imag], axis=-1).tolist()
+    bits = np.stack([values.real, values.imag], axis=-1).view(np.uint64)
+    distinct, index = np.unique(bits.ravel(), return_inverse=True)
+    tokens = np.array([repr(v) for v in distinct.view(np.float64).tolist()], dtype=object)
+    # Each entry is written as re, ", ", im and the separator that follows it:
+    # "], [" within a row, with one more bracket each side per axis that ends
+    # there; the last entry's closes the array.
+    parts = np.empty(values.shape + (4,), dtype=object)
+    parts[..., 0::2] = tokens[index.reshape(bits.shape)]
+    parts[..., 1] = ", "
+    parts[..., 3] = "], ["
+    for depth in range(1, values.ndim):
+        parts[(Ellipsis,) + (-1,) * depth + (3,)] = "]" * (depth + 1) + ", " + "[" * (depth + 1)
+    parts.flat[-1] = "]" * (values.ndim + 1)
+    return "[" * (values.ndim + 1) + "".join(parts.ravel().tolist())
+
+
+def _dump_array_record(path: PathLike, header: dict, key: str, values: np.ndarray) -> None:
+    """Write ``header`` with ``key``: the [re, im] pairs of ``values`` as its last member."""
+    pairs = _pairs_text(values)
+    head = json.dumps(header, allow_nan=False)
+    Path(path).write_text(f"{head[:-1]}, {json.dumps(key)}: {pairs}}}\n")
 
 
 def _parse_values(raw, shape: tuple[int, ...], path: PathLike) -> np.ndarray:
-    """Complex array of ``shape`` from nested lists of [re, im] number pairs, in one pass."""
-    # With dtype=object, a ragged or too-shallow list gives a shallower shape, never an error.
-    pairs = np.array(raw, dtype=object)
-    if pairs.shape != shape + (2,):
-        raise FileFormatError(
-            f"{path}: expected an array of shape {shape} of [re, im] pairs, got shape {pairs.shape}"
-        )
-    kinds = set(map(type, pairs.flat))
+    """Complex array of ``shape`` from nested lists of [re, im] number pairs."""
+    level = [raw]
+    for depth, size in enumerate(shape + (2,)):
+        if set(map(type, level)) != {list} or set(map(len, level)) != {size}:
+            raise FileFormatError(
+                f"{path}: expected an array of shape {shape} of [re, im] pairs; "
+                f"the lists at depth {depth} must all have length {size}"
+            )
+        level = list(chain.from_iterable(level))
+    kinds = set(map(type, level))
     if not kinds <= {int, float}:
         names = sorted(kind.__name__ for kind in kinds - {int, float})
         raise FileFormatError(f"{path}: [re, im] entries must be numbers, got {', '.join(names)}")
     try:
-        floats = pairs.astype(np.float64)
+        floats = np.array(level, dtype=np.float64)
     except OverflowError as exc:
         raise FileFormatError(f"{path}: a number is too large for a double: {exc}") from exc
     if not np.isfinite(floats).all():
         raise FileFormatError(f"{path}: non-finite value in a [re, im] pair")
-    # A (..., 2) float64 array is a (..., 1) complex128 array in memory; -0.0 survives.
+    # Consecutive (re, im) float64s are complex128s in memory; -0.0 survives.
     return floats.view(np.complex128).reshape(shape)
 
 
 def save_function(path: PathLike, f: GFunction) -> None:
-    _dump_json(
-        path,
-        {
-            "group": {"orders": list(f.group.orders)},
-            "side": f.side,
-            "values": _complex_to_pairs(f.values),
-        },
-    )
+    _dump_array_record(path, {"group": {"orders": list(f.group.orders)}, "side": f.side}, "values", f.values)
 
 
 def load_function(path: PathLike) -> GFunction:
@@ -137,15 +165,16 @@ def load_function(path: PathLike) -> GFunction:
 def save_operator(path: PathLike, op: Operator) -> None:
     if op.matrix is None:
         raise FileFormatError("operator has no serialized matrix form")
-    _dump_json(
+    _dump_array_record(
         path,
         {
             "group": {"orders": list(op.group.orders)},
             "input_side": op.input_side,
             "output_side": op.output_side,
             "conjugate_input": bool(op.conjugate_input),
-            "matrix": _complex_to_pairs(op.matrix),
         },
+        "matrix",
+        op.matrix,
     )
 
 

@@ -30,3 +30,13 @@ def random_orders(rng, max_size=1024, max_factors=4, max_order=12):
 @pytest.fixture
 def rng():
     return np.random.default_rng(0xBEEF)
+
+
+@pytest.fixture
+def deeply_nested_operator(tmp_path):
+    """Path of an operator record whose "matrix" is 100,000 nested empty lists."""
+    depth = 100_000
+    header = '{"group": {"orders": [1]}, "input_side": "primal", "output_side": "primal", '
+    path = tmp_path / "deep.json"
+    path.write_text(header + '"conjugate_input": false, "matrix": ' + "[" * depth + "]" * depth + "}")
+    return path

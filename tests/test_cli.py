@@ -401,6 +401,21 @@ class TestUsageErrors:
         assert main(["check", str(op_path), "--tol", "abc"]) == 2
         assert "finite number >= 0, got 'abc'" in capsys.readouterr().err
 
+    @pytest.mark.parametrize("command", ["check", "recover"])
+    def test_deeply_nested_record_exits_2(self, deeply_nested_operator, capsys, command):
+        assert main([command, str(deeply_nested_operator)]) == 2
+        assert_one_error_line(capsys)
+
+    def test_out_of_memory_exits_2(self, tmp_path, capsys, monkeypatch):
+        def no_memory(*args):
+            raise MemoryError("Unable to allocate 149. GiB")
+
+        monkeypatch.setattr("abelfft.cli.reference_operator_matrix", no_memory)
+        assert main(["gen-operator", "--orders", "100000", "--form", "U", "-o", str(tmp_path / "x.json")]) == 2
+        err = capsys.readouterr().err
+        assert err == "error: out of memory: Unable to allocate 149. GiB\n"
+        assert not (tmp_path / "x.json").exists()
+
     def test_non_utf8_record_exits_2(self, tmp_path, capsys):
         bad = tmp_path / "op.json"
         bad.write_bytes(b"\xff\xfe{}")

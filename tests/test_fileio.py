@@ -140,8 +140,25 @@ class TestOperatorFiles:
             [[1, 0], [0, None]],
             [[1, 0], [0, 10**401]],
             [[1, 0], [0, 1e400]],
+            "ab",
+            [[1, 0], "ab"],
+            [[1, 0], {"re": 0, "im": 0}],
+            [[1, 0], [0, [1, 2]]],
         ],
-        ids=["bool", "string", "triple", "short-row", "null", "big-integer", "overflowing-float"],
+        ids=[
+            "bool",
+            "string",
+            "triple",
+            "short-row",
+            "null",
+            "big-integer",
+            "overflowing-float",
+            # Containers of the right length that are not lists.
+            "string-row",
+            "string-pair",
+            "object-pair",
+            "list-as-number",
+        ],
     )
     def test_rejects_malformed_entry(self, tmp_path, row):
         path = tmp_path / "op.json"
@@ -168,6 +185,10 @@ class TestOperatorFiles:
         path.write_text(json.dumps(record))
         value = fileio.load_operator(path).matrix[0, 0]
         assert np.signbit(value.real) and np.signbit(value.imag)
+
+    def test_deep_nesting_is_a_format_error(self, deeply_nested_operator):
+        with pytest.raises(FileFormatError, match="too deeply"):
+            fileio.load_operator(deeply_nested_operator)
 
     def test_rejects_missing_flag(self, tmp_path):
         path = tmp_path / "op.json"
@@ -331,6 +352,37 @@ class TestWriters:
         path = tmp_path / "op.json"
         fileio.save_operator(path, op)
         assert path.read_bytes() == (json.dumps(record, allow_nan=False) + "\n").encode()
+
+    @staticmethod
+    def _distinct_values(rng, shape):
+        values = rng.standard_normal(shape) + 1j * rng.standard_normal(shape)
+        flat = values.reshape(-1)
+        flat[:4] = [complex(-0.0, 0.0), complex(5e-324, 1e-300), complex(1e300, -0.0), complex(3.0, -2.0)]
+        return values
+
+    def test_function_bytes_for_distinct_values(self, tmp_path):
+        values = self._distinct_values(np.random.default_rng(6), 12)
+        record = {"group": {"orders": [3, 4]}, "side": "dual", "values": _reference_pairs(values)}
+        path = tmp_path / "f.json"
+        fileio.save_function(path, GFunction(Group((3, 4)), DUAL, values))
+        assert path.read_bytes() == (json.dumps(record, allow_nan=False) + "\n").encode()
+
+    def test_operator_bytes_for_distinct_values(self, tmp_path):
+        matrix = np.asfortranarray(self._distinct_values(np.random.default_rng(7), (6, 6)))
+        op = Operator.from_matrix(Group((2, 3)), PRIMAL, DUAL, matrix, conjugate_input=True)
+        assert op.matrix.flags.f_contiguous
+        record = {
+            "group": {"orders": [2, 3]},
+            "input_side": PRIMAL,
+            "output_side": DUAL,
+            "conjugate_input": True,
+            "matrix": _reference_pairs(matrix),
+        }
+        path = tmp_path / "op.json"
+        fileio.save_operator(path, op)
+        assert path.read_bytes() == (json.dumps(record, allow_nan=False) + "\n").encode()
+        loaded = fileio.load_operator(path).matrix
+        assert np.array_equal(np.ascontiguousarray(loaded).view(np.uint64), np.ascontiguousarray(matrix).view(np.uint64))
 
     def test_indented_layout_still_loads(self, tmp_path):
         rng = np.random.default_rng(4)
