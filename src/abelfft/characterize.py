@@ -17,13 +17,19 @@ the inverse transform, then reconstructs the relabeling automorphism from the
 supports of transformed point masses, reads the scalar map off constants, and
 classifies it as either the identity or complex conjugation.  The constants
 go in two batches: the probe scalars, then the products and conjugate sums
-the scalar-map laws need.  Its last stage and ``verify_recovery`` score the
-operator against the model f -> conj?(f o psi) in one shared fit: the model
-image of alpha * delta_x is the single entry conj?(alpha) at psi^-1(x), so
-each point-mass image is scored at that entry and off it, through two
-statistics per image: its value at that entry and its largest magnitude off
-it.  The unit point masses delta_x are probed once: stage 2 reads the support
-map off them and keeps their statistics for the fit.  A dense operator's
+the scalar-map laws need.  A dense operator's image of alpha * 1 is s * U(1)
+with s = ``point_mass_scale(alpha)``, so its constants are scaled off the
+image of 1 that stage 1 probes, with no further matrix product.  Its last
+stage and ``verify_recovery`` score the operator against the model
+f -> conj?(f o psi) in one shared fit: the model image of alpha * delta_x is
+the single entry conj?(alpha) at psi^-1(x), so each point-mass image is scored
+at that entry and off it, through two statistics per image: its value at that
+entry and its largest magnitude off it.  The unit point masses delta_x are
+probed once: stage 2 reads the support map off them and keeps their
+statistics for the fit.  It takes one magnitude pass per block: with
+tol < 1/2, a row whose largest entry is within tol of 1 and whose other
+entries are within tol of 0 is settled by that, and only a block holding
+another row is judged entry by entry.  A dense operator's
 image of alpha * delta_x is s * column x with s = ``point_mass_scale(alpha)``,
 so the fit scores its five other scalars off stage 2's statistics times s,
 with no further transform; an operator given by its apply function is still
@@ -31,9 +37,10 @@ probed once per scalar.
 
 Probes reach the operator in blocks of rows.  Scaled point masses go through
 ``Operator.apply_point_masses``, which reads a dense operator's columns, so
-each costs O(size); every other probe (constants, random functions, sums)
-goes through ``Operator.apply_batch``, which a dense operator answers with one
-matrix product.  ``_to_primal`` then takes T-form images back to the primal
+each costs O(size); every other probe (the constant 1, random functions,
+sums, and an apply function's other constants) goes through
+``Operator.apply_batch``, which a dense operator answers with one matrix
+product.  ``_to_primal`` then takes T-form images back to the primal
 side with one inverse transform.  An operator given only by its apply
 function is called once per probe, in order, either way.  The exhaustive
 branch of ``check_hypotheses`` transforms each of the n point-mass images
@@ -69,7 +76,7 @@ from .functions import (
     haar_weight,
     star_values,
 )
-from .groups import Automorphism, Group, find_additivity_violation
+from .groups import Automorphism, Group, as_int, find_additivity_violation
 from .operators import Operator, T_FORM, U_FORM
 from .transform import _dft_values, _idft_values, convolve_values
 
@@ -192,12 +199,22 @@ def _to_primal(op: Operator, images: np.ndarray) -> np.ndarray:
     return _idft_values(images, op.group) if op.form == T_FORM else images
 
 
-def _scalar_map(op: Operator, alphas, tol: float) -> tuple[dict[complex, complex], float]:
+def _scalar_map(op: Operator, alphas, tol: float, unit_image: np.ndarray) -> tuple[dict[complex, complex], float]:
     """m(alpha) for each scalar, read off the primal images of the constants
-    alpha * 1 probed as one batch, and the worst deviation of those images
-    from constants.  Raises at the first alpha whose image is not constant."""
-    constants = np.array(alphas, dtype=np.complex128)[:, None]
-    images = _to_primal(op, op.apply_batch(np.repeat(constants, op.group.size, axis=1)))
+    alpha * 1, and the worst deviation of those images from constants.  Raises
+    at the first alpha whose image is not constant.
+
+    ``unit_image`` is the operator's own image of 1, a (1, size) row.  A dense
+    operator's image of alpha * 1 is that row times s = ``op.point_mass_scale(alpha)``,
+    scaled before the inverse transform as a probe's image would be, so no
+    matrix product is made; an operator given by its apply function gets the
+    constants as one batch."""
+    if op.point_mass_scale(1) is None:
+        constants = np.array(alphas, dtype=np.complex128)[:, None]
+        images = op.apply_batch(np.repeat(constants, op.group.size, axis=1))
+    else:
+        images = np.array([op.point_mass_scale(alpha) for alpha in alphas])[:, None] * unit_image
+    images = _to_primal(op, images)
     deviations = _worst(np.abs(images - images[:, :1]), axis=1)
     for alpha, deviation in zip(alphas, deviations):
         if deviation > tol:
@@ -219,6 +236,35 @@ def _point_mass_stats(images, magnitude, targets) -> tuple[np.ndarray, np.ndarra
     on_value = images[rows, targets]
     magnitude[rows, targets] = 0.0
     return on_value, magnitude.max(axis=1)
+
+
+def _point_mass_support(images, tol: float, start: int) -> tuple[np.ndarray, np.ndarray]:
+    """Stage 2's per-entry rule on the images of delta_start, delta_start+1, ...:
+    per row, the worst distance of an entry from {0, 1}, and the single entry
+    within tol of 1.  Raises at the first row that is not {0,1}-valued or has no
+    single such entry."""
+    distance_to_one = np.abs(images - 1.0)
+    deviation = _worst(np.minimum(np.abs(images), distance_to_one), axis=1)
+    near_one = distance_to_one <= tol
+    failing = np.flatnonzero((deviation > tol) | (near_one.sum(axis=1) != 1))
+    if failing.size:
+        row = int(failing[0])
+        x, worst = start + row, float(deviation[row])
+        if worst > tol:
+            raise NotEssentiallyFourierError(
+                "point-mass-binary",
+                f"U(delta_{x}) is not {{0,1}}-valued (max deviation {worst:.3e})",
+                x=x,
+                max_deviation=worst,
+            )
+        supp = np.flatnonzero(near_one[row])
+        raise NotEssentiallyFourierError(
+            "singleton-support",
+            f"U(delta_{x}) has support of size {supp.size}, expected a single point",
+            x=x,
+            support=tuple(int(j) for j in supp),
+        )
+    return deviation, near_one.argmax(axis=1)
 
 
 def _score_point_masses(on_value, off_point, expected) -> tuple[float, bool]:
@@ -322,6 +368,7 @@ def check_hypotheses(
     """
     _require_checkable(op)
     _require_tolerance(tol)
+    trials = as_int(trials, ValueError, "trials")
     if trials < 1:
         raise ValueError(f"trials must be >= 1, got {trials}")
     group = op.group
@@ -380,7 +427,8 @@ def recover(op: Operator, tol: float = DEFAULT_TOL) -> RecoveryReport:
     n = group.size
 
     # Stage 1: constants must be preserved.
-    u_one = _to_primal(op, op.apply_batch(np.ones((1, n), dtype=np.complex128)))
+    unit_image = op.apply_batch(np.ones((1, n), dtype=np.complex128))
+    u_one = _to_primal(op, unit_image)
     unit_error = float(_worst(np.abs(u_one - 1.0)))
     if unit_error > tol:
         raise NotEssentiallyFourierError(
@@ -392,36 +440,24 @@ def recover(op: Operator, tol: float = DEFAULT_TOL) -> RecoveryReport:
     # Stage 2: each transformed point mass must be a {0,1} indicator of a single
     # point.  These images are also the model fit's probes 1 * delta_x, and the
     # support map phi is psi^-1 once stage 3 passes, so their statistics
-    # against phi are kept for the fit: two values per point mass.
+    # against phi are kept for the fit: two values per point mass.  With
+    # tol < 1/2 no entry is near both 0 and 1, so a row whose largest entry is
+    # within tol of 1 and whose others are within tol of 0 passes the per-entry
+    # rule with that entry as its support; any other block goes through the rule.
     phi = np.empty(n, dtype=np.int64)
     on_value, off_point = np.empty(n, dtype=np.complex128), np.empty(n)
     binary_error = 0.0
     for start, stop in _blocks(n, n):
         images = _to_primal(op, op.apply_point_masses(start, stop))
-        magnitude, distance_to_one = np.abs(images), np.abs(images - 1.0)
-        deviation = _worst(np.minimum(magnitude, distance_to_one), axis=1)
-        near_one = distance_to_one <= tol
-        failing = np.flatnonzero((deviation > tol) | (near_one.sum(axis=1) != 1))
-        if failing.size:
-            row = int(failing[0])
-            x, worst = start + row, float(deviation[row])
-            if worst > tol:
-                raise NotEssentiallyFourierError(
-                    "point-mass-binary",
-                    f"U(delta_{x}) is not {{0,1}}-valued (max deviation {worst:.3e})",
-                    x=x,
-                    max_deviation=worst,
-                )
-            supp = np.flatnonzero(near_one[row])
-            raise NotEssentiallyFourierError(
-                "singleton-support",
-                f"U(delta_{x}) has support of size {supp.size}, expected a single point",
-                x=x,
-                support=tuple(int(j) for j in supp),
-            )
+        magnitude = np.abs(images)
+        targets = magnitude.argmax(axis=1)
+        on, off = _point_mass_stats(images, magnitude, targets)
+        deviation = np.maximum(np.abs(on - 1.0), off)
+        if tol >= 0.5 or not np.all(deviation <= tol):
+            deviation, targets = _point_mass_support(images, tol, start)
+            on, off = _point_mass_stats(images, np.abs(images), targets)
         binary_error = max(binary_error, float(deviation.max()))
-        phi[start:stop] = near_one.argmax(axis=1)
-        on_value[start:stop], off_point[start:stop] = _point_mass_stats(images, magnitude, phi[start:stop])
+        phi[start:stop], on_value[start:stop], off_point[start:stop] = targets, on, off
 
     # Stage 3: the support map must be an automorphism; its inverse is psi.
     # The first repeat is the first index that is not a first occurrence.
@@ -452,7 +488,8 @@ def recover(op: Operator, tol: float = DEFAULT_TOL) -> RecoveryReport:
     # Stage 4: the scalar map m, read off constants, must be constant in x and
     # must send i to one of +-i.  The probe scalars go in one batch; the
     # products and conjugate sums that the scalar laws need go in a second.
-    m, independence_error = _scalar_map(op, PROBE_SCALARS, tol)
+    # A dense operator's batches are stage 1's image of 1, scaled.
+    m, independence_error = _scalar_map(op, PROBE_SCALARS, tol, unit_image)
     m_samples = [(alpha, m[alpha]) for alpha in PROBE_SCALARS]
     m_i = m[1j]
     if abs(m_i - 1j) <= tol:
@@ -478,7 +515,7 @@ def recover(op: Operator, tol: float = DEFAULT_TOL) -> RecoveryReport:
 
     pairs = [(alpha, beta) for alpha in PROBE_SCALARS for beta in PROBE_SCALARS]
     derived = dict.fromkeys(z for a, b in pairs for z in (a * b, a + b.conjugate()))
-    m_derived, derived_error = _scalar_map(op, [z for z in derived if z not in m], tol)
+    m_derived, derived_error = _scalar_map(op, [z for z in derived if z not in m], tol, unit_image)
     m.update(m_derived)
     independence_error = max(independence_error, derived_error)
     m_mult_errors = [abs(m[a * b] - m[a] * m[b]) for a, b in pairs]
@@ -538,6 +575,7 @@ def verify_recovery(
     ``trials = 0`` checks the point masses only.
     """
     _require_checkable(op)
+    trials = as_int(trials, ValueError, "trials")
     if trials < 0:
         raise ValueError(f"trials must be >= 0, got {trials}")
     if report.psi.group != op.group:

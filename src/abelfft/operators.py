@@ -8,12 +8,15 @@ set.  A dense operator has one product path, ``apply_batch``, which answers a
 whole block of probes with one matrix product (``apply`` is a batch of one),
 and ``apply_point_masses`` reads the images of scaled point masses straight
 off the matrix columns: the image of alpha * delta_x is column x times
-``point_mass_scale(alpha)``, which is conj?(alpha) by the flag.  The operator
-keeps its own copy of a dense matrix, stored column-major (Fortran order), so
-each point-mass image is a contiguous row of ``matrix.T``; record files stay
-row-major.  An operator given only by its apply function stays a black box:
-both methods call it once per probe, in order, and ``point_mass_scale`` is
-None for it.
+``point_mass_scale(alpha)``, which is conj?(alpha) by the flag, and the unit
+point masses get a read-only view of the columns, with no copy.  The operator
+is (conjugate-)linear, so that factor scales any image: the image of
+alpha * 1 is s times the image of 1, which ``recover`` uses for constants.
+The operator keeps its own copy of a dense matrix, stored column-major
+(Fortran order), so each point-mass image is a contiguous row of
+``matrix.T``; record files stay row-major.  An operator given only by its
+apply function stays a black box: both methods call it once per probe, in
+order, and ``point_mass_scale`` is None for it.
 
 T-form operators map primal to dual, U-form operators map primal to primal.
 The reference family is parameterized by an automorphism psi and a
@@ -121,8 +124,9 @@ class Operator:
         return out
 
     def point_mass_scale(self, alpha: complex) -> Optional[complex]:
-        """The factor s with image(alpha * delta_x) = s * image(delta_x) for every x:
-        conj?(alpha) for a dense operator, None for one given by an apply function."""
+        """The factor s with image(alpha * f) = s * image(f) for every f, point masses
+        and constants among them: conj?(alpha) for a dense operator, None for one
+        given by an apply function."""
         if self.matrix is None:
             return None
         return np.conj(alpha) if self.conjugate_input else alpha
@@ -134,8 +138,10 @@ class Operator:
             raise IndexError(f"point masses [{start}, {stop}) out of range for group of size {n}")
         s = self.point_mass_scale(scale)
         if s is not None:
-            # Column x of the matrix is the image of delta_x, a contiguous row of matrix.T.
-            return s * self.matrix.T[start:stop]
+            # Column x of the matrix is the image of delta_x, a contiguous row of
+            # matrix.T; unit point masses get a read-only view of those rows.
+            columns = self.matrix.T[start:stop]
+            return columns if s == 1 else s * columns
         return self.apply_batch(point_mass_rows(n, start, stop, scale))
 
     @classmethod

@@ -93,6 +93,16 @@ class TestCheckHypotheses:
         with pytest.raises(ValueError):
             check_hypotheses(op, trials=0)
 
+    @pytest.mark.parametrize("trials", [True, 2.5, "3"])
+    def test_trials_must_be_an_integer(self, trials):
+        _, _, op = reference_fixture((4,), 1, False, "U")
+        report = recover(op)
+        with pytest.raises(ValueError, match="trials must be an integer"):
+            check_hypotheses(op, trials=trials)
+        with pytest.raises(ValueError, match="trials must be an integer"):
+            verify_recovery(op, report, trials=trials)
+        assert check_hypotheses(op, trials=np.int64(2)).as_dict()["trials"] == 2
+
     def test_unsupported_form_rejected(self):
         g = Group((2,))
         op = Operator.from_matrix(g, DUAL, PRIMAL, np.eye(2))
@@ -432,6 +442,58 @@ class TestBlockedProbes:
         assert excinfo.value.details["support"] == tuple(sorted((a, b)))
 
     @staticmethod
+    def overridden_identity(n, images):
+        """A callable U-form identity on Z_n whose images of the point masses
+        delta_x named in ``images`` are replaced: constants pass stage 1."""
+        g = Group((n,))
+
+        def apply_fn(f):
+            for x, image in images.items():
+                if np.array_equal(f.values, delta(g, x).values):
+                    return GFunction(g, PRIMAL, image)
+            return f
+
+        return Operator(g, PRIMAL, PRIMAL, apply_fn)
+
+    @pytest.mark.parametrize(
+        "kind,step,payload",
+        [
+            ("split", "point-mass-binary", {"x": 200, "max_deviation": 0.5}),
+            ("merge", "singleton-support", {"x": 200, "support": (7, 200)}),
+            ("nan", "point-mass-binary", {"x": 200, "max_deviation": np.inf}),
+        ],
+    )
+    def test_first_failing_row_mid_block_is_named(self, kind, step, payload):
+        # Point masses 128..255 are one block at n = 256; row 200 fails, and so
+        # does row 230 after it, with a split image.
+        images = {"split": [0.5, 0.5], "merge": [1.0, 1.0], "nan": [np.nan, 1.0]}[kind]
+        image = np.zeros(256, dtype=complex)
+        image[[7, 200]] = images
+        late = np.zeros(256, dtype=complex)
+        late[[9, 230]] = 0.5
+        with pytest.raises(NotEssentiallyFourierError) as excinfo:
+            recover(self.overridden_identity(256, {200: image, 230: late}))
+        assert excinfo.value.step == step
+        assert excinfo.value.details == payload
+
+    def test_rows_at_tolerance_one_half_and_above_follow_the_entry_rule(self):
+        n = 16
+        # At tol 0.6 both 0.55 and 0.5 are within tol of 1: two support points.
+        two_near_one = np.zeros(n, dtype=complex)
+        two_near_one[[3, 12]] = [0.55, 0.5]
+        with pytest.raises(NotEssentiallyFourierError) as excinfo:
+            recover(self.overridden_identity(n, {12: two_near_one}), tol=0.6)
+        assert excinfo.value.step == "singleton-support"
+        assert excinfo.value.details == {"x": 12, "support": (3, 12)}
+        # The entry within tol of 1 is the support, not the largest entry.
+        smaller_support = np.zeros(n, dtype=complex)
+        smaller_support[[3, 12]] = [-0.5, 0.45]
+        report = recover(self.overridden_identity(n, {12: smaller_support}), tol=0.6)
+        assert report.psi == Automorphism.identity(Group((n,)))
+        assert report.diagnostics["point_mass_binary_error"] == 0.5
+        assert report.diagnostics["residual_point_masses"] == pytest.approx(0.55, abs=1e-15)
+
+    @staticmethod
     def per_pair_errors(op, trials, seed):
         """The exhaustive identity errors computed one point-mass pair at a time."""
         group = op.group
@@ -505,9 +567,10 @@ class TestBlockedProbes:
         report = recover(op)
         assert report.psi == psi and report.conjugation
         assert verify_recovery(op, report) < 1e-9
-        # Only constants and random functions go through the matrix product;
-        # the point masses of stage 2 and of verify do not.
-        assert sum(batched_rows) < group.size
+        # Only recover's constant 1 and each call's 32 random functions go
+        # through the matrix product; the other constants are scaled off the
+        # image of 1, and the point masses are read off the columns.
+        assert batched_rows == [1, 32, 32]
 
 
 def perturbed_dense_pair(orders, form, conjugation, perturbation):
