@@ -29,11 +29,10 @@ probed once: stage 2 reads the support map off them and keeps their
 statistics for the fit.  It takes one magnitude pass per block: with
 tol < 1/2, a row whose largest entry is within tol of 1 and whose other
 entries are within tol of 0 is settled by that, and only a block holding
-another row is judged entry by entry.  A dense operator's
-image of alpha * delta_x is s * column x with s = ``point_mass_scale(alpha)``,
-so the fit scores its five other scalars off stage 2's statistics times s,
-with no further transform; an operator given by its apply function is still
-probed once per scalar.
+another row is judged entry by entry.  A dense operator's image of
+alpha * delta_x is s * column x, so the fit scores its five other scalars off
+stage 2's statistics times s, with no further transform; an operator given by
+its apply function is still probed once per scalar.
 
 Probes reach the operator in blocks of rows.  Scaled point masses go through
 ``Operator.apply_point_masses``, which reads a dense operator's columns, so

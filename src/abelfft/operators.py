@@ -8,8 +8,7 @@ set.  A dense operator has one product path, ``apply_batch``, which answers a
 whole block of probes with one matrix product (``apply`` is a batch of one),
 and ``apply_point_masses`` reads the images of scaled point masses straight
 off the matrix columns: the image of alpha * delta_x is column x times
-``point_mass_scale(alpha)``, which is conj?(alpha) by the flag, and the unit
-point masses get a read-only view of the columns, with no copy.  The operator
+``point_mass_scale(alpha)``, which is conj?(alpha) by the flag.  The operator
 is (conjugate-)linear, so that factor scales any image: the image of
 alpha * 1 is s times the image of 1, which ``recover`` uses for constants.
 The operator keeps its own copy of a dense matrix, stored column-major
@@ -138,10 +137,8 @@ class Operator:
             raise IndexError(f"point masses [{start}, {stop}) out of range for group of size {n}")
         s = self.point_mass_scale(scale)
         if s is not None:
-            # Column x of the matrix is the image of delta_x, a contiguous row of
-            # matrix.T; unit point masses get a read-only view of those rows.
-            columns = self.matrix.T[start:stop]
-            return columns if s == 1 else s * columns
+            # Column x of the matrix is the image of delta_x, a contiguous row of matrix.T.
+            return s * self.matrix.T[start:stop]
         return self.apply_batch(point_mass_rows(n, start, stop, scale))
 
     @classmethod

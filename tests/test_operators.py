@@ -262,18 +262,6 @@ class TestApplyBatch:
             assert columns.shape == (stop - start, g.size)
             assert np.array_equal(np.ascontiguousarray(columns).view(np.uint64), batch.view(np.uint64))
 
-    @pytest.mark.parametrize("conjugation", [False, True])
-    def test_unit_point_masses_are_a_read_only_view(self, conjugation):
-        g = Group((4, 6))
-        op = Operator.from_matrix(g, PRIMAL, DUAL, reference_operator_matrix(g, Automorphism.identity(g), "T"),
-                                  conjugation)
-        columns = op.apply_point_masses(3, 17)
-        assert np.shares_memory(columns, op.matrix) and not columns.flags.writeable
-        with pytest.raises(ValueError):
-            columns[0, 0] = 0
-        scaled = op.apply_point_masses(3, 17, 1j)
-        assert not np.shares_memory(scaled, op.matrix) and scaled.flags.writeable
-
     @pytest.mark.parametrize("form", ["T", "U"])
     def test_dense_storage_is_column_major(self, form):
         g = Group((4, 6))
