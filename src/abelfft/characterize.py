@@ -26,13 +26,13 @@ the single entry conj?(alpha) at psi^-1(x), so each point-mass image is scored
 at that entry and off it, through two statistics per image: its value at that
 entry and its largest magnitude off it.  The unit point masses delta_x are
 probed once: stage 2 reads the support map off them and keeps their
-statistics for the fit.  It takes one magnitude pass per block: with
-tol < 1/2, a row whose largest entry is within tol of 1 and whose other
-entries are within tol of 0 is settled by that, and only a block holding
-another row is judged entry by entry.  A dense operator's image of
-alpha * delta_x is s * column x, so the fit scores its five other scalars off
-stage 2's statistics times s, with no further transform; an operator given by
-its apply function is still probed once per scalar.
+statistics for the fit.  ``recover`` takes tol in [0, 1/2), so no entry is
+within tol of both 0 and 1, and stage 2 is one magnitude pass per block: a row
+passes when its largest entry is within tol of 1 and its others are within tol
+of 0.  The first row that fails is named by the per-entry rule.  A dense
+operator's image of alpha * delta_x is s * column x, so the fit scores its five
+other scalars off stage 2's statistics times s, with no further transform; an
+operator given by its apply function is still probed once per scalar.
 
 Probes reach the operator in blocks of rows.  Scaled point masses go through
 ``Operator.apply_point_masses``, which reads a dense operator's columns, so
@@ -61,6 +61,7 @@ which would say nothing more.
 from __future__ import annotations
 
 from dataclasses import dataclass
+from typing import NoReturn
 
 import numpy as np
 
@@ -82,6 +83,7 @@ from .transform import _dft_values, _idft_values, convolve_values
 PROBE_SCALARS: tuple[complex, ...] = (1 + 0j, -1 + 0j, 1j, 2 + 0j, 0.5 + 0j, 1 + 1j)
 
 DEFAULT_TOL = 1e-9
+RECOVER_TOL_BOUND = 0.5  # from 1/2 up, an entry can be within tol of both 0 and 1
 DEFAULT_CHECK_TRIALS = 16
 DEFAULT_RESIDUAL_TRIALS = 32
 DEFAULT_RECOVER_SEED = 1789
@@ -168,9 +170,10 @@ def _require_checkable(op: Operator) -> None:
         )
 
 
-def _require_tolerance(tol: float) -> None:
-    if not 0 <= tol < np.inf:
-        raise ValueError(f"tol must be a finite number >= 0, got {tol}")
+def _require_tolerance(tol: float, bound: float = np.inf) -> None:
+    if not 0 <= tol < bound:
+        below = "" if bound == np.inf else f" and < {bound}"
+        raise ValueError(f"tol must be a finite number >= 0{below}, got {tol}")
 
 
 def _worst(errors: np.ndarray, axis: int | None = None):
@@ -237,33 +240,26 @@ def _point_mass_stats(images, magnitude, targets) -> tuple[np.ndarray, np.ndarra
     return on_value, magnitude.max(axis=1)
 
 
-def _point_mass_support(images, tol: float, start: int) -> tuple[np.ndarray, np.ndarray]:
-    """Stage 2's per-entry rule on the images of delta_start, delta_start+1, ...:
-    per row, the worst distance of an entry from {0, 1}, and the single entry
-    within tol of 1.  Raises at the first row that is not {0,1}-valued or has no
-    single such entry."""
-    distance_to_one = np.abs(images - 1.0)
-    deviation = _worst(np.minimum(np.abs(images), distance_to_one), axis=1)
-    near_one = distance_to_one <= tol
-    failing = np.flatnonzero((deviation > tol) | (near_one.sum(axis=1) != 1))
-    if failing.size:
-        row = int(failing[0])
-        x, worst = start + row, float(deviation[row])
-        if worst > tol:
-            raise NotEssentiallyFourierError(
-                "point-mass-binary",
-                f"U(delta_{x}) is not {{0,1}}-valued (max deviation {worst:.3e})",
-                x=x,
-                max_deviation=worst,
-            )
-        supp = np.flatnonzero(near_one[row])
+def _reject_point_mass(image, tol: float, x: int) -> NoReturn:
+    """Stage 2's per-entry rule on U(delta_x), a row that failed the magnitude
+    pass: with tol < 1/2 it is not {0,1}-valued or has no single entry within
+    tol of 1, and the error names which."""
+    distance_to_one = np.abs(image - 1.0)
+    worst = float(_worst(np.minimum(np.abs(image), distance_to_one)))
+    if worst > tol:
         raise NotEssentiallyFourierError(
-            "singleton-support",
-            f"U(delta_{x}) has support of size {supp.size}, expected a single point",
+            "point-mass-binary",
+            f"U(delta_{x}) is not {{0,1}}-valued (max deviation {worst:.3e})",
             x=x,
-            support=tuple(int(j) for j in supp),
+            max_deviation=worst,
         )
-    return deviation, near_one.argmax(axis=1)
+    supp = np.flatnonzero(distance_to_one <= tol)
+    raise NotEssentiallyFourierError(
+        "singleton-support",
+        f"U(delta_{x}) has support of size {supp.size}, expected a single point",
+        x=x,
+        support=tuple(int(j) for j in supp),
+    )
 
 
 def _score_point_masses(on_value, off_point, expected) -> tuple[float, bool]:
@@ -418,10 +414,11 @@ def recover(op: Operator, tol: float = DEFAULT_TOL) -> RecoveryReport:
 
     Raises NotEssentiallyFourierError (or its DichotomyViolationError
     subclass) as soon as a structural check fails; the exception names the
-    failing stage and carries the offending data.
+    failing stage and carries the offending data.  ``tol`` must lie in [0, 1/2),
+    where a point-mass image is unambiguously {0,1}-valued, or ValueError is raised.
     """
     _require_checkable(op)
-    _require_tolerance(tol)
+    _require_tolerance(tol, RECOVER_TOL_BOUND)
     group = op.group
     n = group.size
 
@@ -440,9 +437,7 @@ def recover(op: Operator, tol: float = DEFAULT_TOL) -> RecoveryReport:
     # point.  These images are also the model fit's probes 1 * delta_x, and the
     # support map phi is psi^-1 once stage 3 passes, so their statistics
     # against phi are kept for the fit: two values per point mass.  With
-    # tol < 1/2 no entry is near both 0 and 1, so a row whose largest entry is
-    # within tol of 1 and whose others are within tol of 0 passes the per-entry
-    # rule with that entry as its support; any other block goes through the rule.
+    # tol < 1/2 the magnitude pass and the per-entry rule agree row for row.
     phi = np.empty(n, dtype=np.int64)
     on_value, off_point = np.empty(n, dtype=np.complex128), np.empty(n)
     binary_error = 0.0
@@ -452,9 +447,9 @@ def recover(op: Operator, tol: float = DEFAULT_TOL) -> RecoveryReport:
         targets = magnitude.argmax(axis=1)
         on, off = _point_mass_stats(images, magnitude, targets)
         deviation = np.maximum(np.abs(on - 1.0), off)
-        if tol >= 0.5 or not np.all(deviation <= tol):
-            deviation, targets = _point_mass_support(images, tol, start)
-            on, off = _point_mass_stats(images, np.abs(images), targets)
+        failing = np.flatnonzero(~(deviation <= tol))
+        if failing.size:
+            _reject_point_mass(images[failing[0]], tol, start + int(failing[0]))
         binary_error = max(binary_error, float(deviation.max()))
         phi[start:stop], on_value[start:stop], off_point[start:stop] = targets, on, off
 

@@ -9,6 +9,7 @@ their --seed; reports embed the seed and the tool version.
 from __future__ import annotations
 
 import argparse
+import functools
 import json
 import math
 import sys
@@ -17,12 +18,14 @@ from pathlib import Path
 from . import __version__
 from . import fileio
 from .bench import NAIVE_SIZE_CAP, time_transform_paths
-from .characterize import DEFAULT_CHECK_TRIALS, DEFAULT_TOL, check_hypotheses, recover
+from .characterize import DEFAULT_CHECK_TRIALS, DEFAULT_TOL, RECOVER_TOL_BOUND, check_hypotheses, recover
 from .errors import AbelfftError, NotEssentiallyFourierError
 from .functions import DUAL, PRIMAL, convolve
 from .groups import Automorphism, Group, random_automorphism
 from .operators import Operator, T_FORM, U_FORM, reference_operator_matrix
 from .transform import convolve_fast, dft_naive, fft_forward, fft_inverse, idft_naive
+
+RECOVER_CHECK_TRIALS = 8  # random pairs of the check that a recover report embeds
 
 
 def _print_kv(key: str, value) -> None:
@@ -41,13 +44,14 @@ def _nonnegative_int(text: str) -> int:
     return int(text)
 
 
-def _tolerance(text: str) -> float:
+def _tolerance(text: str, bound: float = math.inf) -> float:
     try:
         tol = float(text)
     except ValueError:
         tol = math.nan
-    if not 0 <= tol < math.inf:
-        raise argparse.ArgumentTypeError(f"must be a finite number >= 0, got {text!r}")
+    if not 0 <= tol < bound:
+        below = "" if bound == math.inf else f" and < {bound}"
+        raise argparse.ArgumentTypeError(f"must be a finite number >= 0{below}, got {text!r}")
     return tol
 
 
@@ -118,7 +122,7 @@ def cmd_recover(args: argparse.Namespace) -> int:
         for key, value in exc.details.items():
             _print_kv(f"detail_{key}", value)
         return 1
-    hypothesis = check_hypotheses(op, trials=args.trials, seed=args.check_seed, tol=args.tol)
+    hypothesis = check_hypotheses(op, trials=RECOVER_CHECK_TRIALS, tol=args.tol)
     payload = report.as_dict()
     payload["group"] = {"orders": list(op.group.orders)}
     payload["hypothesis_errors"] = hypothesis.as_dict()
@@ -192,17 +196,16 @@ def _build_parser() -> argparse.ArgumentParser:
     p = sub.add_parser("check", help="check the algebraic hypotheses of an operator file")
     p.add_argument("operator")
     p.add_argument("--trials", type=_positive_int, default=DEFAULT_CHECK_TRIALS)
-    p.add_argument("--tol", type=_tolerance, default=DEFAULT_TOL)
+    p.add_argument("--tol", type=_tolerance, default=DEFAULT_TOL, help="largest identity error that passes, >= 0")
     p.add_argument("--seed", type=_nonnegative_int, default=0)
     p.set_defaults(func=cmd_check)
 
     p = sub.add_parser("recover", help="recover the automorphism and conjugation flag")
     p.add_argument("operator")
     p.add_argument("-o", "--output")
-    p.add_argument("--tol", type=_tolerance, default=DEFAULT_TOL)
+    recover_tol = functools.partial(_tolerance, bound=RECOVER_TOL_BOUND)
+    p.add_argument("--tol", type=recover_tol, default=DEFAULT_TOL, help="largest deviation a stage allows, in [0, 0.5)")
     p.add_argument("--truth", help="truth sidecar to verify the recovery against")
-    p.add_argument("--trials", type=_positive_int, default=8, help="random pairs for the embedded check")
-    p.add_argument("--check-seed", type=_nonnegative_int, default=0)
     p.set_defaults(func=cmd_recover)
 
     p = sub.add_parser("bench", help="time the fast path against the reference path")

@@ -476,22 +476,23 @@ class TestBlockedProbes:
         assert excinfo.value.step == step
         assert excinfo.value.details == payload
 
-    def test_rows_at_tolerance_one_half_and_above_follow_the_entry_rule(self):
-        n = 16
-        # At tol 0.6 both 0.55 and 0.5 are within tol of 1: two support points.
-        two_near_one = np.zeros(n, dtype=complex)
-        two_near_one[[3, 12]] = [0.55, 0.5]
+    @pytest.mark.parametrize("entries", [[0.55, 0.5], [-0.5, 0.45]])
+    def test_rows_near_tolerance_one_half_follow_the_entry_rule(self, entries):
+        # At tol 0.49 the entry of magnitude 0.5 is within tol of neither 0 nor 1.
+        image = np.zeros(16, dtype=complex)
+        image[[3, 12]] = entries
         with pytest.raises(NotEssentiallyFourierError) as excinfo:
-            recover(self.overridden_identity(n, {12: two_near_one}), tol=0.6)
-        assert excinfo.value.step == "singleton-support"
-        assert excinfo.value.details == {"x": 12, "support": (3, 12)}
-        # The entry within tol of 1 is the support, not the largest entry.
-        smaller_support = np.zeros(n, dtype=complex)
-        smaller_support[[3, 12]] = [-0.5, 0.45]
-        report = recover(self.overridden_identity(n, {12: smaller_support}), tol=0.6)
-        assert report.psi == Automorphism.identity(Group((n,)))
-        assert report.diagnostics["point_mass_binary_error"] == 0.5
-        assert report.diagnostics["residual_point_masses"] == pytest.approx(0.55, abs=1e-15)
+            recover(self.overridden_identity(16, {12: image}), tol=0.49)
+        assert excinfo.value.step == "point-mass-binary"
+        assert excinfo.value.details == {"x": 12, "max_deviation": 0.5}
+
+    @pytest.mark.parametrize("tol", [0.5, 0.6, 1.0])
+    def test_recover_tolerance_must_be_below_one_half(self, tol):
+        # From 1/2 up an entry can be within tol of both 0 and 1.
+        identity = self.overridden_identity(16, {})
+        with pytest.raises(ValueError, match=f"tol must be a finite number >= 0 and < 0.5, got {tol}"):
+            recover(identity, tol=tol)
+        assert recover(identity, tol=0.49).psi == Automorphism.identity(Group((16,)))
 
     @staticmethod
     def per_pair_errors(op, trials, seed):

@@ -7,6 +7,7 @@ from abelfft import (
     DUAL,
     PRIMAL,
     Group,
+    check_hypotheses,
     delta,
     fileio,
     max_abs_diff,
@@ -336,9 +337,33 @@ class TestRecoverCommand:
         err = capsys.readouterr().err
         assert err.startswith("error:") and "integers" in err and "Traceback" not in err
 
-    def test_zero_trials_exits_2(self, tmp_path):
+    @pytest.mark.parametrize("option", [["--trials", "4"], ["--check-seed", "1"]], ids=["trials", "check-seed"])
+    def test_removed_options_exit_2(self, tmp_path, capsys, option):
         op_path, _ = self.gen(tmp_path)
-        assert main(["recover", str(op_path), "--trials", "0"]) == 2
+        capsys.readouterr()
+        assert main(["recover", str(op_path), *option]) == 2
+        assert f"unrecognized arguments: {' '.join(option)}" in capsys.readouterr().err
+
+    def test_report_embeds_the_default_check(self, tmp_path):
+        # 8 random pairs with seed 0, at the recover tolerance.
+        op_path, _ = self.gen(tmp_path)
+        report_path = tmp_path / "rep.json"
+        assert main(["recover", str(op_path), "-o", str(report_path)]) == 0
+        expected = check_hypotheses(fileio.load_operator(op_path), trials=8, seed=0, tol=1e-9).as_dict()
+        assert fileio.load_report(report_path)["hypothesis_errors"] == expected
+
+    @pytest.mark.parametrize("tol", ["0.5", "0.6", "1"])
+    def test_tolerance_from_one_half_exits_2(self, tmp_path, capsys, tol):
+        op_path, _ = self.gen(tmp_path)
+        capsys.readouterr()
+        assert main(["recover", str(op_path), "--tol", tol]) == 2
+        err = capsys.readouterr().err
+        assert [line for line in err.splitlines() if "error:" in line] == [
+            f"abelfft recover: error: argument --tol: must be a finite number >= 0 and < 0.5, got {tol!r}"
+        ]
+        assert "Traceback" not in err
+        # check compares errors against tol as a plain threshold, so it takes any finite tol.
+        assert main(["check", str(op_path), "--tol", "0.6"]) == 0
 
 
 class TestBenchCommand:
@@ -374,7 +399,6 @@ class TestUsageErrors:
         [
             ["gen-operator", "--orders", "4", "--form", "U", "-o", "OP", "--seed", "-5"],
             ["check", "OP", "--seed", "-1"],
-            ["recover", "OP", "--check-seed", "-3"],
             ["bench", "--orders", "8", "--reps", "1", "--seed", "-2"],
         ],
     )
