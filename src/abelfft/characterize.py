@@ -14,10 +14,11 @@ identities that characterize the reference family:
 
 ``recover`` reduces a primal->dual operator to a primal->primal one through
 the inverse transform, then reconstructs the relabeling automorphism from the
-supports of transformed point masses, reads the scalar map off constants, and
-classifies it as either the identity or complex conjugation.  The constants
-go in two batches: the probe scalars, then the products and conjugate sums
-the scalar-map laws need.  A dense operator's image of alpha * 1 is s * U(1)
+supports of transformed point masses, reads the scalar map off constants,
+classifies it as either the identity or complex conjugation, and checks that it
+is multiplicative and conjugate-additive.  The constants go in two batches:
+the probe scalars, then the products and conjugate sums the scalar-map laws
+need.  A dense operator's image of alpha * 1 is s * U(1)
 with s = ``point_mass_scale(alpha)``, so its constants are scaled off the
 image of 1 that stage 1 probes, with no further matrix product.  Its last
 stage and ``verify_recovery`` score the operator against the model
@@ -479,9 +480,10 @@ def recover(op: Operator, tol: float = DEFAULT_TOL) -> RecoveryReport:
         )
     psi = Automorphism(group, tuple(np.argsort(phi)))
 
-    # Stage 4: the scalar map m, read off constants, must be constant in x and
-    # must send i to one of +-i.  The probe scalars go in one batch; the
-    # products and conjugate sums that the scalar laws need go in a second.
+    # Stage 4: the scalar map m, read off constants, must be constant in x, must
+    # send i to one of +-i and must obey the scalar laws on the probe scalars:
+    # m(a b) = m(a) m(b) and m(a + conj b) = m(a) + conj m(b).  The probe
+    # scalars go in one batch; the products and conjugate sums go in a second.
     # A dense operator's batches are stage 1's image of 1, scaled.
     m, independence_error = _scalar_map(op, PROBE_SCALARS, tol, unit_image)
     m_samples = [(alpha, m[alpha]) for alpha in PROBE_SCALARS]
@@ -512,8 +514,15 @@ def recover(op: Operator, tol: float = DEFAULT_TOL) -> RecoveryReport:
     m_derived, derived_error = _scalar_map(op, [z for z in derived if z not in m], tol, unit_image)
     m.update(m_derived)
     independence_error = max(independence_error, derived_error)
-    m_mult_errors = [abs(m[a * b] - m[a] * m[b]) for a, b in pairs]
-    m_conj_add_errors = [abs(m[a + b.conjugate()] - m[a] - m[b].conjugate()) for a, b in pairs]
+    mult_error = float(_worst(np.array([abs(m[a * b] - m[a] * m[b]) for a, b in pairs])))
+    conj_add_error = float(_worst(np.array([abs(m[a + b.conjugate()] - m[a] - m[b].conjugate()) for a, b in pairs])))
+    if max(mult_error, conj_add_error) > tol:
+        raise DichotomyViolationError(
+            "scalar-map-laws",
+            f"the scalar map breaks multiplicativity by {mult_error:.3e} "
+            f"and conjugate additivity by {conj_add_error:.3e}",
+            max_error=max(mult_error, conj_add_error),
+        )
 
     # Stage 5: residual of U(f) against the reconstructed model on scaled point
     # masses and seeded random functions, plus condition star on the point masses.
@@ -538,8 +547,8 @@ def recover(op: Operator, tol: float = DEFAULT_TOL) -> RecoveryReport:
         "homomorphism_exhaustive": True,
         "scalar_independence_error": independence_error,
         "probe_dichotomy_error": probe_dichotomy_error,
-        "m_multiplicativity_error": float(_worst(np.array(m_mult_errors))),
-        "m_conjugate_additivity_error": float(_worst(np.array(m_conj_add_errors))),
+        "m_multiplicativity_error": mult_error,
+        "m_conjugate_additivity_error": conj_add_error,
         "condition_star_ok": condition_star_ok,
         "residual_point_masses": residual_point,
         "residual_random": residual_random,

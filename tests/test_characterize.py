@@ -302,6 +302,22 @@ class TestRecoverFailures:
         assert excinfo.value.step == "dichotomy-cross-validation"
         assert excinfo.value.details["max_error"] == 0.5
 
+    def test_scalar_map_laws(self):
+        # m(i) = i and every probe scalar match the identity branch, but
+        # m(4) = 4.5 is neither m(2) m(2) nor m(2) + conj m(2): not additive.
+        g = Group((16,))
+
+        def identity_but_four(f):
+            values = f.values.copy()
+            if np.all(values == 4):
+                values[:] = 4.5
+            return GFunction(g, PRIMAL, values)
+
+        with pytest.raises(DichotomyViolationError) as excinfo:
+            recover(Operator(g, PRIMAL, PRIMAL, identity_but_four))
+        assert excinfo.value.step == "scalar-map-laws"
+        assert excinfo.value.details == {"max_error": 0.5}
+
     def test_scalar_independence_violation(self):
         g = Group((4,))
 
