@@ -448,9 +448,10 @@ def recover(op: Operator, tol: float = DEFAULT_TOL) -> RecoveryReport:
         targets = magnitude.argmax(axis=1)
         on, off = _point_mass_stats(images, magnitude, targets)
         deviation = np.maximum(np.abs(on - 1.0), off)
-        failing = np.flatnonzero(~(deviation <= tol))
-        if failing.size:
-            _reject_point_mass(images[failing[0]], tol, start + int(failing[0]))
+        passed = deviation <= tol
+        if not passed.all():
+            row = int(passed.argmin())
+            _reject_point_mass(images[row], tol, start + row)
         binary_error = max(binary_error, float(deviation.max()))
         phi[start:stop], on_value[start:stop], off_point[start:stop] = targets, on, off
 
