@@ -399,6 +399,7 @@ class TestUsageErrors:
         [
             ["gen-operator", "--orders", "4", "--form", "U", "-o", "OP", "--seed", "-5"],
             ["check", "OP", "--seed", "-1"],
+            ["check", "OP", "--seed=-3"],
             ["bench", "--orders", "8", "--reps", "1", "--seed", "-2"],
         ],
     )
