@@ -8,7 +8,7 @@ from typing import Optional
 
 from .errors import InvalidGroupError
 from .functions import random_function
-from .groups import Group
+from .groups import Group, as_int
 from .transform import dft_naive, fft_forward
 
 NAIVE_SIZE_CAP = 4096
@@ -26,8 +26,8 @@ def _median_seconds(fn, arg, reps: int) -> float:
 
 def time_transform_paths(group: Group, reps: int = 20, seed: int = 0) -> dict:
     """Median seconds for the fast path and, below the size cap, the naive path."""
-    if reps < 1:
-        raise ValueError(f"reps must be >= 1, got {reps}")
+    reps = as_int(reps, ValueError, "reps", minimum=1)
+    seed = as_int(seed, ValueError, "seed", minimum=0)
     if group.size > MAX_BENCH_SIZE:
         raise InvalidGroupError(f"benchmark capped at size {MAX_BENCH_SIZE}, got {group.size}")
     f = random_function(group, seed)

@@ -61,6 +61,7 @@ which would say nothing more.
 
 from __future__ import annotations
 
+import numbers
 from dataclasses import dataclass
 from typing import NoReturn
 
@@ -70,7 +71,6 @@ from .errors import (
     DichotomyViolationError,
     GroupMismatchError,
     NotEssentiallyFourierError,
-    SideMismatchError,
 )
 from .functions import (
     DEFAULT_SUPPORT_TOL_FACTOR,
@@ -78,7 +78,7 @@ from .functions import (
     star_values,
 )
 from .groups import Automorphism, Group, as_int, find_additivity_violation
-from .operators import Operator, T_FORM, U_FORM
+from .operators import Operator, T_FORM
 from .transform import _dft_values, _idft_values, convolve_values
 
 PROBE_SCALARS: tuple[complex, ...] = (1 + 0j, -1 + 0j, 1j, 2 + 0j, 0.5 + 0j, 1 + 1j)
@@ -163,18 +163,10 @@ class RecoveryReport:
         }
 
 
-def _require_checkable(op: Operator) -> None:
-    if op.form not in (T_FORM, U_FORM):
-        raise SideMismatchError(
-            f"only primal->dual and primal->primal operators are supported, "
-            f"got {op.input_side} -> {op.output_side}"
-        )
-
-
 def _require_tolerance(tol: float, bound: float = np.inf) -> None:
-    if not 0 <= tol < bound:
+    if isinstance(tol, bool) or not isinstance(tol, numbers.Real) or not 0 <= tol < bound:
         below = "" if bound == np.inf else f" and < {bound}"
-        raise ValueError(f"tol must be a finite number >= 0{below}, got {tol}")
+        raise ValueError(f"tol must be a finite number >= 0{below}, got {tol!r}")
 
 
 def _worst(errors: np.ndarray, axis: int | None = None):
@@ -362,11 +354,9 @@ def check_hypotheses(
     complex-Gaussian functions are checked.  The report carries the worst
     deviation per identity; nothing raises.
     """
-    _require_checkable(op)
     _require_tolerance(tol)
-    trials = as_int(trials, ValueError, "trials")
-    if trials < 1:
-        raise ValueError(f"trials must be >= 1, got {trials}")
+    trials = as_int(trials, ValueError, "trials", minimum=1)
+    seed = as_int(seed, ValueError, "seed", minimum=0)
     group = op.group
     n = group.size
     block_errors = []
@@ -418,7 +408,6 @@ def recover(op: Operator, tol: float = DEFAULT_TOL) -> RecoveryReport:
     failing stage and carries the offending data.  ``tol`` must lie in [0, 1/2),
     where a point-mass image is unambiguously {0,1}-valued, or ValueError is raised.
     """
-    _require_checkable(op)
     _require_tolerance(tol, RECOVER_TOL_BOUND)
     group = op.group
     n = group.size
@@ -578,10 +567,8 @@ def verify_recovery(
     report carrying the wrong automorphism shows an order-one residual.
     ``trials = 0`` checks the point masses only.
     """
-    _require_checkable(op)
-    trials = as_int(trials, ValueError, "trials")
-    if trials < 0:
-        raise ValueError(f"trials must be >= 0, got {trials}")
+    trials = as_int(trials, ValueError, "trials", minimum=0)
+    seed = as_int(seed, ValueError, "seed", minimum=0)
     if report.psi.group != op.group:
         raise GroupMismatchError("report and operator live on different groups")
     point, _, random = _model_fit(op, report.psi, report.conjugation, (1.0,), trials, seed)

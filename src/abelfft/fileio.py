@@ -13,7 +13,7 @@ for the per-entry float lists.
 
 Function file:   {"group": {"orders": [...]}, "side": "primal"|"dual",
                   "values": [[re, im], ...]}
-Operator file:   {"group": ..., "input_side": ..., "output_side": ...,
+Operator file:   {"group": ..., "input_side": "primal", "output_side": ...,
                   "conjugate_input": bool, "matrix": [[[re, im], ...], ...]}
                  meaning apply(f) = matrix @ (conj(f) if conjugate_input else f)
 Report file:     {"group": ..., "psi": [...], "conjugation": bool,

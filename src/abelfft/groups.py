@@ -21,14 +21,19 @@ from .errors import (
 MAX_ENUMERABLE_SIZE = 1 << 20
 
 
-def as_int(value, error: type[Exception], what: str) -> int:
+def as_int(value, error: type[Exception], what: str, minimum: int | None = None) -> int:
     """``value`` as an int, through ``__index__`` so numpy integers pass; a bool,
-    float or string raises ``error`` instead of being truncated."""
+    float or string raises ``error`` instead of being truncated, and so does an
+    integer below ``minimum``."""
     if not isinstance(value, bool):
         try:
-            return operator.index(value)
+            index = operator.index(value)
         except TypeError:
             pass
+        else:
+            if minimum is not None and index < minimum:
+                raise error(f"{what} must be >= {minimum}, got {index}")
+            return index
     raise error(f"{what} must be an integer, got {value!r}")
 
 
@@ -187,7 +192,7 @@ def find_additivity_violation(perm: np.ndarray, group: Group) -> tuple[int, int]
 
 
 def is_automorphism(perm: Sequence[int] | np.ndarray, group: Group) -> bool:
-    """True iff perm is a bijection of indices that fixes 0 and respects addition."""
+    """True iff perm is a bijection of indices that respects addition, and so fixes 0."""
     perm = np.asarray(perm, dtype=np.int64)
     if perm.shape != (group.size,):
         raise InvalidPermutationError(
@@ -196,8 +201,6 @@ def is_automorphism(perm: Sequence[int] | np.ndarray, group: Group) -> bool:
     if perm.min(initial=0) < 0 or perm.max(initial=0) >= group.size:
         return False
     if np.bincount(perm, minlength=group.size).max() != 1:
-        return False
-    if perm[0] != 0:
         return False
     return find_additivity_violation(perm, group) is None
 
@@ -258,7 +261,7 @@ def random_automorphism(group: Group, seed: int, max_tries: int = 1000) -> Autom
         raise InvalidGroupError(
             f"group size {group.size} exceeds the enumeration guard {MAX_ENUMERABLE_SIZE}"
         )
-    rng = np.random.default_rng(seed)
+    rng = np.random.default_rng(as_int(seed, ValueError, "seed", minimum=0))
     k = len(group.orders)
     for _ in range(max_tries):
         matrix = np.zeros((k, k), dtype=np.int64)

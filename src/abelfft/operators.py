@@ -1,6 +1,6 @@
 """Black-box operators between function spaces and the reference family.
 
-An operator declares its input and output sides; beyond that the engine only
+An operator maps primal input to a declared side; beyond that the engine only
 ever calls ``apply_batch`` and ``apply_point_masses``.  An operator is given
 either by an apply function or by a dense matrix plus a conjugate-input flag,
 meaning apply(f) = matrix @ f.values, with f conjugated first if the flag is
@@ -17,7 +17,8 @@ The operator keeps its own copy of a dense matrix, stored column-major
 apply function stays a black box: both methods call it once per probe, in
 order, and ``point_mass_scale`` is None for it.
 
-T-form operators map primal to dual, U-form operators map primal to primal.
+T-form operators map primal to dual, U-form operators map primal to primal;
+there are no others, so the output side gives the form.
 The reference family is parameterized by an automorphism psi and a
 conjugation flag:
 
@@ -50,7 +51,10 @@ def point_mass_rows(size: int, start: int, stop: int, scale: complex = 1.0) -> n
 
 @dataclass(eq=False)
 class Operator:
-    """A map between function spaces, treated as a black box by the engine."""
+    """A map out of the primal function space, treated as a black box by the engine.
+
+    The input side must be primal, or SideMismatchError is raised; the output
+    side gives the form: dual for T-form, primal for U-form."""
 
     group: Group
     input_side: str
@@ -60,9 +64,9 @@ class Operator:
     conjugate_input: bool = False
 
     def __post_init__(self):
-        if self.input_side not in SIDES or self.output_side not in SIDES:
+        if self.input_side != PRIMAL or self.output_side not in SIDES:
             raise SideMismatchError(
-                f"operator sides must be in {SIDES}, got {self.input_side!r} -> {self.output_side!r}"
+                f"operator sides must be {PRIMAL} -> {PRIMAL} or {DUAL}, got {self.input_side!r} -> {self.output_side!r}"
             )
         if (self.apply_fn is None) == (self.matrix is None):
             raise ValueError("an operator needs either an apply function or a matrix")
@@ -79,11 +83,7 @@ class Operator:
 
     @property
     def form(self) -> str:
-        if self.input_side == PRIMAL and self.output_side == DUAL:
-            return T_FORM
-        if self.input_side == PRIMAL and self.output_side == PRIMAL:
-            return U_FORM
-        return "other"
+        return T_FORM if self.output_side == DUAL else U_FORM
 
     def apply(self, f: GFunction) -> GFunction:
         if f.group != self.group:

@@ -104,10 +104,12 @@ class TestCheckHypotheses:
         assert check_hypotheses(op, trials=np.int64(2)).as_dict()["trials"] == 2
 
     def test_unsupported_form_rejected(self):
+        # A dual-input operator cannot be built, so no engine entry point sees one.
         g = Group((2,))
-        op = Operator.from_matrix(g, DUAL, PRIMAL, np.eye(2))
-        with pytest.raises(SideMismatchError):
-            check_hypotheses(op)
+        with pytest.raises(SideMismatchError, match="sides must be primal -> primal or dual"):
+            Operator.from_matrix(g, DUAL, PRIMAL, np.eye(2))
+        with pytest.raises(SideMismatchError, match="sides must be primal -> primal or dual"):
+            Operator(g, DUAL, DUAL, lambda f: f)
 
     @pytest.mark.parametrize("tol", [np.inf, np.nan, -1.0])
     def test_tolerance_must_be_finite_and_non_negative(self, tol):
@@ -119,6 +121,21 @@ class TestCheckHypotheses:
             check_hypotheses(nan_op, trials=2, tol=tol)
         with pytest.raises(ValueError, match=f"got {tol}"):
             recover(identity, tol=tol)
+
+    @pytest.mark.parametrize(
+        "kwargs, message",
+        [
+            ({"tol": True}, "tol must be a finite number >= 0, got True"),
+            ({"tol": "0.1"}, "tol must be a finite number >= 0, got '0.1'"),
+            ({"tol": None}, "tol must be a finite number >= 0, got None"),
+            ({"seed": 1.0}, "seed must be an integer, got 1.0"),
+            ({"seed": -3}, "seed must be >= 0, got -3"),
+        ],
+    )
+    def test_tolerance_and_seed_follow_the_trials_rules(self, kwargs, message):
+        _, _, op = reference_fixture((4,), 1, False, "U")
+        with pytest.raises(ValueError, match=message):
+            check_hypotheses(op, trials=2, **kwargs)
 
     def test_report_dict_roundtrips_flags(self):
         _, _, op = reference_fixture((4,), 1, True, "U")
@@ -384,6 +401,20 @@ class TestVerifyRecovery:
         flipped = dataclasses.replace(report, conjugation=True)
         assert verify_recovery(op, flipped, trials=8) >= 0.5
 
+    @pytest.mark.parametrize(
+        "seed, message",
+        [
+            (2.5, "seed must be an integer, got 2.5"),
+            (True, "seed must be an integer, got True"),
+            (-1, "seed must be >= 0, got -1"),
+        ],
+    )
+    def test_seed_must_be_a_non_negative_integer(self, seed, message):
+        _, _, op = reference_fixture((4,), 1, False, "U")
+        report = recover(op)
+        with pytest.raises(ValueError, match=message):
+            verify_recovery(op, report, trials=2, seed=seed)
+
     def test_negative_trials_rejected(self):
         _, _, op = reference_fixture((4,), 1, False, "U")
         report = recover(op)
@@ -501,6 +532,12 @@ class TestBlockedProbes:
             recover(self.overridden_identity(16, {12: image}), tol=0.49)
         assert excinfo.value.step == "point-mass-binary"
         assert excinfo.value.details == {"x": 12, "max_deviation": 0.5}
+
+    @pytest.mark.parametrize("tol", [False, "0.1", None, 1j])
+    def test_recover_tolerance_must_be_a_real_number(self, tol):
+        identity = self.overridden_identity(16, {})
+        with pytest.raises(ValueError, match=f"tol must be a finite number >= 0 and < 0.5, got {tol!r}"):
+            recover(identity, tol=tol)
 
     @pytest.mark.parametrize("tol", [0.5, 0.6, 1.0])
     def test_recover_tolerance_must_be_below_one_half(self, tol):

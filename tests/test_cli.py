@@ -261,6 +261,16 @@ class TestCheckCommand:
         err = capsys.readouterr().err
         assert "bad group orders" in err and "Traceback" not in err
 
+    @pytest.mark.parametrize("command", ["check", "recover"])
+    def test_dual_input_record_exits_2(self, tmp_path, capsys, command):
+        out = self.gen(tmp_path)
+        data = json.loads(out.read_text())
+        data["input_side"] = "dual"
+        out.write_text(json.dumps(data))
+        capsys.readouterr()
+        assert main([command, str(out)]) == 2
+        assert_one_error_line(capsys)
+
 
 class TestRecoverCommand:
     def gen(self, tmp_path, *extra):
@@ -391,6 +401,19 @@ class TestBenchLibrary:
     def test_non_positive_reps_raise_value_error(self, reps):
         with pytest.raises(ValueError, match=f"reps must be >= 1, got {reps}"):
             time_transform_paths(Group((4,)), reps=reps)
+
+    @pytest.mark.parametrize(
+        "kwargs, message",
+        [
+            ({"reps": True}, "reps must be an integer, got True"),
+            ({"reps": 2.5}, "reps must be an integer, got 2.5"),
+            ({"seed": 0.5}, "seed must be an integer, got 0.5"),
+            ({"seed": -2}, "seed must be >= 0, got -2"),
+        ],
+    )
+    def test_reps_and_seed_must_be_integers(self, kwargs, message):
+        with pytest.raises(ValueError, match=message):
+            time_transform_paths(Group((4,)), **{"reps": 1, **kwargs})
 
 
 class TestUsageErrors:

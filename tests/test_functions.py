@@ -52,6 +52,7 @@ class TestGFunction:
         f = delta(g, 0) + 2 * delta(g, 1)
         assert np.allclose(f.values, [1, 2, 0])
         assert np.allclose((-f).values, [-1, -2, 0])
+        assert np.allclose((f - delta(g, 1)).values, [1, 1, 0])
 
     def test_point_mass_at_an_element_of_another_group(self):
         with pytest.raises(GroupMismatchError):
@@ -61,6 +62,8 @@ class TestGFunction:
         g = Group((3,))
         with pytest.raises(SideMismatchError):
             delta(g, 0, PRIMAL) + delta(g, 0, DUAL)
+        with pytest.raises(SideMismatchError):
+            delta(g, 0, PRIMAL) - delta(g, 0, DUAL)
 
 
 class TestStar:

@@ -42,7 +42,7 @@ class TestGroupConstruction:
     def test_trivial_group(self):
         assert Group((1,)).size == 1
 
-    @pytest.mark.parametrize("orders", [(), (0,), (-2,), (3, 0)])
+    @pytest.mark.parametrize("orders", [(), (0,), (-2,), (3, 0), 4])
     def test_rejects_bad_orders(self, orders):
         with pytest.raises(InvalidGroupError):
             Group(orders)
@@ -69,6 +69,11 @@ class TestGroupConstruction:
     def test_rejects_non_integer_data(self, build, error):
         with pytest.raises(error, match="must be an integer"):
             build()
+
+    @pytest.mark.parametrize("coords", [(1,), (1, 0, 0)])
+    def test_element_needs_one_coordinate_per_factor(self, coords):
+        with pytest.raises(InvalidGroupError, match=f"expected 2 coordinates, got {len(coords)}"):
+            Element(Group((4, 2)), coords)
 
     def test_accepts_numpy_integers(self):
         g = Group((np.int64(4), np.int32(3)))
@@ -104,6 +109,8 @@ class TestIndexing:
     def test_out_of_range_index(self, j):
         with pytest.raises(IndexError):
             Group((4, 2)).element_of(j)
+        with pytest.raises(IndexError, match="out of range"):
+            delta(Group((4, 2)), j)
 
     @given(small_groups())
     def test_index_roundtrip(self, group):
@@ -137,6 +144,7 @@ class TestArithmetic:
     def test_mod_four_addition(self):
         g = Group((4,))
         assert (g.element_of(3) + g.element_of(2)).index == 1
+        assert (g.element_of(1) - g.element_of(2)).index == 3
 
     def test_negation(self):
         g = Group((4,))
@@ -249,6 +257,14 @@ class TestAutomorphisms:
         a = Automorphism(g, (0, 3, 2, 1))
         assert a(g.element_of(1)).index == 3
 
+    def test_group_mismatch(self):
+        a = Automorphism.identity(Group((4,)))
+        other = Group((2, 2))
+        with pytest.raises(GroupMismatchError):
+            a.apply(other.element_of(1))
+        with pytest.raises(GroupMismatchError):
+            a.compose(Automorphism.identity(other))
+
     def test_compose_and_inverse(self):
         g = Group((2, 4))
         a = random_automorphism(g, 11)
@@ -288,6 +304,18 @@ class TestAutomorphisms:
     def test_random_automorphism_draws_are_pinned(self, orders, seed, perm):
         # Truth sidecars written by gen-operator record these draws.
         assert list(random_automorphism(Group(orders), seed).perm) == perm
+
+    @pytest.mark.parametrize(
+        "seed, message",
+        [
+            (5.0, "seed must be an integer, got 5.0"),
+            ("5", "seed must be an integer, got '5'"),
+            (-1, "seed must be >= 0, got -1"),
+        ],
+    )
+    def test_seed_must_be_a_non_negative_integer(self, seed, message):
+        with pytest.raises(ValueError, match=message):
+            random_automorphism(Group((4, 2)), seed)
 
     def test_retry_exhaustion(self):
         with pytest.raises(RetryExhaustedError):

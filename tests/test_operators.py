@@ -60,10 +60,14 @@ class TestReferenceOperators:
         g = Group((2,))
         with pytest.raises(ValueError):
             build_reference_operator(g, Automorphism.identity(g), False, "V")
+        with pytest.raises(ValueError):
+            reference_operator_matrix(g, Automorphism.identity(g), "V")
 
     def test_group_mismatch(self):
         with pytest.raises(GroupMismatchError):
             build_reference_operator(Group((2,)), Automorphism.identity(Group((3,))), False, "U")
+        with pytest.raises(GroupMismatchError):
+            reference_operator_matrix(Group((2,)), Automorphism.identity(Group((3,))), "U")
 
 
 class TestOperatorMatrices:
@@ -144,6 +148,9 @@ class TestOperatorContracts:
         op = build_reference_operator(g, Automorphism.identity(g), False, "U")
         with pytest.raises(SideMismatchError):
             op.apply(delta(g, 0, DUAL))
+        dual_output = Operator(g, PRIMAL, PRIMAL, lambda f: delta(g, 0, DUAL))
+        with pytest.raises(SideMismatchError, match="produced a dual-side output"):
+            dual_output.apply(delta(g, 0))
 
     def test_matrix_shape_validation(self):
         with pytest.raises(GroupMismatchError):
@@ -159,7 +166,8 @@ class TestOperatorContracts:
         g = Group((2,))
         assert Operator.from_matrix(g, PRIMAL, DUAL, np.eye(2)).form == "T"
         assert Operator.from_matrix(g, PRIMAL, PRIMAL, np.eye(2)).form == "U"
-        assert Operator.from_matrix(g, DUAL, PRIMAL, np.eye(2)).form == "other"
+        with pytest.raises(SideMismatchError):
+            Operator.from_matrix(g, DUAL, PRIMAL, np.eye(2))
 
     def test_from_matrix_ignores_later_writes_to_the_callers_array(self):
         g = Group((3,))

@@ -55,7 +55,7 @@ GOLDEN = Path(__file__).with_name("recover_golden.json")
 COLUMN_PERTURBATIONS = ("split", "merge", "swap-zero", "gain", "tilt", "leak")
 DENSE_PERTURBATIONS = PERTURBATIONS + COLUMN_PERTURBATIONS
 # Nonlinear boxes around a reference operator, one per late stage.
-BOXES = ("nan-point-mass", "collide", "absolute-value", "two-to-2.5", "uneven-four")
+BOXES = ("nan-point-mass", "collide", "absolute-value", "two-to-2.5", "uneven-four", "four-to-4.5")
 STAGES = (
     "unit-preservation",
     "point-mass-binary",
@@ -66,6 +66,7 @@ STAGES = (
     "scalar-independence",
     "dichotomy",
     "dichotomy-cross-validation",
+    "scalar-map-laws",
 )
 RECOVER_SHAPES = EXHAUSTIVE_SHAPES + EXHAUSTIVE_LARGE + RANDOM_SHAPES
 
@@ -129,6 +130,8 @@ def _box(group: Group, box: str, seed: int):
         if box == "uneven-four" and np.all(values == 4):
             values = values.copy()
             values[k] = 5
+        if box == "four-to-4.5" and np.all(values == 4):
+            return np.full(n, 4.5 + 0j)
         return values
 
     return modify
