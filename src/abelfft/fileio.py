@@ -35,7 +35,7 @@ import numpy as np
 from .errors import FileFormatError
 from .functions import SIDES, GFunction
 from .groups import Group
-from .operators import Operator
+from .operators import Operator, require_operator_sides
 
 PathLike = Union[str, Path]
 
@@ -183,6 +183,8 @@ def load_operator(path: PathLike) -> Operator:
     group = _parse_group(data, path)
     input_side = _parse_side(data.get("input_side"), path, "input_side")
     output_side = _parse_side(data.get("output_side"), path, "output_side")
+    # Checked before the matrix, so a dual record fails on its side even if its matrix is malformed.
+    require_operator_sides(input_side, output_side)
     conjugate_input = data.get("conjugate_input")
     if not isinstance(conjugate_input, bool):
         raise FileFormatError(f'{path}: "conjugate_input" must be a boolean')

@@ -125,8 +125,11 @@ def zero(group: Group, side: str = PRIMAL) -> GFunction:
 def random_function(
     group: Group, rng: Union[int, np.random.Generator], side: str = PRIMAL
 ) -> GFunction:
-    """Complex-Gaussian random function, deterministic given an integer seed."""
-    gen = rng if isinstance(rng, np.random.Generator) else np.random.default_rng(rng)
+    """Complex-Gaussian random function, deterministic given an integer seed >= 0."""
+    if isinstance(rng, np.random.Generator):
+        gen = rng
+    else:
+        gen = np.random.default_rng(as_int(rng, ValueError, "seed", minimum=0))
     values = gen.standard_normal(group.size) + 1j * gen.standard_normal(group.size)
     return GFunction(group, side, values)
 

@@ -4,16 +4,24 @@ An operator maps primal input to a declared side; beyond that the engine only
 ever calls ``apply_batch`` and ``apply_point_masses``.  An operator is given
 either by an apply function or by a dense matrix plus a conjugate-input flag,
 meaning apply(f) = matrix @ f.values, with f conjugated first if the flag is
-set.  A dense operator has one product path, ``apply_batch``, which answers a
-whole block of probes with one matrix product (``apply`` is a batch of one),
-and ``apply_point_masses`` reads the images of scaled point masses straight
-off the matrix columns: the image of alpha * delta_x is column x times
-``point_mass_scale(alpha)``, which is conj?(alpha) by the flag.  The operator
-is (conjugate-)linear, so that factor scales any image: the image of
-alpha * 1 is s times the image of 1, which ``recover`` uses for constants.
-The operator keeps its own copy of a dense matrix, stored column-major
-(Fortran order), so each point-mass image is a contiguous row of
-``matrix.T``; record files stay row-major.  An operator given only by its
+set.  A dense operator answers a whole block of k probes in ``apply_batch``
+(``apply`` is a batch of one) by one of two paths, chosen once when the
+operator is built.  A monomial matrix, one nonzero entry in every row and
+every column (a scaled permutation, as the U-form reference matrix is),
+takes a gather and a scale, O(k * n): output entry r is input entry
+source[r] times the nonzero of row r.  Any other matrix, such as a T-form
+one (its first column is all ones), takes one matrix product, O(k * n^2).
+The two agree bit for bit for real scales and within one rounding for
+complex ones; a probe row with a non-finite entry takes the product on
+either path, which spreads it over the row (0 * inf is NaN).
+``apply_point_masses`` reads the images of scaled point masses straight off
+the matrix columns: the image of alpha * delta_x is column x times
+``point_mass_scale(alpha)``, which is conj?(alpha) by the flag.  The
+operator is (conjugate-)linear, so that factor scales any image: the image
+of alpha * 1 is s times the image of 1, which ``recover`` uses for
+constants.  The operator keeps its own copy of a dense matrix, stored
+column-major (Fortran order), so each point-mass image is a contiguous row
+of ``matrix.T``; record files stay row-major.  An operator given only by its
 apply function stays a black box: both methods call it once per probe, in
 order, and ``point_mass_scale`` is None for it.
 
@@ -28,7 +36,7 @@ conjugation flag:
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 from typing import Callable, Optional
 
 import numpy as np
@@ -49,6 +57,40 @@ def point_mass_rows(size: int, start: int, stop: int, scale: complex = 1.0) -> n
     return rows
 
 
+def require_operator_sides(input_side: str, output_side: str) -> None:
+    """Raise SideMismatchError unless the sides are primal -> primal or dual."""
+    if input_side != PRIMAL or output_side not in SIDES:
+        raise SideMismatchError(
+            f"operator sides must be {PRIMAL} -> {PRIMAL} or {DUAL}, got {input_side!r} -> {output_side!r}"
+        )
+
+
+def monomial_factors(matrix: np.ndarray) -> Optional[tuple[np.ndarray, np.ndarray]]:
+    """(source, scale) with matrix @ v == v[source] * scale when every row and every
+    column of the square matrix holds exactly one nonzero entry, else None.
+
+    Zero means == 0, so -0.0 is zero and NaN is not.  A matrix whose first column
+    is not a single nonzero is refused after reading that column alone."""
+    n = matrix.shape[0]
+    if np.count_nonzero(matrix[:, 0]) != 1:
+        return None
+    nonzero = matrix.T != 0  # row c is the pattern of column c
+    if np.count_nonzero(nonzero) != n:
+        return None
+    # The row of each column's first nonzero (row 0 for a zero column).  With n
+    # nonzeros in all, the entries picked are all nonzero only if every column
+    # holds exactly one.
+    target = nonzero.argmax(axis=1)
+    index = np.arange(n)
+    if not nonzero[index, target].all():
+        return None
+    source = np.full(n, -1)
+    source[target] = index
+    if (source < 0).any():  # two columns share a row
+        return None
+    return source, matrix[index, source]
+
+
 @dataclass(eq=False)
 class Operator:
     """A map out of the primal function space, treated as a black box by the engine.
@@ -62,12 +104,10 @@ class Operator:
     apply_fn: Optional[Callable[[GFunction], GFunction]] = None
     matrix: Optional[np.ndarray] = None
     conjugate_input: bool = False
+    _monomial: Optional[tuple[np.ndarray, np.ndarray]] = field(default=None, init=False, repr=False)
 
     def __post_init__(self):
-        if self.input_side != PRIMAL or self.output_side not in SIDES:
-            raise SideMismatchError(
-                f"operator sides must be {PRIMAL} -> {PRIMAL} or {DUAL}, got {self.input_side!r} -> {self.output_side!r}"
-            )
+        require_operator_sides(self.input_side, self.output_side)
         if (self.apply_fn is None) == (self.matrix is None):
             raise ValueError("an operator needs either an apply function or a matrix")
         if self.conjugate_input and self.matrix is None:
@@ -80,6 +120,7 @@ class Operator:
                 )
             matrix.setflags(write=False)
             self.matrix = matrix
+            self._monomial = monomial_factors(matrix)
 
     @property
     def form(self) -> str:
@@ -116,7 +157,16 @@ class Operator:
             )
         if self.matrix is not None:
             rows = np.conj(values) if self.conjugate_input else values
-            return rows @ self.matrix.T
+            if self._monomial is None:
+                return rows @ self.matrix.T
+            source, scale = self._monomial
+            out = rows.take(source, axis=1)
+            out *= scale
+            finite = np.isfinite(rows).all(axis=1)
+            if not finite.all():
+                # The product spreads a non-finite entry over its whole row (0 * inf is NaN).
+                out[~finite] = rows[~finite] @ self.matrix.T
+            return out
         out = np.empty_like(values)
         for i, row in enumerate(values):
             out[i] = self.apply(GFunction(self.group, self.input_side, row)).values

@@ -13,6 +13,7 @@ from abelfft import (
     GFunction,
     Group,
     Operator,
+    SideMismatchError,
     fileio,
     random_automorphism,
     reference_operator_matrix,
@@ -128,6 +129,22 @@ class TestOperatorFiles:
             )
         )
         with pytest.raises(FileFormatError):
+            fileio.load_operator(path)
+
+    def test_dual_input_is_refused_before_the_matrix_is_read(self, tmp_path):
+        path = tmp_path / "op.json"
+        path.write_text(
+            json.dumps(
+                {
+                    "group": {"orders": [2]},
+                    "input_side": "dual",
+                    "output_side": "primal",
+                    "conjugate_input": False,
+                    "matrix": [[[1, 0]], [[0, 0], [1, 0]]],
+                }
+            )
+        )
+        with pytest.raises(SideMismatchError, match="operator sides"):
             fileio.load_operator(path)
 
     @pytest.mark.parametrize(

@@ -66,6 +66,25 @@ class TestGFunction:
             delta(g, 0, PRIMAL) - delta(g, 0, DUAL)
 
 
+class TestRandomFunction:
+    @pytest.mark.parametrize("seed", [-1, 1.5, True])
+    def test_seed_must_be_a_non_negative_integer(self, seed):
+        with pytest.raises(ValueError, match="seed"):
+            random_function(Group((4,)), seed)
+
+    @pytest.mark.parametrize("seed", [0, 7, np.int64(3), 2**40])
+    def test_seed_draws_as_default_rng_does(self, seed):
+        g = Group((3, 2))
+        gen = np.random.default_rng(int(seed))
+        expected = gen.standard_normal(g.size) + 1j * gen.standard_normal(g.size)
+        assert np.array_equal(random_function(g, seed).values, expected)
+        # A generator is used as given, so successive calls continue its stream.
+        gen = np.random.default_rng(int(seed))
+        first, second = random_function(g, gen), random_function(g, gen)
+        assert np.array_equal(first.values, expected)
+        assert not np.array_equal(second.values, expected)
+
+
 class TestStar:
     def test_primal_reflects_support(self):
         g = Group((4,))

@@ -24,7 +24,7 @@ from abelfft import (
     reference_operator_matrix,
 )
 from abelfft.characterize import PROBE_SCALARS
-from abelfft.operators import point_mass_rows
+from abelfft.operators import monomial_factors, point_mass_rows
 
 
 class TestReferenceOperators:
@@ -296,3 +296,158 @@ class TestApplyBatch:
             op.apply_point_masses(2, 5)
         with pytest.raises(IndexError):
             op.apply_point_masses(3, 2)
+
+
+def _product(op, rows):
+    """The dense product path: conj?(rows) @ matrix.T."""
+    return (np.conj(rows) if op.conjugate_input else rows) @ op.matrix.T
+
+
+def _bits(values):
+    return np.ascontiguousarray(values).view(np.uint64)
+
+
+def _monomial_matrix(n, seed, scales):
+    """A scaled permutation matrix: column x holds scales[x] in row perm[x]."""
+    perm = np.random.default_rng(seed).permutation(n)
+    matrix = np.zeros((n, n), dtype=np.complex128)
+    matrix[perm, np.arange(n)] = scales
+    return matrix
+
+
+class TestMonomialPath:
+    n = 24
+
+    def probes(self, seed=0, k=6):
+        rng = np.random.default_rng(seed)
+        return rng.standard_normal((k, self.n)) + 1j * rng.standard_normal((k, self.n))
+
+    def operator(self, matrix, conjugate_input=False):
+        return Operator.from_matrix(Group((self.n,)), PRIMAL, PRIMAL, matrix, conjugate_input)
+
+    @pytest.mark.parametrize("conjugate_input", [False, True])
+    @pytest.mark.parametrize("kind", ["permutation", "real", "negative"])
+    def test_real_scales_match_the_product_bit_for_bit(self, kind, conjugate_input):
+        rng = np.random.default_rng(1)
+        scales = {
+            "permutation": np.ones(self.n),
+            "real": rng.uniform(0.5, 3.0, self.n),
+            "negative": -rng.uniform(0.5, 3.0, self.n),
+        }[kind]
+        op = self.operator(_monomial_matrix(self.n, 2, scales), conjugate_input)
+        assert op._monomial is not None
+        rows = self.probes()
+        for block in (rows, rows[:1], rows[:0]):
+            got = op.apply_batch(block)
+            assert got.shape == block.shape
+            assert np.array_equal(_bits(got), _bits(_product(op, block)))
+        f = GFunction(op.group, PRIMAL, rows[3])
+        assert np.array_equal(_bits(op.apply(f).values), _bits(_product(op, rows[3:4])[0]))
+
+    @pytest.mark.parametrize("conjugate_input", [False, True])
+    def test_complex_scales_match_the_product_within_one_rounding(self, conjugate_input):
+        rng = np.random.default_rng(3)
+        scales = rng.standard_normal(self.n) + 1j * rng.standard_normal(self.n)
+        op = self.operator(_monomial_matrix(self.n, 4, scales), conjugate_input)
+        assert op._monomial is not None
+        rows = self.probes(5)
+        got, expected = op.apply_batch(rows), _product(op, rows)
+        source, scale = op._monomial
+        size = np.abs(rows[:, source]) * np.abs(scale)
+        assert np.all(np.abs(got - expected) <= 2 * np.finfo(float).eps * size)
+
+    def test_finite_probes_are_answered_without_the_product(self):
+        op = self.operator(_monomial_matrix(self.n, 13, np.full(self.n, 2.0)))
+        rows = self.probes(14)
+        expected = op.apply_batch(rows)
+        op.matrix = np.zeros_like(op.matrix)  # the product would now give zeros
+        assert np.array_equal(op.apply_batch(rows), expected)
+        assert np.abs(expected).min() > 0
+
+    def test_factors_give_source_and_scale_per_row(self):
+        matrix = np.array([[0, 2j, 0], [0, 0, -1], [3, 0, 0]], dtype=np.complex128)
+        source, scale = monomial_factors(np.asfortranarray(matrix))
+        assert source.tolist() == [1, 2, 0]
+        assert scale.tolist() == [2j, -1, 3]
+
+    def non_monomial(self):
+        n = self.n
+        eye = np.eye(n, dtype=np.complex128)
+        two_in_a_column = eye.copy()
+        two_in_a_column[5, 3] = 0.5
+        zero_column = eye.copy()
+        zero_column[7, 7] = 0
+        shared_row = eye.copy()
+        shared_row[:, 9] = 0
+        shared_row[4, 9] = 1
+        # n nonzeros whose first-nonzero rows form a permutation, with column 1
+        # empty (its first "nonzero" row reads as 0) and row 3 holding two.
+        empty_and_doubled = np.zeros((n, n), dtype=np.complex128)
+        empty_and_doubled[1, 0] = 1
+        empty_and_doubled[np.arange(2, n), np.arange(2, n)] = 1
+        empty_and_doubled[3, 2] = 1
+        t_form = reference_operator_matrix(Group((4, 6)), random_automorphism(Group((4, 6)), 5), "T")
+        return {
+            "two-in-a-column": two_in_a_column,
+            "zero-column": zero_column,
+            "shared-row": shared_row,
+            "zero-first-column": np.roll(zero_column, -7, axis=1),
+            "empty-and-doubled": empty_and_doubled,
+            "t-form": t_form,
+        }
+
+    @pytest.mark.parametrize(
+        "kind",
+        ["two-in-a-column", "zero-column", "shared-row", "zero-first-column", "empty-and-doubled", "t-form"],
+    )
+    def test_other_matrices_take_the_product(self, kind):
+        matrix = self.non_monomial()[kind]
+        assert monomial_factors(np.asfortranarray(matrix)) is None
+        op = self.operator(matrix, True)
+        assert op._monomial is None
+        rows = self.probes(6)
+        assert np.array_equal(_bits(op.apply_batch(rows)), _bits(_product(op, rows)))
+
+    def test_negative_zeros_count_as_zero(self):
+        matrix = _monomial_matrix(self.n, 7, np.full(self.n, complex(2.0, -0.0)))
+        matrix[matrix == 0] = complex(-0.0, -0.0)
+        assert np.signbit(matrix.real).sum() == self.n * (self.n - 1)
+        op = self.operator(matrix)
+        assert op._monomial is not None
+        rows = self.probes(8)
+        assert np.array_equal(_bits(op.apply_batch(rows)), _bits(_product(op, rows)))
+        # A column of negative zeros is a zero column.
+        matrix[:, 2] = complex(-0.0, 0.0)
+        assert self.operator(matrix)._monomial is None
+
+    @pytest.mark.parametrize("conjugate_input", [False, True])
+    @pytest.mark.parametrize("bad", [np.nan, np.inf, -np.inf, complex(0, np.inf), complex(np.nan, 1)])
+    def test_non_finite_probes_give_the_products_rows(self, bad, conjugate_input):
+        op = self.operator(_monomial_matrix(self.n, 9, np.arange(1, self.n + 1) * 0.5), conjugate_input)
+        assert op._monomial is not None
+        rows = self.probes(10)
+        rows[1, 4] = bad
+        rows[4, [0, 11]] = bad
+        with np.errstate(invalid="ignore"):  # 0 * inf
+            got, expected = op.apply_batch(rows), _product(op, rows)
+        assert not np.isfinite(got[[1, 4]]).any()
+        assert np.array_equal(got.view(np.float64), expected.view(np.float64), equal_nan=True)
+        finite = [0, 2, 3, 5]
+        assert np.array_equal(_bits(got[finite]), _bits(expected[finite]))
+
+    @pytest.mark.parametrize("bad", [np.nan, np.inf, complex(1, -np.inf)])
+    def test_non_finite_matrix_entries_give_the_products_rows(self, bad):
+        scales = np.full(self.n, 2.0, dtype=np.complex128)
+        scales[[3, 17]] = bad
+        op = self.operator(_monomial_matrix(self.n, 11, scales))
+        assert op._monomial is not None
+        rows = self.probes(12)
+        rows[2, :] = 0
+        with np.errstate(invalid="ignore"):  # 0 * inf
+            got, expected = op.apply_batch(rows), _product(op, rows)
+        # BLAS kernels may write NaN where the complex multiply gives inf, so the
+        # non-finite entries match in place, and the finite ones bit for bit.
+        finite = np.isfinite(expected)
+        assert not finite.all()
+        assert np.array_equal(np.isfinite(got), finite)
+        assert np.array_equal(_bits(got[finite]), _bits(expected[finite]))
