@@ -16,33 +16,35 @@ identities that characterize the reference family:
 the inverse transform, then reconstructs the relabeling automorphism from the
 supports of transformed point masses, reads the scalar map off constants,
 classifies it as either the identity or complex conjugation, and checks that it
-is multiplicative and conjugate-additive.  The constants go in two batches:
-the probe scalars, then the products and conjugate sums the scalar-map laws
-need.  A dense operator's image of alpha * 1 is s * U(1)
-with s = ``point_mass_scale(alpha)``, so its constants are scaled off the
-image of 1 that stage 1 probes, with no further matrix product.  Its last
-stage and ``verify_recovery`` score the operator against the model
-f -> conj?(f o psi) in one shared fit: the model image of alpha * delta_x is
-the single entry conj?(alpha) at psi^-1(x), so each point-mass image is scored
-at that entry and off it, through two statistics per image: its value at that
-entry and its largest magnitude off it.  The unit point masses delta_x are
-probed once: stage 2 reads the support map off them and keeps their
-statistics for the fit.  ``recover`` takes tol in [0, 1/2), so no entry is
-within tol of both 0 and 1, and stage 2 is one magnitude pass per block: a row
-passes when its largest entry is within tol of 1 and its others are within tol
-of 0.  The first row that fails is named by the per-entry rule.  A dense
-operator's image of alpha * delta_x is s * column x, so the fit scores its five
-other scalars off stage 2's statistics times s, with no further transform; an
-operator given by its apply function is still probed once per scalar.
+is multiplicative and conjugate-additive.  The constants go in one batch: the
+probe scalars, then the products and conjugate sums the scalar-map laws need.
+A dense operator's image of alpha * 1 is s * U(1) with s =
+``point_mass_scale(alpha)``, so its constants are scaled off the image of 1
+that stage 1 probes, with no further matrix product.  Its last stage and
+``verify_recovery`` score the operator against the model f -> conj?(f o psi)
+in one shared fit: the model image of alpha * delta_x is the single entry
+conj?(alpha) at psi^-1(x), so each point-mass image is scored through two
+statistics: its value at that entry and its largest magnitude off it.  One
+walker, ``_point_mass_blocks``, yields each block of point-mass images with
+those statistics, at phi or at each row's largest entry, for stage 2, the fit
+and ``verify_recovery``.  The unit point masses are probed once: stage 2 reads
+the support map off them and keeps their statistics for the fit.  ``recover``
+takes tol in [0, 1/2), so no entry is within tol of both 0 and 1, and stage 2
+is one magnitude pass per block: a row passes when its largest entry is within
+tol of 1 and its others are within tol of 0.  The first row that fails is
+named by the per-entry rule.  A dense operator's image of alpha * delta_x is
+s * column x, so the fit scores its five other scalars off stage 2's
+statistics times s, with no further transform; an operator given by its apply
+function is still probed once per scalar.
 
 Probes reach the operator in blocks of rows.  Scaled point masses go through
 ``Operator.apply_point_masses``, which reads a dense operator's columns, so
 each costs O(size); every other probe (the constant 1, random functions,
 sums, and an apply function's other constants) goes through
-``Operator.apply_batch``, which a dense operator answers with one matrix
-product.  ``_to_primal`` then takes T-form images back to the primal
-side with one inverse transform.  An operator given only by its apply
-function is called once per probe, in order, either way.  The exhaustive
+``Operator.apply_batch``, which a dense operator answers in one call.
+``_to_primal`` then takes T-form images back to the primal side with one
+inverse transform.  An operator given only by its apply function is called
+once per probe, in order, either way.  The exhaustive
 branch of ``check_hypotheses`` transforms each of the n point-mass images
 once, so each of the n^2 pairs costs one inverse transform; each of its
 blocks holds every y for a run of x, broadcast into rows, and stays under
@@ -74,6 +76,7 @@ from .errors import (
 )
 from .functions import (
     DEFAULT_SUPPORT_TOL_FACTOR,
+    PRIMAL,
     haar_weight,
     star_values,
 )
@@ -222,15 +225,19 @@ def _scalar_map(op: Operator, alphas, tol: float, unit_image: np.ndarray) -> tup
     return dict(zip(alphas, (complex(v) for v in images[:, 0]))), float(_worst(deviations))
 
 
-def _point_mass_stats(images, magnitude, targets) -> tuple[np.ndarray, np.ndarray]:
-    """Per-row statistics of a block of point-mass images against the model,
-    whose image of each row is a single entry at ``targets``: the complex value
-    at the target and the largest magnitude off it.  ``magnitude`` is |images|,
-    taken once by the caller; it is overwritten."""
-    rows = np.arange(len(targets))
-    on_value = images[rows, targets]
-    magnitude[rows, targets] = 0.0
-    return on_value, magnitude.max(axis=1)
+def _point_mass_blocks(op: Operator, alpha: complex = 1.0, phi: np.ndarray | None = None):
+    """(start, images, targets, on_value, off_point) for each block of primal
+    images of alpha * delta_x: each row's target is phi[x], or its largest entry
+    without phi, and its statistics are its value there and its largest magnitude off it."""
+    n = op.group.size
+    for start, stop in _blocks(n, n):
+        images = _to_primal(op, op.apply_point_masses(start, stop, alpha))
+        magnitude = np.abs(images)
+        targets = magnitude.argmax(axis=1) if phi is None else phi[start:stop]
+        rows = np.arange(stop - start)
+        on_value = images[rows, targets]
+        magnitude[rows, targets] = 0.0
+        yield start, images, targets, on_value, magnitude.max(axis=1)
 
 
 def _reject_point_mass(image, tol: float, x: int) -> NoReturn:
@@ -263,14 +270,6 @@ def _score_point_masses(on_value, off_point, expected) -> tuple[float, bool]:
     support_tol = DEFAULT_SUPPORT_TOL_FACTOR * np.maximum(on_point, off_point)
     worst = _worst(np.maximum(np.abs(on_value - expected), off_point))
     return float(worst), bool(np.all((on_point > support_tol) & (off_point <= support_tol)))
-
-
-def _probed_stats(op: Operator, alpha: complex, phi: np.ndarray):
-    """Statistics of the primal images of alpha * delta_x against phi, one probe block at a time."""
-    n = op.group.size
-    for start, stop in _blocks(n, n):
-        images = _to_primal(op, op.apply_point_masses(start, stop, alpha))
-        yield _point_mass_stats(images, np.abs(images), phi[start:stop])
 
 
 def _model_fit(
@@ -306,7 +305,7 @@ def _model_fit(
             on_value, off_point = unit_stats
             stats = [(scale * on_value, abs(scale) * off_point)]
         else:
-            stats = _probed_stats(op, alpha, phi)
+            stats = ((on, off) for _, _, _, on, off in _point_mass_blocks(op, alpha, phi))
         for on_value, off_point in stats:
             worst, star_ok = _score_point_masses(on_value, off_point, expected)
             residual_point = max(residual_point, worst)
@@ -352,7 +351,10 @@ def check_hypotheses(
     Point-mass pairs are exhausted whenever size^2 is at most
     ``_EXHAUSTIVE_PAIR_BUDGET``; on top of that, ``trials`` seeded pairs of
     complex-Gaussian functions are checked.  The report carries the worst
-    deviation per identity; nothing raises.
+    deviation per identity; nothing raises.  Constants are never probed, so
+    an operator that breaks linearity only on constants passes: an identity
+    that sends the constant 4 to 4.5 passes here, and ``recover`` rejects it
+    at ``scalar-map-laws``.
     """
     _require_tolerance(tol)
     trials = as_int(trials, ValueError, "trials", minimum=1)
@@ -371,7 +373,7 @@ def check_hypotheses(
         xs, ys = np.indices((n, n))
         image_rows = np.stack([np.where(xs == ys, xs, n), group.add_index(xs, ys)])
         points = np.eye(n, dtype=np.complex128)
-        star_points = star_values(points, group, op.input_side)
+        star_points = star_values(points, group, PRIMAL)
         # delta_y* is the point mass at -y, so a dense operator's image of
         # delta_x + delta_y* is the sum of two of its columns.
         op_star = op_delta[group.negation_perm] if op.point_mass_scale(1) is not None else None
@@ -385,12 +387,12 @@ def check_hypotheses(
             block_errors.append(_identity_errors(op, op_x, op_delta, hat_delta[x0:x1, None], hat_delta, lhs))
 
     rng = np.random.default_rng(seed)
-    weight = haar_weight(group, op.input_side)
+    weight = haar_weight(group, PRIMAL)
     for start, stop in _blocks(trials, n):
         draws = _random_rows(group, rng, 2 * (stop - start))
         f, g = draws[0::2], draws[1::2]
         # The five probe sets reach the operator as one batch, in this order.
-        probes = [f, g, f * g, convolve_values(f, g, group, weight), f + star_values(g, group, op.input_side)]
+        probes = [f, g, f * g, convolve_values(f, g, group, weight), f + star_values(g, group, PRIMAL)]
         op_f, op_g, op_prod, op_conv, op_sum = np.split(op.apply_batch(np.concatenate(probes)), 5)
         hat_f, hat_g = _dft_values(op_f, group), _dft_values(op_g, group)
         block_errors.append(_identity_errors(op, op_f, op_g, hat_f, hat_g, (op_sum, op_prod, op_conv)))
@@ -428,21 +430,17 @@ def recover(op: Operator, tol: float = DEFAULT_TOL) -> RecoveryReport:
     # support map phi is psi^-1 once stage 3 passes, so their statistics
     # against phi are kept for the fit: two values per point mass.  With
     # tol < 1/2 the magnitude pass and the per-entry rule agree row for row.
-    phi = np.empty(n, dtype=np.int64)
-    on_value, off_point = np.empty(n, dtype=np.complex128), np.empty(n)
     binary_error = 0.0
-    for start, stop in _blocks(n, n):
-        images = _to_primal(op, op.apply_point_masses(start, stop))
-        magnitude = np.abs(images)
-        targets = magnitude.argmax(axis=1)
-        on, off = _point_mass_stats(images, magnitude, targets)
+    kept = []
+    for start, images, targets, on, off in _point_mass_blocks(op):
         deviation = np.maximum(np.abs(on - 1.0), off)
         passed = deviation <= tol
         if not passed.all():
             row = int(passed.argmin())
             _reject_point_mass(images[row], tol, start + row)
         binary_error = max(binary_error, float(deviation.max()))
-        phi[start:stop], on_value[start:stop], off_point[start:stop] = targets, on, off
+        kept.append((targets, on, off))
+    phi, on_value, off_point = (np.concatenate(parts) for parts in zip(*kept))
 
     # Stage 3: the support map must be an automorphism; its inverse is psi.
     # The first repeat is the first index that is not a first occurrence.
@@ -472,10 +470,12 @@ def recover(op: Operator, tol: float = DEFAULT_TOL) -> RecoveryReport:
 
     # Stage 4: the scalar map m, read off constants, must be constant in x, must
     # send i to one of +-i and must obey the scalar laws on the probe scalars:
-    # m(a b) = m(a) m(b) and m(a + conj b) = m(a) + conj m(b).  The probe
-    # scalars go in one batch; the products and conjugate sums go in a second.
-    # A dense operator's batches are stage 1's image of 1, scaled.
-    m, independence_error = _scalar_map(op, PROBE_SCALARS, tol, unit_image)
+    # m(a b) = m(a) m(b) and m(a + conj b) = m(a) + conj m(b).  The constants
+    # go in one batch: the probe scalars, then the products and conjugate sums.
+    # A dense operator's batch is stage 1's image of 1, scaled.
+    pairs = [(alpha, beta) for alpha in PROBE_SCALARS for beta in PROBE_SCALARS]
+    scalars = list(dict.fromkeys([*PROBE_SCALARS, *(z for a, b in pairs for z in (a * b, a + b.conjugate()))]))
+    m, independence_error = _scalar_map(op, scalars, tol, unit_image)
     m_samples = [(alpha, m[alpha]) for alpha in PROBE_SCALARS]
     m_i = m[1j]
     if abs(m_i - 1j) <= tol:
@@ -499,11 +499,6 @@ def recover(op: Operator, tol: float = DEFAULT_TOL) -> RecoveryReport:
             max_error=probe_dichotomy_error,
         )
 
-    pairs = [(alpha, beta) for alpha in PROBE_SCALARS for beta in PROBE_SCALARS]
-    derived = dict.fromkeys(z for a, b in pairs for z in (a * b, a + b.conjugate()))
-    m_derived, derived_error = _scalar_map(op, [z for z in derived if z not in m], tol, unit_image)
-    m.update(m_derived)
-    independence_error = max(independence_error, derived_error)
     mult_error = float(_worst(np.array([abs(m[a * b] - m[a] * m[b]) for a, b in pairs])))
     conj_add_error = float(_worst(np.array([abs(m[a + b.conjugate()] - m[a] - m[b].conjugate()) for a, b in pairs])))
     if max(mult_error, conj_add_error) > tol:

@@ -167,6 +167,14 @@ def character(x: Element, xi: Element) -> complex:
     return cmath.exp(2j * math.pi * turns)
 
 
+def _perm_array(perm) -> np.ndarray:
+    """``perm`` as an int64 array; a non-integer dtype, bool included, raises instead of truncating."""
+    array = np.asarray(perm)
+    if array.size and not np.issubdtype(array.dtype, np.integer):
+        raise InvalidPermutationError(f"permutation entries must be integers, got dtype {array.dtype}")
+    return array.astype(np.int64, copy=False)
+
+
 def find_additivity_violation(perm: np.ndarray, group: Group) -> tuple[int, int] | None:
     """First pair (i, j), in row-major order, with perm[i + j] != perm[i] + perm[j], or None.
 
@@ -177,7 +185,7 @@ def find_additivity_violation(perm: np.ndarray, group: Group) -> tuple[int, int]
     pair rows scanned, in order, to name the first one.
     """
     n = group.size
-    perm = np.asarray(perm, dtype=np.int64)
+    perm = _perm_array(perm)
     elements = np.arange(n, dtype=np.int64)
     # Index of each generator e_k; an order-1 factor's generator is the identity.
     generators = group._wrap_index(np.eye(len(group.orders), dtype=np.int64))
@@ -193,7 +201,7 @@ def find_additivity_violation(perm: np.ndarray, group: Group) -> tuple[int, int]
 
 def is_automorphism(perm: Sequence[int] | np.ndarray, group: Group) -> bool:
     """True iff perm is a bijection of indices that respects addition, and so fixes 0."""
-    perm = np.asarray(perm, dtype=np.int64)
+    perm = _perm_array(perm)
     if perm.shape != (group.size,):
         raise InvalidPermutationError(
             f"permutation has length {perm.size}, group has size {group.size}"
@@ -215,7 +223,7 @@ class Automorphism:
     def __post_init__(self):
         perm = tuple(as_int(p, InvalidPermutationError, "a permutation entry") for p in self.perm)
         object.__setattr__(self, "perm", perm)
-        if not is_automorphism(np.asarray(perm, dtype=np.int64), self.group):
+        if not is_automorphism(perm, self.group):
             raise InvalidPermutationError(
                 f"permutation is not an automorphism of the group with orders {self.group.orders}"
             )

@@ -203,6 +203,15 @@ class Operator:
         return cls(group, input_side, output_side, None, matrix, conjugate_input)
 
 
+def _reference_output_side(group: Group, psi: Automorphism, form: str) -> str:
+    """The reference operator's output side for ``form``, after checking that psi acts on ``group``."""
+    if psi.group != group:
+        raise GroupMismatchError("automorphism and group do not match")
+    if form not in (T_FORM, U_FORM):
+        raise ValueError(f"form must be {T_FORM!r} or {U_FORM!r}, got {form!r}")
+    return DUAL if form == T_FORM else PRIMAL
+
+
 def build_reference_operator(
     group: Group,
     psi: Automorphism,
@@ -210,26 +219,15 @@ def build_reference_operator(
     form: str = U_FORM,
 ) -> Operator:
     """The model operator for a given automorphism and conjugation flag."""
-    if psi.group != group:
-        raise GroupMismatchError("automorphism and group do not match")
-    if form not in (T_FORM, U_FORM):
-        raise ValueError(f"form must be {T_FORM!r} or {U_FORM!r}, got {form!r}")
+    output_side = _reference_output_side(group, psi, form)
     perm = psi.perm_array
 
-    def compose(f: GFunction) -> GFunction:
+    def apply_fn(f: GFunction) -> GFunction:
         values = f.values[perm]
         if conjugation:
             values = np.conj(values)
-        return GFunction(group, PRIMAL, values)
-
-    if form == U_FORM:
-        apply_fn = compose
-        output_side = PRIMAL
-    else:
-        def apply_fn(f: GFunction) -> GFunction:
-            return fft_forward(compose(f))
-
-        output_side = DUAL
+        image = GFunction(group, PRIMAL, values)
+        return fft_forward(image) if output_side == DUAL else image
 
     return Operator(group, PRIMAL, output_side, apply_fn)
 
@@ -237,12 +235,8 @@ def build_reference_operator(
 def reference_operator_matrix(group: Group, psi: Automorphism, form: str) -> np.ndarray:
     """Dense matrix of the reference operator (the conjugation flag is stored separately),
     built column-major: column x is the image of delta_x, which sits at phi = psi^-1."""
-    if psi.group != group:
-        raise GroupMismatchError("automorphism and group do not match")
+    output_side = _reference_output_side(group, psi, form)
     phi = np.argsort(psi.perm_array)
-    if form == U_FORM:
-        return np.eye(group.size, dtype=np.complex128)[phi].T
-    if form == T_FORM:
-        # The character matrix is symmetric, so its rows at phi are its columns at phi.
-        return character_matrix(group)[phi].T
-    raise ValueError(f"form must be {T_FORM!r} or {U_FORM!r}, got {form!r}")
+    # The character matrix is symmetric, so its rows at phi are its columns at phi.
+    images = character_matrix(group) if output_side == DUAL else np.eye(group.size, dtype=np.complex128)
+    return images[phi].T

@@ -29,7 +29,7 @@ from abelfft import (
     verify_recovery,
     zero,
 )
-from abelfft.characterize import _random_rows
+from abelfft.characterize import PROBE_SCALARS, _random_rows
 
 ROUND_TRIP_CASES = [
     ((4, 2), 0, False, "T"),
@@ -523,6 +523,26 @@ class TestBlockedProbes:
         assert excinfo.value.step == step
         assert excinfo.value.details == payload
 
+    def test_stage_two_stops_at_the_first_failing_block(self):
+        # delta_5's image holds 0.5, so stage 2 rejects inside the first block
+        # of 128 point masses at n = 256, and the second block is never probed.
+        image = np.zeros(256, dtype=complex)
+        image[5] = 0.5
+        identity = self.overridden_identity(256, {5: image})
+        probes = []
+
+        def counted(f):
+            probes.append(f.values)
+            return identity.apply_fn(f)
+
+        with pytest.raises(NotEssentiallyFourierError) as excinfo:
+            recover(Operator(identity.group, PRIMAL, PRIMAL, counted))
+        assert excinfo.value.step == "point-mass-binary"
+        assert excinfo.value.details == {"x": 5, "max_deviation": 0.5}
+        # U(1), then delta_0 .. delta_127.
+        assert len(probes) == 1 + 128
+        assert [np.flatnonzero(values).tolist() for values in probes[1:]] == [[x] for x in range(128)]
+
     @pytest.mark.parametrize("entries", [[0.55, 0.5], [-0.5, 0.45]])
     def test_rows_near_tolerance_one_half_follow_the_entry_rule(self, entries):
         # At tol 0.49 the entry of magnitude 0.5 is within tol of neither 0 nor 1.
@@ -725,6 +745,25 @@ class TestProbeCounts:
         assert check_hypotheses(op).passed
         # n point masses, the zero function, n^2 pairs and 16 random pairs of five probes.
         assert len(calls) == n + 1 + n * n + 5 * 16 == 4241
+
+    def test_constants_go_in_one_batch_before_the_dichotomy(self):
+        # |f| passes stages 1-3; m(i) = 1 fails the dichotomy only after the
+        # whole batch of constants has been applied.
+        g = Group((8,))
+        probes = []
+
+        def absolute_value(f):
+            probes.append(f.values)
+            return GFunction(g, PRIMAL, np.abs(f.values).astype(complex))
+
+        with pytest.raises(DichotomyViolationError) as excinfo:
+            recover(Operator(g, PRIMAL, PRIMAL, absolute_value))
+        assert excinfo.value.step == "dichotomy"
+        # U(1), the 8 point masses, then the 6 probe scalars and 24 derived constants.
+        assert len(probes) == 1 + 8 + 30 == 39
+        assert all(np.all(values == values[0]) for values in probes[9:])
+        constants = [complex(values[0]) for values in probes[9:]]
+        assert constants[:6] == list(PROBE_SCALARS) and len(set(constants)) == 30
 
     def test_random_rows_match_random_function_draws(self):
         group = Group((3, 4))

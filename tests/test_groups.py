@@ -239,6 +239,21 @@ class TestAutomorphisms:
     def test_out_of_range_index_rejected(self):
         assert not is_automorphism([0, 1, 2, 4], Group((4,)))
 
+    @pytest.mark.parametrize("check", [is_automorphism, find_additivity_violation])
+    @pytest.mark.parametrize(
+        "perm, orders",
+        [
+            ([0.0, 1.9], (2,)),
+            (np.array([0.0, 1.0]), (2,)),
+            ([False, True], (2,)),
+            (["0", "1", "2", "3"], (4,)),
+            ([0, 1 + 0j], (2,)),
+        ],
+    )
+    def test_non_integer_entries_are_refused_not_truncated(self, check, perm, orders):
+        with pytest.raises(InvalidPermutationError, match="integers"):
+            check(perm, Group(orders))
+
     def test_census_z4(self):
         auts = brute_force_automorphisms(Group((4,)))
         assert len(auts) == 2
