@@ -3,25 +3,25 @@
 Exit codes follow one contract everywhere: 0 success / pass, 1 checked
 failure (hypotheses fail, recovery impossible, truth mismatch), 2 usage or
 format error, or not enough memory.  All commands are deterministic given
-their --seed; reports embed the seed and the tool version.
+their --seed; reports embed the seed and the tool version.  argparse only
+parses --tol, --trials, --seed and --reps as numbers: the library function
+that takes each value checks it, and its message is the one printed.
 """
 
 from __future__ import annotations
 
 import argparse
-import functools
 import json
-import math
 import sys
 from pathlib import Path
 
 from . import __version__
 from . import fileio
 from .bench import NAIVE_SIZE_CAP, time_transform_paths
-from .characterize import DEFAULT_CHECK_TRIALS, DEFAULT_TOL, RECOVER_TOL_BOUND, check_hypotheses, recover
+from .characterize import DEFAULT_CHECK_TRIALS, DEFAULT_TOL, check_hypotheses, recover
 from .errors import AbelfftError, NotEssentiallyFourierError
 from .functions import DUAL, PRIMAL, convolve
-from .groups import Automorphism, Group, random_automorphism
+from .groups import Automorphism, Group, as_int, random_automorphism
 from .operators import Operator, T_FORM, U_FORM, reference_operator_matrix
 from .transform import convolve_fast, dft_naive, fft_forward, fft_inverse, idft_naive
 
@@ -30,29 +30,6 @@ RECOVER_CHECK_TRIALS = 8  # random pairs of the check that a recover report embe
 
 def _print_kv(key: str, value) -> None:
     print(f"{key}: {value}")
-
-
-def _positive_int(text: str) -> int:
-    if not text.strip().isdigit() or int(text) < 1:
-        raise argparse.ArgumentTypeError(f"must be a positive integer, got {text!r}")
-    return int(text)
-
-
-def _nonnegative_int(text: str) -> int:
-    if not text.strip().isdigit():
-        raise argparse.ArgumentTypeError(f"must be a non-negative integer, got {text!r}")
-    return int(text)
-
-
-def _tolerance(text: str, bound: float = math.inf) -> float:
-    try:
-        tol = float(text)
-    except ValueError:
-        tol = math.nan
-    if not 0 <= tol < bound:
-        below = "" if bound == math.inf else f" and < {bound}"
-        raise argparse.ArgumentTypeError(f"must be a finite number >= 0{below}, got {text!r}")
-    return tol
 
 
 def _truth_path(operator_path: str) -> Path:
@@ -78,6 +55,7 @@ def cmd_convolve(args: argparse.Namespace) -> int:
 
 
 def cmd_gen_operator(args: argparse.Namespace) -> int:
+    as_int(args.seed, ValueError, "seed", minimum=0)  # before any file; --psi identity draws no seeded psi
     group = Group(tuple(args.orders))
     if args.psi == "identity":
         psi = Automorphism.identity(group)
@@ -186,7 +164,7 @@ def _build_parser() -> argparse.ArgumentParser:
 
     p = sub.add_parser("gen-operator", help="write a reference operator plus a truth sidecar")
     p.add_argument("--orders", nargs="+", type=int, required=True)
-    p.add_argument("--seed", type=_nonnegative_int, default=0)
+    p.add_argument("--seed", type=int, default=0)
     p.add_argument("--conjugate", action="store_true")
     p.add_argument("--form", choices=[T_FORM, U_FORM], required=True)
     p.add_argument("--psi", choices=["identity", "random"], default="random")
@@ -195,23 +173,22 @@ def _build_parser() -> argparse.ArgumentParser:
 
     p = sub.add_parser("check", help="check the algebraic hypotheses of an operator file")
     p.add_argument("operator")
-    p.add_argument("--trials", type=_positive_int, default=DEFAULT_CHECK_TRIALS)
-    p.add_argument("--tol", type=_tolerance, default=DEFAULT_TOL, help="largest identity error that passes, >= 0")
-    p.add_argument("--seed", type=_nonnegative_int, default=0)
+    p.add_argument("--trials", type=int, default=DEFAULT_CHECK_TRIALS)
+    p.add_argument("--tol", type=float, default=DEFAULT_TOL, help="largest identity error that passes, >= 0")
+    p.add_argument("--seed", type=int, default=0)
     p.set_defaults(func=cmd_check)
 
     p = sub.add_parser("recover", help="recover the automorphism and conjugation flag")
     p.add_argument("operator")
     p.add_argument("-o", "--output")
-    recover_tol = functools.partial(_tolerance, bound=RECOVER_TOL_BOUND)
-    p.add_argument("--tol", type=recover_tol, default=DEFAULT_TOL, help="largest deviation a stage allows, in [0, 0.5)")
+    p.add_argument("--tol", type=float, default=DEFAULT_TOL, help="largest deviation a stage allows, in [0, 0.5)")
     p.add_argument("--truth", help="truth sidecar to verify the recovery against")
     p.set_defaults(func=cmd_recover)
 
     p = sub.add_parser("bench", help="time the fast path against the reference path")
     p.add_argument("--orders", nargs="+", type=int, required=True)
-    p.add_argument("--reps", type=_positive_int, default=20)
-    p.add_argument("--seed", type=_nonnegative_int, default=0)
+    p.add_argument("--reps", type=int, default=20)
+    p.add_argument("--seed", type=int, default=0)
     p.set_defaults(func=cmd_bench)
 
     return parser
@@ -225,13 +202,10 @@ def main(argv=None) -> int:
         return int(exc.code) if exc.code else 0
     try:
         return args.func(args)
-    except (AbelfftError, OSError) as exc:
+    except (AbelfftError, ValueError, OSError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2
     except MemoryError as exc:
         print(f"error: out of memory: {exc}" if str(exc) else "error: out of memory", file=sys.stderr)
         return 2
 
-
-if __name__ == "__main__":
-    sys.exit(main())

@@ -34,7 +34,7 @@ import numpy as np
 
 from .errors import FileFormatError
 from .functions import SIDES, GFunction
-from .groups import Group
+from .groups import Group, as_int
 from .operators import Operator, require_operator_sides
 
 PathLike = Union[str, Path]
@@ -224,7 +224,7 @@ def save_truth(path: PathLike, group: Group, perm, conjugation: bool, seed: int)
             "group": {"orders": list(group.orders)},
             "psi": [int(p) for p in perm],
             "conjugation": bool(conjugation),
-            "seed": int(seed),
+            "seed": as_int(seed, ValueError, "seed", minimum=0),
         },
     )
 

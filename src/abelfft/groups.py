@@ -59,6 +59,8 @@ class Group:
         if any(n < 1 for n in orders):
             raise InvalidGroupError(f"cyclic orders must be >= 1, got {orders}")
         object.__setattr__(self, "orders", orders)
+        if self.size > np.iinfo(np.intp).max:
+            raise InvalidGroupError(f"group size {self.size} is too large to index")
 
     @cached_property
     def size(self) -> int:
@@ -167,11 +169,15 @@ def character(x: Element, xi: Element) -> complex:
     return cmath.exp(2j * math.pi * turns)
 
 
-def _perm_array(perm) -> np.ndarray:
-    """``perm`` as an int64 array; a non-integer dtype, bool included, raises instead of truncating."""
+def _perm_array(perm, group: Group) -> np.ndarray:
+    """``perm`` as an int64 array of the group's size; a wrong length, or an entry that
+    is not an integer (a bool among integers included), raises instead of truncating."""
     array = np.asarray(perm)
-    if array.size and not np.issubdtype(array.dtype, np.integer):
-        raise InvalidPermutationError(f"permutation entries must be integers, got dtype {array.dtype}")
+    listed_bool = not isinstance(perm, np.ndarray) and any(isinstance(p, (bool, np.bool_)) for p in perm)
+    if listed_bool or array.size and not np.issubdtype(array.dtype, np.integer):
+        raise InvalidPermutationError(f"permutation entries must be integers, got {perm!r:.60}")
+    if array.shape != (group.size,):
+        raise InvalidPermutationError(f"permutation has length {array.size}, group has size {group.size}")
     return array.astype(np.int64, copy=False)
 
 
@@ -185,7 +191,9 @@ def find_additivity_violation(perm: np.ndarray, group: Group) -> tuple[int, int]
     pair rows scanned, in order, to name the first one.
     """
     n = group.size
-    perm = _perm_array(perm)
+    perm = _perm_array(perm, group)
+    if perm.min(initial=0) < 0 or perm.max(initial=0) >= n:
+        raise InvalidPermutationError(f"permutation entries must lie in [0, {n})")
     elements = np.arange(n, dtype=np.int64)
     # Index of each generator e_k; an order-1 factor's generator is the identity.
     generators = group._wrap_index(np.eye(len(group.orders), dtype=np.int64))
@@ -201,11 +209,7 @@ def find_additivity_violation(perm: np.ndarray, group: Group) -> tuple[int, int]
 
 def is_automorphism(perm: Sequence[int] | np.ndarray, group: Group) -> bool:
     """True iff perm is a bijection of indices that respects addition, and so fixes 0."""
-    perm = _perm_array(perm)
-    if perm.shape != (group.size,):
-        raise InvalidPermutationError(
-            f"permutation has length {perm.size}, group has size {group.size}"
-        )
+    perm = _perm_array(perm, group)
     if perm.min(initial=0) < 0 or perm.max(initial=0) >= group.size:
         return False
     if np.bincount(perm, minlength=group.size).max() != 1:

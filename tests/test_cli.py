@@ -178,6 +178,12 @@ class TestGenOperatorCommand:
     def test_invalid_orders_exit_2(self, tmp_path):
         assert main(["gen-operator", "--orders", "0", "--form", "U", "-o", str(tmp_path / "x.json")]) == 2
 
+    def test_group_too_large_to_index_exits_2(self, tmp_path, capsys):
+        out = tmp_path / "x.json"
+        assert main(["gen-operator", "--orders", "99999999999999999999", "--form", "U", "--psi", "identity", "-o", str(out)]) == 2
+        assert_one_error_line(capsys)
+        assert list(tmp_path.iterdir()) == []
+
 
 class TestCheckCommand:
     def gen(self, tmp_path, *extra):
@@ -369,7 +375,7 @@ class TestRecoverCommand:
         assert main(["recover", str(op_path), "--tol", tol]) == 2
         err = capsys.readouterr().err
         assert [line for line in err.splitlines() if "error:" in line] == [
-            f"abelfft recover: error: argument --tol: must be a finite number >= 0 and < 0.5, got {tol!r}"
+            f"error: tol must be a finite number >= 0 and < 0.5, got {float(tol)!r}"
         ]
         assert "Traceback" not in err
         # check compares errors against tol as a plain threshold, so it takes any finite tol.
@@ -431,7 +437,7 @@ class TestUsageErrors:
         assert main(["gen-operator", "--orders", "4", "--form", "U", "-o", str(op_path)]) == 0
         capsys.readouterr()
         assert main([str(op_path) if a == "OP" else a for a in args]) == 2
-        assert "non-negative integer" in capsys.readouterr().err
+        assert "seed must be >= 0" in capsys.readouterr().err
 
     @pytest.mark.parametrize("command", ["check", "recover"])
     @pytest.mark.parametrize("tol", ["nan", "-1", "inf"])
@@ -447,7 +453,35 @@ class TestUsageErrors:
         assert main(["gen-operator", "--orders", "4", "--form", "T", "-o", str(op_path)]) == 0
         capsys.readouterr()
         assert main(["check", str(op_path), "--tol", "abc"]) == 2
-        assert "finite number >= 0, got 'abc'" in capsys.readouterr().err
+        assert "argument --tol: invalid float value: 'abc'" in capsys.readouterr().err
+
+    @pytest.mark.parametrize(
+        "args, name",
+        [
+            (["check", "OP", "--tol", "-1"], "tol"),
+            (["check", "OP", "--trials", "0"], "trials"),
+            (["check", "OP", "--trials", "2.5"], "trials"),
+            (["check", "OP", "--seed", "-1"], "seed"),
+            (["recover", "OP", "-o", "NEW", "--tol", "0.5"], "tol"),
+            (["gen-operator", "--orders", "4", "--form", "U", "--psi", "identity", "--seed", "-1", "-o", "NEW"], "seed"),
+            (["gen-operator", "--orders", "4", "--form", "U", "--seed", "-1", "-o", "NEW"], "seed"),
+            (["bench", "--orders", "4", "--reps", "0"], "reps"),
+            (["bench", "--orders", "4", "--reps", "1", "--seed", "-2"], "seed"),
+        ],
+    )
+    def test_bad_argument_value_exits_2_with_one_error_naming_it(self, tmp_path, capsys, args, name):
+        # argparse only parses numbers; the library function that takes the value refuses it.
+        op_path = tmp_path / "op.json"
+        assert main(["gen-operator", "--orders", "4", "--form", "T", "-o", str(op_path)]) == 0
+        before = sorted(tmp_path.iterdir())
+        capsys.readouterr()
+        paths = {"OP": str(op_path), "NEW": str(tmp_path / "new.json")}
+        assert main([paths.get(a, a) for a in args]) == 2
+        err = capsys.readouterr().err
+        errors = [line for line in err.splitlines() if "error:" in line]
+        assert len(errors) == 1 and name in errors[0], err
+        assert "Traceback" not in err
+        assert sorted(tmp_path.iterdir()) == before
 
     @pytest.mark.parametrize("command", ["check", "recover"])
     def test_deeply_nested_record_exits_2(self, deeply_nested_operator, capsys, command):

@@ -295,6 +295,16 @@ class TestReportAndTruthFiles:
         assert loaded["conjugation"] is True
         Automorphism(group, tuple(loaded["psi"]))
 
+    @pytest.mark.parametrize(
+        "seed, message",
+        [(2.7, "seed must be an integer, got 2.7"), (True, "seed must be an integer, got True"), (-1, "seed must be >= 0, got -1")],
+    )
+    def test_truth_seed_is_not_truncated(self, tmp_path, seed, message):
+        path = tmp_path / "t.json"
+        with pytest.raises(ValueError, match=message):
+            fileio.save_truth(path, Group((2,)), (0, 1), False, seed)
+        assert not path.exists()
+
 
 def _reference_pairs(values):
     """The per-entry [re, im] lists the writers produced before they were vectorized."""

@@ -42,7 +42,7 @@ class TestGroupConstruction:
     def test_trivial_group(self):
         assert Group((1,)).size == 1
 
-    @pytest.mark.parametrize("orders", [(), (0,), (-2,), (3, 0), 4])
+    @pytest.mark.parametrize("orders", [(), (0,), (-2,), (3, 0), 4, (99999999999999999999,), (1 << 32, 1 << 32)])
     def test_rejects_bad_orders(self, orders):
         with pytest.raises(InvalidGroupError):
             Group(orders)
@@ -248,11 +248,21 @@ class TestAutomorphisms:
             ([False, True], (2,)),
             (["0", "1", "2", "3"], (4,)),
             ([0, 1 + 0j], (2,)),
+            ([0, True], (2,)),
+            ([0, np.True_], (2,)),
         ],
     )
     def test_non_integer_entries_are_refused_not_truncated(self, check, perm, orders):
         with pytest.raises(InvalidPermutationError, match="integers"):
             check(perm, Group(orders))
+
+    @pytest.mark.parametrize(
+        "perm, message",
+        [([0, 1], "length 2"), (list(range(6)), "length 6"), ([0, 1, 2, 9], "lie in"), ([-1, 0, 1, 2], "lie in")],
+    )
+    def test_additivity_check_refuses_wrong_length_and_out_of_range(self, perm, message):
+        with pytest.raises(InvalidPermutationError, match=message):
+            find_additivity_violation(perm, Group((4,)))
 
     def test_census_z4(self):
         auts = brute_force_automorphisms(Group((4,)))
