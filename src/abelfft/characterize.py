@@ -48,17 +48,19 @@ once per probe, in order, either way.  The exhaustive
 branch of ``check_hypotheses`` transforms each of the n point-mass images
 once, so each of the n^2 pairs costs one inverse transform; each of its
 blocks holds every y for a run of x, broadcast into rows, and stays under
-``_PAIR_BLOCK_ELEMENTS`` values.  Every other side of a pair is gathered from
-the point-mass images: on a dense operator, the image of delta_x + delta_y*
-too, as the sum of columns x and -y.  The random branch sends its five probe
-sets (f, g, f g, f conv g, f + g*) as one batch per block.  Point-mass probes
-stream in fixed blocks of about ``_BLOCK_ELEMENTS`` values, each reduced to
-per-probe scalars before the next is built, so memory stays flat and every
-stage still fails at the first offending point mass.  Any non-finite error
-counts as an infinite one and every tolerance must be finite and >= 0, so NaN
-never passes a check; the public checks therefore silence numpy's overflow
-and invalid-value warnings, which a huge or non-finite operator raises and
-which would say nothing more.
+``_PAIR_BLOCK_ELEMENTS`` values.  Every other side of (b) and (c) is gathered
+from the point-mass images.  A dense operator's image of delta_x + delta_y*
+is the sum of columns x and -y, so its error of (a), U(delta_-y) - U(delta_y)*
+up to rounding whatever x, is taken once; an apply function need not be
+additive, so it is sent delta_x + delta_y* for every pair.  The random branch
+sends its five probe sets (f, g, f g, f conv g, f + g*) as one batch per
+block.  Point-mass probes stream in fixed blocks of about ``_BLOCK_ELEMENTS``
+values, each reduced to per-probe scalars before the next is built, so memory
+stays flat and every stage still fails at the first offending point mass.  Any
+non-finite error counts as an infinite one and every tolerance must be finite
+and >= 0, so NaN never passes a check; the public checks therefore silence
+numpy's overflow and invalid-value warnings, which a huge or non-finite
+operator raises and which would say nothing more.
 """
 
 from __future__ import annotations
@@ -187,8 +189,9 @@ def _blocks(count: int, size: int, budget: int = _BLOCK_ELEMENTS):
 def _random_rows(group: Group, rng: np.random.Generator, count: int) -> np.ndarray:
     """``count`` seeded random functions as rows, drawn in one call but in the
     order, and with the values, of ``count`` calls to ``random_function``."""
-    draws = rng.standard_normal((count, 2, group.size))
-    return draws[:, 0] + 1j * draws[:, 1]
+    rows = np.empty((count, group.size), dtype=np.complex128)
+    rows.real, rows.imag = rng.standard_normal((count, 2, group.size)).transpose(1, 0, 2)
+    return rows
 
 
 def _to_primal(op: Operator, images: np.ndarray) -> np.ndarray:
@@ -321,22 +324,21 @@ def _model_fit(
     return residual_point, condition_star_ok, residual_random
 
 
-def _identity_errors(op, op_f, op_g, hat_f, hat_g, lhs) -> np.ndarray:
-    """Largest deviation of identities (a), (b), (c) over a block of probe pairs
-    (f, g), NaN where any deviation is NaN.
+def _law_errors(op, op_f, op_g, hat_f, hat_g, lhs, weight) -> list:
+    """Largest deviation of the product law (b) and the convolution law (c)
+    over a block of probe pairs (f, g), NaN where any deviation is NaN.
 
-    The arguments broadcast together to (..., n), one pair per broadcast row:
-    ``op_f`` and ``op_g`` are U(f) and U(g), ``hat_f`` and ``hat_g`` their
-    forward transforms, and ``lhs`` holds the images of f + g*, f g and
-    f conv g.  Each right side is formed once, as (-1, n) rows in broadcast
-    order."""
-    group = op.group
-    n = group.size
-    convolution = _idft_values((hat_f * hat_g).reshape(-1, n), group) * haar_weight(group, op.output_side)
-    product = (op_f * op_g).reshape(-1, n)
-    rhs_b, rhs_c = (convolution, product) if op.form == T_FORM else (product, convolution)
-    rhs = ((op_f + star_values(op_g, group, op.output_side)).reshape(-1, n), rhs_b, rhs_c)
-    return np.array([np.abs(left.reshape(-1, n) - right).max() for left, right in zip(lhs, rhs)])
+    The arguments broadcast together, one pair per broadcast row: ``op_f``
+    and ``op_g`` are U(f) and U(g), ``hat_f`` and ``hat_g`` their forward
+    transforms, ``weight`` the output side's Haar weight, and ``lhs`` the
+    images of f g and f conv g in the broadcast shape, overwritten in place."""
+    convolution = _idft_values(hat_f * hat_g, op.group)
+    convolution *= weight
+    product = op_f * op_g
+    rhs = (convolution, product) if op.form == T_FORM else (product, convolution)
+    for left, right in zip(lhs, rhs):
+        left -= right
+    return [np.abs(left).max() for left in lhs]
 
 
 @np.errstate(over="ignore", invalid="ignore")
@@ -363,10 +365,12 @@ def check_hypotheses(
     n = group.size
     block_errors = []
 
+    weight, out_weight = haar_weight(group, PRIMAL), haar_weight(group, op.output_side)
     if n * n <= _EXHAUSTIVE_PAIR_BUDGET:
         # Pair (x, y) is row x * n + y: each block holds every y for a run of x.
         op_delta = op.apply_point_masses(0, n)
         hat_delta = _dft_values(op_delta, group)
+        star_delta = star_values(op_delta, group, op.output_side)
         # Row n of images is U(0).  delta_x * delta_y is exactly delta_x or zero,
         # and their primal convolution is exactly the point mass at x + y.
         images = np.concatenate([op_delta, op.apply_batch(np.zeros((1, n), dtype=np.complex128))])
@@ -374,20 +378,19 @@ def check_hypotheses(
         image_rows = np.stack([np.where(xs == ys, xs, n), group.add_index(xs, ys)])
         points = np.eye(n, dtype=np.complex128)
         star_points = star_values(points, group, PRIMAL)
-        # delta_y* is the point mass at -y, so a dense operator's image of
-        # delta_x + delta_y* is the sum of two of its columns.
-        op_star = op_delta[group.negation_perm] if op.point_mass_scale(1) is not None else None
+        # delta_y* is the point mass at -y, so a dense operator's image of delta_x + delta_y*
+        # is column x plus column -y: (a) errs by U(delta_-y) - U(delta_y)* whatever x.
+        dense = op.point_mass_scale(1) is not None
+        err_a = np.abs(op_delta[group.negation_perm] - star_delta).max() if dense else None
         for x0, x1 in _blocks(n, n * n, _PAIR_BLOCK_ELEMENTS):
-            op_x = op_delta[x0:x1, None]
-            if op_star is None:
+            op_x, hat_x = op_delta[x0:x1, None], hat_delta[x0:x1, None]
+            if not dense:
                 op_sum = op.apply_batch((points[x0:x1, None] + star_points).reshape(-1, n))
-            else:
-                op_sum = op_x + op_star
-            lhs = (op_sum, *images[image_rows[:, x0:x1]])
-            block_errors.append(_identity_errors(op, op_x, op_delta, hat_delta[x0:x1, None], hat_delta, lhs))
+                err_a = np.abs(op_sum - (op_x + star_delta).reshape(-1, n)).max()
+            lhs = images[image_rows[:, x0:x1]]
+            block_errors.append([err_a, *_law_errors(op, op_x, op_delta, hat_x, hat_delta, lhs, out_weight)])
 
     rng = np.random.default_rng(seed)
-    weight = haar_weight(group, PRIMAL)
     for start, stop in _blocks(trials, n):
         draws = _random_rows(group, rng, 2 * (stop - start))
         f, g = draws[0::2], draws[1::2]
@@ -395,7 +398,8 @@ def check_hypotheses(
         probes = [f, g, f * g, convolve_values(f, g, group, weight), f + star_values(g, group, PRIMAL)]
         op_f, op_g, op_prod, op_conv, op_sum = np.split(op.apply_batch(np.concatenate(probes)), 5)
         hat_f, hat_g = _dft_values(op_f, group), _dft_values(op_g, group)
-        block_errors.append(_identity_errors(op, op_f, op_g, hat_f, hat_g, (op_sum, op_prod, op_conv)))
+        err_a = np.abs(op_sum - (op_f + star_values(op_g, group, op.output_side))).max()
+        block_errors.append([err_a, *_law_errors(op, op_f, op_g, hat_f, hat_g, (op_prod, op_conv), out_weight)])
 
     err_a, err_b, err_c = (float(e) for e in _worst(np.array(block_errors), axis=0))
     return HypothesisReport(err_a, err_b, err_c, trials, seed, tol)
@@ -466,7 +470,7 @@ def recover(op: Operator, tol: float = DEFAULT_TOL) -> RecoveryReport:
             f"support map is not additive on the pair {violation}",
             pair=violation,
         )
-    psi = Automorphism(group, tuple(np.argsort(phi)))
+    psi = Automorphism(group, np.argsort(phi))
 
     # Stage 4: the scalar map m, read off constants, must be constant in x, must
     # send i to one of +-i and must obey the scalar laws on the probe scalars:

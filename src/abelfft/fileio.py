@@ -222,7 +222,7 @@ def save_truth(path: PathLike, group: Group, perm, conjugation: bool, seed: int)
         path,
         {
             "group": {"orders": list(group.orders)},
-            "psi": [int(p) for p in perm],
+            "psi": [as_int(p, ValueError, "a psi entry") for p in perm],
             "conjugation": bool(conjugation),
             "seed": as_int(seed, ValueError, "seed", minimum=0),
         },

@@ -5,7 +5,7 @@ from __future__ import annotations
 import cmath
 import math
 import operator
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 from functools import cached_property
 from typing import Iterator, Sequence
 
@@ -223,10 +223,18 @@ class Automorphism:
 
     group: Group
     perm: tuple[int, ...]
+    perm_array: np.ndarray = field(init=False, repr=False, compare=False)
 
     def __post_init__(self):
-        perm = tuple(as_int(p, InvalidPermutationError, "a permutation entry") for p in self.perm)
-        object.__setattr__(self, "perm", perm)
+        try:
+            perm = _perm_array(self.perm, self.group).copy()
+        except InvalidPermutationError:
+            for p in self.perm:  # name the first entry that is not an integer
+                as_int(p, InvalidPermutationError, "a permutation entry")
+            raise
+        perm.setflags(write=False)
+        object.__setattr__(self, "perm", tuple(perm.tolist()))
+        object.__setattr__(self, "perm_array", perm)
         if not is_automorphism(perm, self.group):
             raise InvalidPermutationError(
                 f"permutation is not an automorphism of the group with orders {self.group.orders}"
@@ -235,12 +243,6 @@ class Automorphism:
     @classmethod
     def identity(cls, group: Group) -> "Automorphism":
         return cls(group, tuple(range(group.size)))
-
-    @cached_property
-    def perm_array(self) -> np.ndarray:
-        arr = np.asarray(self.perm, dtype=np.int64)
-        arr.setflags(write=False)
-        return arr
 
     def apply(self, x: Element) -> Element:
         if x.group != self.group:
@@ -253,10 +255,10 @@ class Automorphism:
         """The automorphism x -> self(other(x))."""
         if other.group != self.group:
             raise GroupMismatchError("cannot compose automorphisms of different groups")
-        return Automorphism(self.group, tuple(self.perm_array[other.perm_array]))
+        return Automorphism(self.group, self.perm_array[other.perm_array])
 
     def inverse(self) -> "Automorphism":
-        return Automorphism(self.group, tuple(np.argsort(self.perm_array)))
+        return Automorphism(self.group, np.argsort(self.perm_array))
 
     def is_identity(self) -> bool:
         return all(p == i for i, p in enumerate(self.perm))
@@ -283,7 +285,7 @@ def random_automorphism(group: Group, seed: int, max_tries: int = 1000) -> Autom
                 matrix[i, j] = (ni // g) * rng.integers(0, g)
         induced = group._wrap_index(group.coords_table @ matrix.T)
         if np.bincount(induced, minlength=group.size).max() == 1:
-            return Automorphism(group, tuple(induced))
+            return Automorphism(group, induced)
     raise RetryExhaustedError(
         f"no automorphism accepted after {max_tries} tries on group {group.orders}"
     )

@@ -16,7 +16,8 @@ complex ones; a probe row with a non-finite entry takes the product on
 either path, which spreads it over the row (0 * inf is NaN).
 ``apply_point_masses`` reads the images of scaled point masses straight off
 the matrix columns: the image of alpha * delta_x is column x times
-``point_mass_scale(alpha)``, which is conj?(alpha) by the flag.  The
+``point_mass_scale(alpha)``, which is conj?(alpha) by the flag.  At unit
+scale the images are a read-only view of the stored matrix, not a copy.  The
 operator is (conjugate-)linear, so that factor scales any image: the image
 of alpha * 1 is s times the image of 1, which ``recover`` uses for
 constants.  The operator keeps its own copy of a dense matrix, stored
@@ -188,7 +189,8 @@ class Operator:
         s = self.point_mass_scale(scale)
         if s is not None:
             # Column x of the matrix is the image of delta_x, a contiguous row of matrix.T.
-            return s * self.matrix.T[start:stop]
+            rows = self.matrix.T[start:stop]
+            return rows if s == 1 else s * rows
         return self.apply_batch(point_mass_rows(n, start, stop, scale))
 
     @classmethod

@@ -23,6 +23,7 @@ from pathlib import Path
 import numpy as np
 import pytest
 
+from abelfft import characterize
 from abelfft import (
     DUAL,
     PRIMAL,
@@ -167,6 +168,30 @@ def test_non_finite_column_gives_infinite_error_dense_and_callable(value, form):
         assert report.max_err_a == report.max_err_b == report.max_err_c == np.inf
         assert not report.passed
 
+
+@pytest.mark.parametrize("random_pairs", [True, False], ids=["with-random-pairs", "point-mass-pairs-only"])
+@pytest.mark.parametrize("perturbation", ["noise-1e-6", "column-swap"])
+@pytest.mark.parametrize("form, flag", FORMS)
+@pytest.mark.parametrize("orders", [(3, 4), (8, 8), (2, 4, 8)])
+def test_dense_reduction_of_identity_a_matches_its_callable_twin(
+    orders, form, flag, perturbation, random_pairs, monkeypatch
+):
+    # A dense operator's error of (a) is taken once from its columns; the callable
+    # twin is sent every pair's delta_x + delta_y* and so follows the definition.
+    if not random_pairs:
+        # Zero probes have zero images, so the point-mass pairs alone set every error.
+        def zero_rows(group, rng, count):
+            return np.zeros((count, group.size), np.complex128)
+
+        monkeypatch.setattr(characterize, "_random_rows", zero_rows)
+    build_args = (orders, form, flag, perturbation, sum(orders) * 7 + len(orders))
+    dense = check_hypotheses(build_operator(*build_args)).as_dict()
+    twin = check_hypotheses(build_operator(*build_args, callable_twin=True)).as_dict()
+    assert dense["a"] > 0
+    size = math.prod(orders)
+    for key in "abc":
+        assert abs(dense[key] - twin[key]) <= ROUNDING_FLOOR * size, key
+    assert [dense[k] for k in ("pass_a", "pass_b", "pass_c")] == [twin[k] for k in ("pass_a", "pass_b", "pass_c")]
 
 if __name__ == "__main__":
     results = {case[0]: outcome(case) for case in battery_cases()}

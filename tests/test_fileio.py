@@ -305,6 +305,16 @@ class TestReportAndTruthFiles:
             fileio.save_truth(path, Group((2,)), (0, 1), False, seed)
         assert not path.exists()
 
+    @pytest.mark.parametrize(
+        "psi, message",
+        [((0, 1.9), "a psi entry must be an integer, got 1.9"), ((0, True), "got True"), ([0, "1"], "got '1'")],
+    )
+    def test_truth_psi_is_not_truncated(self, tmp_path, psi, message):
+        path = tmp_path / "t.json"
+        with pytest.raises(ValueError, match=message):
+            fileio.save_truth(path, Group((2,)), psi, False, 0)
+        assert not path.exists()
+
 
 def _reference_pairs(values):
     """The per-entry [re, im] lists the writers produced before they were vectorized."""

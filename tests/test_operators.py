@@ -270,6 +270,21 @@ class TestApplyBatch:
             assert columns.shape == (stop - start, g.size)
             assert np.array_equal(np.ascontiguousarray(columns).view(np.uint64), batch.view(np.uint64))
 
+    @pytest.mark.parametrize("conjugation", [False, True])
+    def test_unit_scale_point_masses_are_a_read_only_view(self, conjugation):
+        g = Group((4, 6))
+        rng = np.random.default_rng(5)
+        matrix = rng.standard_normal((g.size, g.size)) + 1j * rng.standard_normal((g.size, g.size))
+        op = Operator.from_matrix(g, PRIMAL, DUAL, matrix, conjugation)
+        rows = op.apply_point_masses(3, 17)
+        assert np.array_equal(rows, op.matrix.T[3:17]) and np.shares_memory(rows, op.matrix)
+        assert not rows.flags.writeable
+        with pytest.raises(ValueError):
+            rows[0, 0] = 0
+        scaled = op.apply_point_masses(3, 17, 2)
+        assert scaled.flags.writeable and not np.shares_memory(scaled, op.matrix)
+        assert np.array_equal(scaled, 2 * rows)
+
     @pytest.mark.parametrize("form", ["T", "U"])
     def test_dense_storage_is_column_major(self, form):
         g = Group((4, 6))
