@@ -11,6 +11,14 @@ The [re, im] array is written as text straight from the numpy array, each
 distinct value formatted once; the bytes are exactly those json.dumps writes
 for the per-entry float lists.
 
+Function and operator records are read in one flat pass over their array:
+the other members are decoded by json's own primitives, the array's brackets
+and commas (numbers and whitespace deleted) must equal those of a regular
+array of [re, im] pairs, no number may touch a bracket from outside, and its
+numbers, brackets turned into spaces, are parsed as one JSON list.  Any record
+that this scan does not take, whether malformed or merely unusual, is parsed
+whole by json.loads, which loads it or names what is wrong with it.
+
 Function file:   {"group": {"orders": [...]}, "side": "primal"|"dual",
                   "values": [[re, im], ...]}
 Operator file:   {"group": ..., "input_side": "primal", "output_side": ...,
@@ -27,6 +35,7 @@ from __future__ import annotations
 import json
 import math
 from itertools import chain
+from json.decoder import WHITESPACE, scanstring
 from pathlib import Path
 from typing import Union
 
@@ -44,13 +53,16 @@ def _reject_constant(token: str):
     raise FileFormatError(f"non-finite number {token!r} is not allowed in record files")
 
 
-def _load_json(path: PathLike) -> dict:
+def _read_text(path: PathLike) -> str:
     try:
-        text = Path(path).read_text(encoding="utf-8")
+        return Path(path).read_text(encoding="utf-8")
     except (OSError, UnicodeDecodeError) as exc:
         raise FileFormatError(f"cannot read {path}: {exc}") from exc
+
+
+def _load_json(path: PathLike, text: str | None = None) -> dict:
     try:
-        data = json.loads(text, parse_constant=_reject_constant)
+        data = json.loads(_read_text(path) if text is None else text, parse_constant=_reject_constant)
     except json.JSONDecodeError as exc:
         raise FileFormatError(f"{path} is not valid JSON: {exc}") from exc
     except RecursionError as exc:
@@ -58,6 +70,105 @@ def _load_json(path: PathLike) -> dict:
     if not isinstance(data, dict):
         raise FileFormatError(f"{path}: top-level value must be an object")
     return data
+
+
+_DECODER = json.JSONDecoder(parse_constant=_reject_constant)
+_NUMBER_CHARS = b"0123456789.eE+-"
+_NUMBERS_TO_ZEROS = bytes.maketrans(_NUMBER_CHARS, b"0" * len(_NUMBER_CHARS))
+_BRACKETS_TO_SPACES = str.maketrans("[]", "  ")
+
+
+def _skeleton(shape: tuple[int, ...]) -> bytes:
+    """The brackets and commas of a JSON array of ``shape`` of [re, im] pairs."""
+    text = b"[,]"
+    for size in reversed(shape):
+        text = b"[" + b",".join([text] * size) + b"]"
+    return text
+
+
+def _regular_shape(value: str, ndim: int) -> tuple[int, ...] | None:
+    """The shape (n,) * ndim of the array of [re, im] pairs whose brackets and commas
+    ``value`` has, once its number characters and whitespace are deleted; None if it
+    has no such shape, is not ASCII, or has a number outside its slot's brackets."""
+    if not value.isascii():
+        return None
+    squeezed = value.encode().translate(_NUMBERS_TO_ZEROS, b" \t\n\r")
+    skeleton = squeezed.translate(None, b"0")
+    shape = (round(skeleton.count(b"[,]") ** (1 / ndim)),) * ndim
+    if skeleton != _skeleton(shape):
+        return None
+    # Brackets turn into spaces for the number parse, so it cannot see "5[" or "]5".
+    chars = np.frombuffer(squeezed, np.uint8)
+    for first, second in ("0[", "]0"):
+        touching = chars[:-1] == ord(first)
+        touching &= chars[1:] == ord(second)
+        if touching.any():
+            return None
+    return shape
+
+
+def _flat_array(value: str, ndim: int) -> np.ndarray | None:
+    """The float64 array of shape (n,) * ndim + (2,) that the JSON text ``value`` holds,
+    or None unless it is a regular array of [re, im] pairs of finite JSON numbers."""
+    shape = _regular_shape(value, ndim)
+    if shape is None:
+        return None
+    # Spaces, not deletions, so that no two numbers can merge across a bracket.
+    try:
+        floats = np.array(json.loads("[" + value.translate(_BRACKETS_TO_SPACES) + "]"), dtype=np.float64)
+    except (ValueError, OverflowError):
+        return None
+    return floats.reshape(shape + (2,)) if np.isfinite(floats).all() else None
+
+
+def _scan_record(text: str, key: str, ndim: int) -> dict | None:
+    """The members of the JSON object ``text`` as json.loads reads them, but the ``key``
+    array read by ``_flat_array``; None for any record that this scan does not take.
+
+    json's own primitives read the keys and every other member, so member order,
+    duplicate keys (the last wins), escapes, whitespace and trailing data are those
+    of json.loads.
+    """
+    data = {}
+    pos = WHITESPACE.match(text).end()
+    if not text.startswith("{", pos):
+        return None
+    pos = WHITESPACE.match(text, pos + 1).end()
+    while text.startswith('"', pos):
+        name, pos = scanstring(text, pos + 1)
+        pos = WHITESPACE.match(text, pos).end()
+        if not text.startswith(":", pos):
+            return None
+        pos = WHITESPACE.match(text, pos + 1).end()
+        if name == key:
+            # A well-formed array ends at its last bracket before the next key.
+            stop = text.find('"', pos)
+            end = text.rfind("]", pos, len(text) if stop < 0 else stop) + 1
+            value = _flat_array(text[pos:end], ndim)
+            if value is None:
+                return None
+            pos = end
+        else:
+            value, pos = _DECODER.raw_decode(text, pos)
+        data[name] = value
+        pos = WHITESPACE.match(text, pos).end()
+        if text.startswith("}", pos):
+            return data if WHITESPACE.match(text, pos + 1).end() == len(text) else None
+        if not text.startswith(",", pos):
+            return None
+        pos = WHITESPACE.match(text, pos + 1).end()
+    return None
+
+
+def _load_array_record(path: PathLike, key: str, ndim: int) -> dict:
+    """The record at ``path`` as ``_load_json`` reads it, or as ``_scan_record`` does
+    when the scan takes it."""
+    text = _read_text(path)
+    try:
+        data = _scan_record(text, key, ndim)
+    except (ValueError, RecursionError):  # json's primitives found an error; the full parse names it
+        data = None
+    return _load_json(path, text) if data is None else data
 
 
 def _dump_json(path: PathLike, payload: dict) -> None:
@@ -127,7 +238,12 @@ def _dump_array_record(path: PathLike, header: dict, key: str, values: np.ndarra
 
 
 def _parse_values(raw, shape: tuple[int, ...], path: PathLike) -> np.ndarray:
-    """Complex array of ``shape`` from nested lists of [re, im] number pairs."""
+    """Complex array of ``shape`` from nested lists of [re, im] number pairs, or from
+    the array ``_flat_array`` read."""
+    if isinstance(raw, np.ndarray):
+        if raw.shape == shape + (2,):
+            return raw.view(np.complex128).reshape(shape)
+        raw = raw.tolist()  # fails the length checks below as json.loads' lists do
     level = [raw]
     for depth, size in enumerate(shape + (2,)):
         if set(map(type, level)) != {list} or set(map(len, level)) != {size}:
@@ -155,7 +271,7 @@ def save_function(path: PathLike, f: GFunction) -> None:
 
 
 def load_function(path: PathLike) -> GFunction:
-    data = _load_json(path)
+    data = _load_array_record(path, "values", 1)
     group = _parse_group(data, path)
     side = _parse_side(data.get("side"), path, "side")
     values = _parse_values(data.get("values"), (group.size,), path)
@@ -179,7 +295,7 @@ def save_operator(path: PathLike, op: Operator) -> None:
 
 
 def load_operator(path: PathLike) -> Operator:
-    data = _load_json(path)
+    data = _load_array_record(path, "matrix", 2)
     group = _parse_group(data, path)
     input_side = _parse_side(data.get("input_side"), path, "input_side")
     output_side = _parse_side(data.get("output_side"), path, "output_side")

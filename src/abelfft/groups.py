@@ -240,6 +240,10 @@ class Automorphism:
                 f"permutation is not an automorphism of the group with orders {self.group.orders}"
             )
 
+    def __reduce__(self):
+        # Copies and unpickled instances are rebuilt here, so perm_array stays read-only.
+        return type(self), (self.group, self.perm)
+
     @classmethod
     def identity(cls, group: Group) -> "Automorphism":
         return cls(group, tuple(range(group.size)))

@@ -22,6 +22,10 @@ from abelfft import (
 finite_floats = st.floats(allow_nan=False, allow_infinity=False, width=64)
 
 
+class _Raw(str):
+    """JSON text that a test writes into a record as it stands, not as a string."""
+
+
 class TestFunctionFiles:
     @given(
         orders=st.lists(st.integers(1, 6), min_size=1, max_size=3),
@@ -161,6 +165,8 @@ class TestOperatorFiles:
             [[1, 0], "ab"],
             [[1, 0], {"re": 0, "im": 0}],
             [[1, 0], [0, [1, 2]]],
+            _Raw("[[0, 1]2, [3, 4]]"),
+            _Raw("[[0, 1], [0, 0]]] 1 ["),
         ],
         ids=[
             "bool",
@@ -175,6 +181,9 @@ class TestOperatorFiles:
             "string-pair",
             "object-pair",
             "list-as-number",
+            # Text that no Python value dumps to; the matrix around the first is regular.
+            "tokens-across-a-bracket",
+            "junk-after-the-array",
         ],
     )
     def test_rejects_malformed_entry(self, tmp_path, row):
@@ -186,7 +195,8 @@ class TestOperatorFiles:
             "conjugate_input": False,
             "matrix": [[[1, 0], [0, 0]], row],
         }
-        path.write_text(json.dumps(record))
+        text = json.dumps(record)
+        path.write_text(text.replace(json.dumps(row), row) if isinstance(row, _Raw) else text)
         with pytest.raises(FileFormatError):
             fileio.load_operator(path)
 
@@ -496,3 +506,138 @@ class TestWriters:
         fileio.save_function(tmp_path / "f.json", GFunction(group, PRIMAL, np.arange(4)))
         assert fileio.load_function(tmp_path / "f.json").values.tolist() == [0, 1, 2, 3]
         assert (tmp_path / "f.json").read_text().count("\n") == 1
+
+
+_OP_HEADER = '"group": {"orders": [2]}, "input_side": "primal", "output_side": "primal", "conjugate_input": false'
+_MATRIX = "[[[1.5, -0.0], [2e-3, 0]], [[7, 1e300], [-0.1, 3.0]]]"
+_FN_HEADER = '"group": {"orders": [3]}, "side": "dual"'
+_VALUES = "[[0.5, -1.25], [1e-300, 0], [2, 3.0]]"
+
+
+def _op(matrix=_MATRIX, header=_OP_HEADER):
+    return "{" + header + ', "matrix": ' + matrix + "}"
+
+
+def _fn(values=_VALUES, header=_FN_HEADER):
+    return "{" + header + ', "values": ' + values + "}"
+
+
+def _entry(token):
+    """An operator record whose last matrix entry is the text ``token``."""
+    return _op(_MATRIX.replace("3.0]", token + "]"))
+
+
+_KIND = {"operator": (fileio.load_operator, "matrix", 2), "function": (fileio.load_function, "values", 1)}
+
+
+def _outcome(load, path):
+    """What ``load`` makes of ``path``: the error's type and message, or the record's
+    fields with its array's bits and flags."""
+    try:
+        loaded = load(path)
+    except Exception as exc:
+        return type(exc), str(exc)
+    if isinstance(loaded, Operator):
+        fields, array = (loaded.group, loaded.input_side, loaded.output_side, loaded.conjugate_input), loaded.matrix
+    else:
+        fields, array = (loaded.group, loaded.side), loaded.values
+    flags = [array.flags[name] for name in ("C_CONTIGUOUS", "F_CONTIGUOUS", "OWNDATA", "WRITEABLE", "ALIGNED")]
+    return fields, np.ascontiguousarray(array).view(np.uint64).tolist(), flags
+
+
+def _scan_takes(text, key, ndim):
+    try:
+        return fileio._scan_record(text, key, ndim) is not None
+    except (ValueError, RecursionError):
+        return False
+
+
+def _full_parse_outcome(load, path):
+    """``_outcome`` with every record parsed whole by _load_json, the scan bypassed."""
+    with pytest.MonkeyPatch.context() as patch:
+        patch.setattr(fileio, "_load_array_record", lambda path, key, ndim: fileio._load_json(path))
+        return _outcome(load, path)
+
+
+class TestFlatScan:
+    """The flat scan of a record's array against the full parse that it must match."""
+
+    @pytest.mark.parametrize(
+        "kind, text, taken",
+        [
+            pytest.param("operator", _op(), True, id="operator"),
+            pytest.param("function", _fn(), True, id="function"),
+            pytest.param("operator", _op("[[[1, 5], [0, 0]]2, [[3, 4], [0, 0]]]"), False, id="tokens-across-a-bracket"),
+            pytest.param("function", _fn("[[1, 5]2, [3, 4], [0, 0]]"), False, id="function-tokens-across-a-bracket"),
+            pytest.param("operator", _op(_MATRIX + " 5"), False, id="junk-after-the-array"),
+            pytest.param("operator", "{}" + _op(), False, id="empty-object-prefix"),
+            pytest.param("operator", '{"matrix": ' + _MATRIX + ", " + _OP_HEADER + "}", True, id="matrix-first"),
+            pytest.param("operator", _op(_MATRIX + ', "matrix": [[[1, 0], [0, 0]], [[0, 0], [1, 0]]]'), True, id="duplicate-matrix"),
+            pytest.param("operator", _op('[[[1, 0], [0, 0]], [[0, 0], [1, 0]]], "matrix": ' + _MATRIX), True, id="duplicate-matrix-swapped"),
+            pytest.param("operator", _op('"ab", "matrix": ' + _MATRIX), False, id="duplicate-matrix-string-first"),
+            pytest.param("operator", json.dumps(json.loads(_op()), indent=2), True, id="indented"),
+            pytest.param("function", json.dumps(json.loads(_fn()), indent="\t") + "\r\n", True, id="function-indented"),
+            pytest.param("operator", _entry("-0.0"), True, id="negative-zero"),
+            pytest.param("operator", _entry("5e-324"), True, id="subnormal"),
+            pytest.param("operator", _op("[[[1, 0], [-0, 2]], [[3, -4], [5, 6]]]"), True, id="integers"),
+            pytest.param("operator", _entry(str(10**401)), False, id="big-integer"),
+            pytest.param("operator", _entry("1e400"), False, id="overflowing-float"),
+            pytest.param("operator", _entry("NaN"), False, id="nan"),
+            pytest.param("operator", _entry("-Infinity"), False, id="infinity"),
+            pytest.param("operator", _entry("01"), False, id="leading-zero"),
+            pytest.param("operator", _entry(".5"), False, id="bare-fraction"),
+            pytest.param("operator", _entry("+1"), False, id="plus-sign"),
+            pytest.param("operator", _entry("1."), False, id="bare-point"),
+            pytest.param("operator", _op(header=_OP_HEADER.replace('"output_side": "primal"', '"output_side": "prïmal"')), True, id="non-ascii-header"),
+            pytest.param("function", _fn(header=_FN_HEADER + ', "note": "été \\u00e9"'), True, id="non-ascii-extra-member"),
+            pytest.param(
+                "operator",
+                _op("[[[1, 0]], [[0, 0], [1, 0]]]", _OP_HEADER.replace('"input_side": "primal"', '"input_side": "dual"')),
+                False,
+                id="dual-with-malformed-matrix",
+            ),
+            pytest.param("operator", _op(_MATRIX.replace("[[7", "[[ [7")), False, id="extra-bracket"),
+            pytest.param("operator", _op(_MATRIX.replace("1.5,", "1.5")), False, id="missing-comma"),
+            # Brackets and commas in place, one number in each slot, but outside its slot's brackets.
+            pytest.param("operator", _op("[[[1, 0], [0, 0]], [[0, 0], 1[, 0]]]"), False, id="number-before-a-bracket"),
+            pytest.param("operator", _op("[[[1, 0], [0, 0]], [[0, 0], [1, ]0]]"), False, id="number-after-a-bracket"),
+            pytest.param("operator", _op("[[[1, 0], [0, 0], [0, 0]], [[0, 0], [1, 0], [0, 0]], [[0, 0], [0, 0], [1, 0]]]"), True, id="3-by-3"),
+            pytest.param("operator", _op("[[[1, 0], [0, 0], [0, 0]], [[0, 0], [1, 0], [0, 0]]]"), False, id="2-by-3"),
+        ],
+    )
+    def test_named_records_match_the_full_parse(self, tmp_path, kind, text, taken):
+        load, key, ndim = _KIND[kind]
+        path = tmp_path / "record.json"
+        path.write_bytes(text.encode())
+        assert _scan_takes(fileio._read_text(path), key, ndim) is taken
+        assert _outcome(load, path) == _full_parse_outcome(load, path)
+
+    @pytest.mark.parametrize("kind, text", [("operator", _op()), ("function", _fn())], ids=["operator", "function"])
+    def test_mutated_records_match_the_full_parse(self, tmp_path, kind, text):
+        load, key, ndim = _KIND[kind]
+        rng = np.random.default_rng(22)
+        alphabet = list('[]{},:"0123456789.eE+- x')
+        array_start = text.index(key) + len(key) + 3
+        path = tmp_path / "record.json"
+        taken = 0
+        for _ in range(800):
+            mutated = list(text)
+            for _ in range(rng.integers(1, 4)):
+                # Three edits in four fall in the array, where the scan does its own reading.
+                low = array_start if rng.random() < 0.75 else 0
+                at = int(rng.integers(low, len(mutated) + 1))
+                edit = rng.integers(4)
+                if edit == 0 and at < len(mutated):
+                    mutated[at] = str(rng.choice(alphabet))
+                elif edit == 1:
+                    mutated.insert(at, str(rng.choice(alphabet)))
+                elif edit == 2 and at < len(mutated):
+                    del mutated[at]
+                elif edit == 3 and at + 1 < len(mutated):
+                    mutated[at : at + 2] = mutated[at + 1], mutated[at]
+            mutated = "".join(mutated)
+            path.write_text(mutated)
+            taken += _scan_takes(mutated, key, ndim)
+            assert _outcome(load, path) == _full_parse_outcome(load, path), mutated
+        # Both of the scan's answers come up often enough to be compared.
+        assert 40 <= taken <= 760

@@ -1,4 +1,6 @@
+import copy
 import itertools
+import pickle
 
 import numpy as np
 import pytest
@@ -297,6 +299,13 @@ class TestAutomorphisms:
         composed = a.compose(b)
         assert is_automorphism(composed.perm_array, g)
         assert a.compose(a.inverse()).is_identity()
+
+    @pytest.mark.parametrize("copy_of", [copy.copy, copy.deepcopy, lambda a: pickle.loads(pickle.dumps(a))], ids=["copy", "deepcopy", "pickle"])
+    def test_copies_keep_perm_array_read_only(self, copy_of):
+        a = random_automorphism(Group((2, 4)), 11)
+        b = copy_of(a)
+        assert b == a and b.perm_array.tolist() == list(b.perm)
+        assert not b.perm_array.flags.writeable
 
     def test_random_automorphism_deterministic(self):
         g = Group((3, 9))
