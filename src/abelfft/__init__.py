@@ -9,14 +9,11 @@ from .errors import (
     InvalidGroupError,
     InvalidPermutationError,
     NotEssentiallyFourierError,
-    RetryExhaustedError,
     SideMismatchError,
 )
 from .groups import (
     Automorphism,
-    Element,
     Group,
-    character,
     find_additivity_violation,
     is_automorphism,
     random_automorphism,
@@ -25,17 +22,12 @@ from .functions import (
     DUAL,
     PRIMAL,
     GFunction,
-    SupportSet,
-    constant_one,
     convolve,
     delta,
     max_abs_diff,
-    norm_2,
-    norm_inf,
     pointwise_product,
     random_function,
     star,
-    support,
     zero,
 )
 from .transform import (
@@ -69,7 +61,6 @@ __all__ = [
     "Automorphism",
     "DichotomyViolationError",
     "DUAL",
-    "Element",
     "FileFormatError",
     "GFunction",
     "Group",
@@ -82,16 +73,12 @@ __all__ = [
     "PRIMAL",
     "PROBE_SCALARS",
     "RecoveryReport",
-    "RetryExhaustedError",
     "SideMismatchError",
-    "SupportSet",
     "T_FORM",
     "U_FORM",
     "build_reference_operator",
-    "character",
     "character_matrix",
     "check_hypotheses",
-    "constant_one",
     "convolve",
     "convolve_fast",
     "delta",
@@ -102,15 +89,12 @@ __all__ = [
     "idft_naive",
     "is_automorphism",
     "max_abs_diff",
-    "norm_2",
-    "norm_inf",
     "pointwise_product",
     "random_automorphism",
     "random_function",
     "recover",
     "reference_operator_matrix",
     "star",
-    "support",
     "verify_recovery",
     "zero",
     "__version__",

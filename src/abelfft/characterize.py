@@ -76,12 +76,7 @@ from .errors import (
     GroupMismatchError,
     NotEssentiallyFourierError,
 )
-from .functions import (
-    DEFAULT_SUPPORT_TOL_FACTOR,
-    PRIMAL,
-    haar_weight,
-    star_values,
-)
+from .functions import PRIMAL, haar_weight, star_values
 from .groups import Automorphism, Group, as_int, find_additivity_violation
 from .operators import Operator, T_FORM
 from .transform import _dft_values, _idft_values, convolve_values
@@ -89,6 +84,8 @@ from .transform import _dft_values, _idft_values, convolve_values
 PROBE_SCALARS: tuple[complex, ...] = (1 + 0j, -1 + 0j, 1j, 2 + 0j, 0.5 + 0j, 1 + 1j)
 
 DEFAULT_TOL = 1e-9
+# An entry counts as off a point mass's support at or below this fraction of its largest magnitude.
+DEFAULT_SUPPORT_TOL_FACTOR = 1e-12
 RECOVER_TOL_BOUND = 0.5  # from 1/2 up, an entry can be within tol of both 0 and 1
 DEFAULT_CHECK_TRIALS = 16
 DEFAULT_RESIDUAL_TRIALS = 32

@@ -19,7 +19,7 @@ from . import __version__
 from . import fileio
 from .bench import NAIVE_SIZE_CAP, time_transform_paths
 from .characterize import DEFAULT_CHECK_TRIALS, DEFAULT_TOL, check_hypotheses, recover
-from .errors import AbelfftError, NotEssentiallyFourierError
+from .errors import NotEssentiallyFourierError
 from .functions import DUAL, PRIMAL, convolve
 from .groups import Automorphism, Group, as_int, random_automorphism
 from .operators import Operator, T_FORM, U_FORM, reference_operator_matrix
@@ -202,7 +202,7 @@ def main(argv=None) -> int:
         return int(exc.code) if exc.code else 0
     try:
         return args.func(args)
-    except (AbelfftError, ValueError, OSError) as exc:
+    except (ValueError, OSError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2
     except MemoryError as exc:

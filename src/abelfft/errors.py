@@ -6,8 +6,8 @@ class AbelfftError(Exception):
 
 
 class InvalidGroupError(AbelfftError, ValueError):
-    """Raised for malformed group descriptions (empty, non-integer or non-positive orders,
-    non-integer coordinates), or a group too large for the operation."""
+    """Raised for malformed group descriptions (empty, non-integer or non-positive orders),
+    or a group too large for the operation."""
 
 
 class GroupMismatchError(AbelfftError, ValueError):
@@ -20,10 +20,6 @@ class SideMismatchError(AbelfftError, ValueError):
 
 class InvalidPermutationError(AbelfftError, ValueError):
     """Raised for index permutations of the wrong length or ones that are not automorphisms."""
-
-
-class RetryExhaustedError(AbelfftError, RuntimeError):
-    """Raised when rejection sampling gives up after the configured number of tries."""
 
 
 class FileFormatError(AbelfftError, ValueError):

@@ -65,6 +65,10 @@ def _load_json(path: PathLike, text: str | None = None) -> dict:
         data = json.loads(_read_text(path) if text is None else text, parse_constant=_reject_constant)
     except json.JSONDecodeError as exc:
         raise FileFormatError(f"{path} is not valid JSON: {exc}") from exc
+    except FileFormatError:  # a non-finite constant, already named
+        raise
+    except ValueError as exc:  # an integer past Python's digit limit
+        raise FileFormatError(f"{path}: {exc}") from exc
     except RecursionError as exc:
         raise FileFormatError(f"{path} nests its values too deeply") from exc
     if not isinstance(data, dict):

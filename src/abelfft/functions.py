@@ -16,13 +16,11 @@ from typing import Union
 import numpy as np
 
 from .errors import GroupMismatchError, SideMismatchError
-from .groups import Element, Group, as_int
+from .groups import Group, as_int
 
 PRIMAL = "primal"
 DUAL = "dual"
 SIDES = (PRIMAL, DUAL)
-
-DEFAULT_SUPPORT_TOL_FACTOR = 1e-12
 
 
 @dataclass(frozen=True, eq=False)
@@ -84,38 +82,14 @@ def haar_weight(group: Group, side: str) -> float:
     return 1.0 if side == PRIMAL else 1.0 / group.size
 
 
-@dataclass(frozen=True)
-class SupportSet:
-    """Indices where a function is numerically nonzero."""
-
-    indices: frozenset[int]
-
-    def __contains__(self, j: int) -> bool:
-        return j in self.indices
-
-    def __len__(self) -> int:
-        return len(self.indices)
-
-    def __iter__(self):
-        return iter(sorted(self.indices))
-
-    @property
-    def is_empty(self) -> bool:
-        return not self.indices
-
-
-def delta(group: Group, at: Union[int, Element], side: str = PRIMAL) -> GFunction:
-    """Point mass: 1 at the given element, 0 elsewhere."""
-    j = group.index_of(at) if isinstance(at, Element) else as_int(at, IndexError, "an element index")
+def delta(group: Group, at: int, side: str = PRIMAL) -> GFunction:
+    """Point mass: 1 at the element with index ``at``, 0 elsewhere."""
+    j = as_int(at, IndexError, "an element index")
     if not 0 <= j < group.size:
         raise IndexError(f"element index {j} out of range for group of size {group.size}")
     values = np.zeros(group.size, dtype=np.complex128)
     values[j] = 1.0
     return GFunction(group, side, values)
-
-
-def constant_one(group: Group, side: str = PRIMAL) -> GFunction:
-    return GFunction(group, side, np.ones(group.size, dtype=np.complex128))
 
 
 def zero(group: Group, side: str = PRIMAL) -> GFunction:
@@ -170,25 +144,6 @@ def convolve(f: GFunction, g: GFunction) -> GFunction:
         shifted = group.add_index(elements, group.negation_perm[y])  # index of x - y for each x
         out += g.values[y] * f.values[shifted]
     return GFunction(group, f.side, out * f.weight)
-
-
-def support(f: GFunction, support_tol: float | None = None) -> SupportSet:
-    """Indices with |f| > support_tol (default: 1e-12 times the sup norm)."""
-    if support_tol is None:
-        support_tol = DEFAULT_SUPPORT_TOL_FACTOR * norm_inf(f)
-    if not support_tol >= 0:  # NaN included, given or derived from a NaN value
-        raise ValueError(f"support tolerance must be >= 0, got {support_tol}")
-    idx = np.flatnonzero(np.abs(f.values) > support_tol)
-    return SupportSet(frozenset(int(j) for j in idx))
-
-
-def norm_inf(f: GFunction) -> float:
-    return float(np.max(np.abs(f.values)))
-
-
-def norm_2(f: GFunction) -> float:
-    """Weighted two-norm: sqrt(w * sum |f|^2) with the side's Haar weight."""
-    return float(np.sqrt(f.weight * np.sum(np.abs(f.values) ** 2)))
 
 
 def max_abs_diff(f: GFunction, g: GFunction) -> float:

@@ -2,21 +2,15 @@
 
 from __future__ import annotations
 
-import cmath
 import math
 import operator
 from dataclasses import dataclass, field
 from functools import cached_property
-from typing import Iterator, Sequence
+from typing import Sequence
 
 import numpy as np
 
-from .errors import (
-    GroupMismatchError,
-    InvalidGroupError,
-    InvalidPermutationError,
-    RetryExhaustedError,
-)
+from .errors import InvalidGroupError, InvalidPermutationError
 
 MAX_ENUMERABLE_SIZE = 1 << 20
 
@@ -92,81 +86,10 @@ class Group:
         coords = np.moveaxis(np.asarray(coords), -1, 0)
         return np.ravel_multi_index(tuple(coords), self.orders, mode="wrap")
 
-    def identity(self) -> "Element":
-        return Element(self, (0,) * len(self.orders))
-
-    def element_of(self, j: int) -> "Element":
-        j = as_int(j, IndexError, "an element index")
-        if not 0 <= j < self.size:
-            raise IndexError(f"element index {j} out of range for group of size {self.size}")
-        return Element(self, np.unravel_index(j, self.orders))
-
-    def index_of(self, x: "Element") -> int:
-        if x.group != self:
-            raise GroupMismatchError(f"element of {x.group.orders} indexed against {self.orders}")
-        return int(self._wrap_index(x.coords))
-
-    def elements(self) -> Iterator["Element"]:
-        for j in range(self.size):
-            yield self.element_of(j)
-
     def add_index(self, i, j):
-        """Index of element_of(i) + element_of(j); elementwise for index arrays."""
+        """Index of the sum of elements i and j; elementwise for index arrays."""
         index = self._wrap_index(self.coords_table[i] + self.coords_table[j])
         return int(index) if np.ndim(index) == 0 else index
-
-
-@dataclass(frozen=True)
-class Element:
-    """A group element held as reduced coordinates, one residue per cyclic factor."""
-
-    group: Group
-    coords: tuple[int, ...]
-
-    def __post_init__(self):
-        if len(self.coords) != len(self.group.orders):
-            raise InvalidGroupError(
-                f"expected {len(self.group.orders)} coordinates, got {len(self.coords)}"
-            )
-        reduced = tuple(
-            as_int(c, InvalidGroupError, "a coordinate") % n
-            for c, n in zip(self.coords, self.group.orders)
-        )
-        object.__setattr__(self, "coords", reduced)
-
-    @property
-    def index(self) -> int:
-        return self.group.index_of(self)
-
-    def _require_same_group(self, other: "Element") -> None:
-        if self.group != other.group:
-            raise GroupMismatchError(
-                f"elements live on different groups: {self.group.orders} vs {other.group.orders}"
-            )
-
-    def __add__(self, other: "Element") -> "Element":
-        self._require_same_group(other)
-        return Element(self.group, tuple(a + b for a, b in zip(self.coords, other.coords)))
-
-    def __neg__(self) -> "Element":
-        return Element(self.group, tuple(-c for c in self.coords))
-
-    def __sub__(self, other: "Element") -> "Element":
-        return self + (-other)
-
-    def is_identity(self) -> bool:
-        return all(c == 0 for c in self.coords)
-
-
-def character(x: Element, xi: Element) -> complex:
-    """Unit-modulus pairing exp(2*pi*i * sum_i x_i xi_i / n_i) between a point and a dual point."""
-    if x.group != xi.group:
-        raise GroupMismatchError(
-            f"character arguments live on different groups: {x.group.orders} vs {xi.group.orders}"
-        )
-    # Reducing each product mod n_i keeps the angle in [0, 2*pi) and the floats exact.
-    turns = sum((a * b % n) / n for a, b, n in zip(x.coords, xi.coords, x.group.orders))
-    return cmath.exp(2j * math.pi * turns)
 
 
 def _perm_array(perm, group: Group) -> np.ndarray:
@@ -248,32 +171,18 @@ class Automorphism:
     def identity(cls, group: Group) -> "Automorphism":
         return cls(group, tuple(range(group.size)))
 
-    def apply(self, x: Element) -> Element:
-        if x.group != self.group:
-            raise GroupMismatchError("element and automorphism live on different groups")
-        return self.group.element_of(self.perm[x.index])
 
-    __call__ = apply
-
-    def compose(self, other: "Automorphism") -> "Automorphism":
-        """The automorphism x -> self(other(x))."""
-        if other.group != self.group:
-            raise GroupMismatchError("cannot compose automorphisms of different groups")
-        return Automorphism(self.group, self.perm_array[other.perm_array])
-
-    def inverse(self) -> "Automorphism":
-        return Automorphism(self.group, np.argsort(self.perm_array))
-
-    def is_identity(self) -> bool:
-        return all(p == i for i, p in enumerate(self.perm))
-
-
-def random_automorphism(group: Group, seed: int, max_tries: int = 1000) -> Automorphism:
+def random_automorphism(group: Group, seed: int) -> Automorphism:
     """Draw a seeded random automorphism by rejection over endomorphism matrices.
 
     Entry (i, j) of the matrix maps factor j into factor i and must be a
     multiple of n_i / gcd(n_i, n_j) for the map to be well defined; the draw
-    is accepted when the induced index map is a bijection.
+    is accepted when the induced index map is a bijection.  A draw is uniform
+    over End(G), so it is accepted with probability |Aut(G)| / |End(G)|
+    (Hillar and Rhea, Amer. Math. Monthly 114, 2007).  Over every group the
+    size guard admits, that is at least 3/256, reached by
+    Z32 x Z16 x Z8 x Z4 x Z4 x Z2 x Z2 x Z3, so the loop ends after about 86
+    draws at worst, and with probability 1.
     """
     if group.size > MAX_ENUMERABLE_SIZE:
         raise InvalidGroupError(
@@ -281,7 +190,7 @@ def random_automorphism(group: Group, seed: int, max_tries: int = 1000) -> Autom
         )
     rng = np.random.default_rng(as_int(seed, ValueError, "seed", minimum=0))
     k = len(group.orders)
-    for _ in range(max_tries):
+    while True:
         matrix = np.zeros((k, k), dtype=np.int64)
         for i, ni in enumerate(group.orders):
             for j, nj in enumerate(group.orders):
@@ -290,6 +199,3 @@ def random_automorphism(group: Group, seed: int, max_tries: int = 1000) -> Autom
         induced = group._wrap_index(group.coords_table @ matrix.T)
         if np.bincount(induced, minlength=group.size).max() == 1:
             return Automorphism(group, induced)
-    raise RetryExhaustedError(
-        f"no automorphism accepted after {max_tries} tries on group {group.orders}"
-    )

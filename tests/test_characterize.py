@@ -186,7 +186,7 @@ class TestRecoverRoundTrips:
         g = Group((4,))
         op = build_reference_operator(g, Automorphism.identity(g), False, "U")
         report = recover(op)
-        assert report.psi.is_identity()
+        assert report.psi == Automorphism.identity(g)
         assert report.conjugation is False
         assert report.residual == 0.0
 
@@ -195,7 +195,7 @@ class TestRecoverRoundTrips:
         matrix = reference_operator_matrix(g, Automorphism.identity(g), "T")
         op = Operator.from_matrix(g, PRIMAL, DUAL, matrix)
         report = recover(op)
-        assert report.psi.is_identity()
+        assert report.psi == Automorphism.identity(g)
         assert report.conjugation is False
         assert report.residual <= 1e-10
 

@@ -167,6 +167,7 @@ class TestOperatorFiles:
             [[1, 0], [0, [1, 2]]],
             _Raw("[[0, 1]2, [3, 4]]"),
             _Raw("[[0, 1], [0, 0]]] 1 ["),
+            _Raw("[[1, 0], [0, " + "1" * 5000 + "]]"),
         ],
         ids=[
             "bool",
@@ -184,6 +185,8 @@ class TestOperatorFiles:
             # Text that no Python value dumps to; the matrix around the first is regular.
             "tokens-across-a-bracket",
             "junk-after-the-array",
+            # More digits than Python converts to an int.
+            "integer-past-the-digit-limit",
         ],
     )
     def test_rejects_malformed_entry(self, tmp_path, row):

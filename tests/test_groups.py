@@ -9,13 +9,9 @@ from hypothesis import strategies as st
 
 from abelfft import (
     Automorphism,
-    Element,
     Group,
-    GroupMismatchError,
     InvalidGroupError,
     InvalidPermutationError,
-    RetryExhaustedError,
-    character,
     delta,
     find_additivity_violation,
     is_automorphism,
@@ -55,33 +51,21 @@ class TestGroupConstruction:
             (lambda: Group((2.7,)), InvalidGroupError),
             (lambda: Group((True, 2)), InvalidGroupError),
             (lambda: Group(("4",)), InvalidGroupError),
-            (lambda: Element(Group((4,)), (1.9,)), InvalidGroupError),
-            (lambda: Element(Group((4, 2)), (1, False)), InvalidGroupError),
-            (lambda: Group((4,)).element_of(2.7), IndexError),
-            (lambda: Group((4,)).element_of(True), IndexError),
             (lambda: delta(Group((4,)), 2.7), IndexError),
             (lambda: Automorphism(Group((4,)), (0, 3.2, 2, 1.9)), InvalidPermutationError),
             (lambda: Automorphism(Group((2,)), (False, True)), InvalidPermutationError),
         ],
         ids=[
-            "float-order", "bool-order", "str-order", "float-coord", "bool-coord",
-            "float-index", "bool-index", "float-delta", "float-perm", "bool-perm",
+            "float-order", "bool-order", "str-order", "float-delta", "float-perm", "bool-perm",
         ],
     )
     def test_rejects_non_integer_data(self, build, error):
         with pytest.raises(error, match="must be an integer"):
             build()
 
-    @pytest.mark.parametrize("coords", [(1,), (1, 0, 0)])
-    def test_element_needs_one_coordinate_per_factor(self, coords):
-        with pytest.raises(InvalidGroupError, match=f"expected 2 coordinates, got {len(coords)}"):
-            Element(Group((4, 2)), coords)
-
     def test_accepts_numpy_integers(self):
         g = Group((np.int64(4), np.int32(3)))
         assert g.orders == (4, 3) and all(type(n) is int for n in g.orders)
-        assert Element(g, (np.int64(5), np.uint8(7))).coords == (1, 1)
-        assert g.element_of(np.intp(7)).coords == (2, 1)
         assert delta(g, np.int64(5)).values[5] == 1
         assert Automorphism(Group((4,)), np.array([0, 3, 2, 1])).perm == (0, 3, 2, 1)
 
@@ -91,33 +75,10 @@ class TestGroupConstruction:
 
 
 class TestIndexing:
-    def test_identity_maps_to_zero(self):
-        g = Group((4, 2))
-        assert Element(g, (0, 0)).index == 0
-
-    def test_row_major_order(self):
-        g = Group((4, 2))
-        assert Element(g, (1, 0)).index == 2
-
-    def test_element_of_seven_on_4x2(self):
-        # oracle: enumerate all coordinate tuples in row-major order
-        expected = list(itertools.product(range(4), range(2)))
-        g = Group((4, 2))
-        for j, coords in enumerate(expected):
-            assert g.element_of(j).coords == coords
-        assert g.element_of(7).coords == (3, 1)
-
     @pytest.mark.parametrize("j", [-1, 8, 100])
     def test_out_of_range_index(self, j):
-        with pytest.raises(IndexError):
-            Group((4, 2)).element_of(j)
         with pytest.raises(IndexError, match="out of range"):
             delta(Group((4, 2)), j)
-
-    @given(small_groups())
-    def test_index_roundtrip(self, group):
-        for j in range(group.size):
-            assert group.element_of(j).index == j
 
     @pytest.mark.parametrize("orders", [(1,), (1, 3), (2, 1, 2), (3, 2), (2,) * 6])
     def test_index_tables_match_coordinate_enumeration(self, orders):
@@ -136,73 +97,8 @@ class TestIndexing:
         expected = [[index[reduce(a + b for a, b in zip(x, y))] for y in coords] for x in coords]
         assert g.add_index(i, j).tolist() == expected
         for j, c in enumerate(coords):
-            assert g.element_of(j).coords == c
-            assert g.index_of(Element(g, c)) == j
             assert type(g.add_index(j, g.size - 1)) is int
             assert g.add_index(j, g.size - 1) == expected[j][-1]
-
-
-class TestArithmetic:
-    def test_mod_four_addition(self):
-        g = Group((4,))
-        assert (g.element_of(3) + g.element_of(2)).index == 1
-        assert (g.element_of(1) - g.element_of(2)).index == 3
-
-    def test_negation(self):
-        g = Group((4,))
-        assert (-g.element_of(1)).index == 3
-
-    def test_trivial_group_negation(self):
-        g = Group((1,))
-        assert (-g.element_of(0)).index == 0
-
-    def test_group_mismatch(self):
-        with pytest.raises(GroupMismatchError):
-            Group((2,)).element_of(1) + Group((3,)).element_of(1)
-
-    @given(small_groups(), st.data())
-    def test_add_neg_cancels(self, group, data):
-        j = data.draw(st.integers(0, group.size - 1))
-        x = group.element_of(j)
-        assert (x + (-x)).is_identity()
-
-
-class TestCharacter:
-    def test_z4_quarter_turn(self):
-        g = Group((4,))
-        assert character(g.element_of(1), g.element_of(1)) == pytest.approx(1j)
-
-    def test_trivial_character(self):
-        g = Group((5, 2))
-        for x in g.elements():
-            assert character(x, g.identity()) == pytest.approx(1.0)
-
-    def test_z2_sign(self):
-        g = Group((2,))
-        assert character(g.element_of(1), g.element_of(1)) == pytest.approx(-1.0)
-
-    def test_group_mismatch(self):
-        with pytest.raises(GroupMismatchError):
-            character(Group((2,)).element_of(0), Group((4,)).element_of(0))
-
-    @given(small_groups(max_size=24), st.data())
-    @settings(max_examples=40)
-    def test_unit_modulus_and_bimultiplicative(self, group, data):
-        n = group.size
-        x = group.element_of(data.draw(st.integers(0, n - 1)))
-        y = group.element_of(data.draw(st.integers(0, n - 1)))
-        xi = group.element_of(data.draw(st.integers(0, n - 1)))
-        assert abs(character(x, xi)) == pytest.approx(1.0)
-        assert character(x + y, xi) == pytest.approx(character(x, xi) * character(y, xi))
-        assert character(x, xi) * character(-x, xi) == pytest.approx(1.0)
-
-    @pytest.mark.parametrize("orders", [(6,), (4, 2), (2, 3), (1,), (2, 2, 2)])
-    def test_orthogonality(self, orders):
-        g = Group(orders)
-        for xi in g.elements():
-            total = sum(character(x, xi) for x in g.elements())
-            expected = g.size if xi.is_identity() else 0.0
-            assert total == pytest.approx(expected, abs=1e-10)
 
 
 class TestAutomorphisms:
@@ -279,27 +175,6 @@ class TestAutomorphisms:
         with pytest.raises(InvalidPermutationError):
             Automorphism(Group((4,)), (1, 0, 2, 3))
 
-    def test_apply(self):
-        g = Group((4,))
-        a = Automorphism(g, (0, 3, 2, 1))
-        assert a(g.element_of(1)).index == 3
-
-    def test_group_mismatch(self):
-        a = Automorphism.identity(Group((4,)))
-        other = Group((2, 2))
-        with pytest.raises(GroupMismatchError):
-            a.apply(other.element_of(1))
-        with pytest.raises(GroupMismatchError):
-            a.compose(Automorphism.identity(other))
-
-    def test_compose_and_inverse(self):
-        g = Group((2, 4))
-        a = random_automorphism(g, 11)
-        b = random_automorphism(g, 12)
-        composed = a.compose(b)
-        assert is_automorphism(composed.perm_array, g)
-        assert a.compose(a.inverse()).is_identity()
-
     @pytest.mark.parametrize("copy_of", [copy.copy, copy.deepcopy, lambda a: pickle.loads(pickle.dumps(a))], ids=["copy", "deepcopy", "pickle"])
     def test_copies_keep_perm_array_read_only(self, copy_of):
         a = random_automorphism(Group((2, 4)), 11)
@@ -350,10 +225,6 @@ class TestAutomorphisms:
     def test_seed_must_be_a_non_negative_integer(self, seed, message):
         with pytest.raises(ValueError, match=message):
             random_automorphism(Group((4, 2)), seed)
-
-    def test_retry_exhaustion(self):
-        with pytest.raises(RetryExhaustedError):
-            random_automorphism(Group((4,)), 0, max_tries=0)
 
     def test_size_guard(self):
         with pytest.raises(InvalidGroupError):
