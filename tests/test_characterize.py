@@ -1,4 +1,5 @@
 import dataclasses
+import re
 
 import numpy as np
 import pytest
@@ -29,7 +30,13 @@ from abelfft import (
     verify_recovery,
     zero,
 )
-from abelfft.characterize import PROBE_SCALARS, _random_rows
+from abelfft.characterize import (
+    DEFAULT_SUPPORT_TOL_FACTOR,
+    PROBE_SCALARS,
+    _random_rows,
+    _score_point_masses,
+    _worst,
+)
 
 ROUND_TRIP_CASES = [
     ((4, 2), 0, False, "T"),
@@ -110,6 +117,14 @@ class TestCheckHypotheses:
             Operator.from_matrix(g, DUAL, PRIMAL, np.eye(2))
         with pytest.raises(SideMismatchError, match="sides must be primal -> primal or dual"):
             Operator(g, DUAL, DUAL, lambda f: f)
+
+    @pytest.mark.parametrize("tol", [True, "0.1", 1e-3j])
+    def test_tolerance_must_be_a_real_number(self, tol):
+        op = build_reference_operator(Group((4,)), Automorphism.identity(Group((4,))), False, "U")
+        with pytest.raises(ValueError, match=re.escape(f"tol must be a finite number >= 0, got {tol!r}")):
+            check_hypotheses(op, trials=2, tol=tol)
+        with pytest.raises(ValueError, match=re.escape(f"got {tol!r}")):
+            recover(op, tol=tol)
 
     @pytest.mark.parametrize("tol", [np.inf, np.nan, -1.0])
     def test_tolerance_must_be_finite_and_non_negative(self, tol):
@@ -712,6 +727,35 @@ class TestDenseModelFit:
                 bound = 1e-15 if key in point_masses else 1e-14
                 assert abs(value - probed.diagnostics[key]) <= bound, key
         assert abs(fast.residual - probed.residual) <= 1e-15
+
+
+class TestSupportRule:
+    """Condition star's support test on point-mass images: the entry at the
+    target must exceed, and every entry off it must not exceed,
+    DEFAULT_SUPPORT_TOL_FACTOR times the larger of the two magnitudes."""
+
+    def score(self, on_value, off_point, expected=1.0):
+        return _score_point_masses(np.array([on_value]), np.array([off_point]), expected)
+
+    def test_exact_point_mass(self):
+        assert self.score(1.0, 0.0) == (0.0, True)
+
+    def test_thresholding(self):
+        below, above = 0.5 * DEFAULT_SUPPORT_TOL_FACTOR, 2 * DEFAULT_SUPPORT_TOL_FACTOR
+        assert self.score(1.0, below) == (below, True)
+        assert self.score(1.0, above) == (above, False)
+
+    def test_tolerance_scales_with_the_image(self):
+        assert self.score(1e6, 1e-7, expected=1e6)[1] is True
+        assert self.score(1e-6, 1e-7, expected=1e-6)[1] is False
+
+    def test_zero_image_has_empty_support(self):
+        assert self.score(0.0, 0.0) == (1.0, False)
+
+    def test_nan_value_counts_as_infinite(self):
+        assert _worst(np.array([np.nan, 1.0])) == np.inf
+        assert self.score(np.nan, 0.0) == (np.inf, False)
+        assert self.score(1.0, np.nan) == (np.inf, False)
 
 
 def counted_reference_operator(group, psi, conjugation, form):

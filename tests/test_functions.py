@@ -50,6 +50,12 @@ class TestGFunction:
         assert np.allclose((-f).values, [-1, -2, 0])
         assert np.allclose((f - delta(g, 1)).values, [1, 1, 0])
 
+    def test_group_mismatch_in_addition(self):
+        with pytest.raises(GroupMismatchError):
+            delta(Group((2,)), 1) + delta(Group((3,)), 1)
+        with pytest.raises(GroupMismatchError):
+            delta(Group((4,)), 1) - delta(Group((2, 2)), 1)
+
     def test_side_mismatch_in_addition(self):
         g = Group((3,))
         with pytest.raises(SideMismatchError):
@@ -166,3 +172,25 @@ class TestConvolve:
         with pytest.raises(SideMismatchError):
             convolve(delta(g, 0, PRIMAL), delta(g, 0, DUAL))
 
+
+class TestSupportAndNorms:
+    """Supports and norms are read off the value array: np.flatnonzero(f.values)
+    for the support, and the side's Haar weight for the two-norm."""
+
+    def test_point_mass_support(self):
+        g = Group((6,))
+        assert np.flatnonzero(delta(g, 3).values).tolist() == [3]
+        assert np.flatnonzero(delta(g, 3, DUAL).values).tolist() == [3]
+
+    def test_zero_function_support_empty(self):
+        g = Group((4,))
+        assert np.flatnonzero(zero(g).values).size == 0
+        assert np.flatnonzero(zero(g, DUAL).values).size == 0
+
+    def test_norms(self):
+        g = Group((4,))
+        f = GFunction(g, PRIMAL, np.array([3, 4, 0, 0]))
+        assert np.max(np.abs(f.values)) == 4.0
+        assert np.sqrt(np.sum(np.abs(f.values) ** 2) * f.weight) == pytest.approx(5.0)
+        F = GFunction(g, DUAL, np.array([2, 2, 2, 2]))
+        assert np.sqrt(np.sum(np.abs(F.values) ** 2) * F.weight) == pytest.approx(2.0)

@@ -1,5 +1,7 @@
 import copy
+import inspect
 import itertools
+import math
 import pickle
 
 import numpy as np
@@ -12,10 +14,12 @@ from abelfft import (
     Group,
     InvalidGroupError,
     InvalidPermutationError,
+    character_matrix,
     delta,
     find_additivity_violation,
     is_automorphism,
     random_automorphism,
+    random_function,
 )
 
 from conftest import small_groups
@@ -54,9 +58,14 @@ class TestGroupConstruction:
             (lambda: delta(Group((4,)), 2.7), IndexError),
             (lambda: Automorphism(Group((4,)), (0, 3.2, 2, 1.9)), InvalidPermutationError),
             (lambda: Automorphism(Group((2,)), (False, True)), InvalidPermutationError),
+            (lambda: Automorphism(Group((2,)), ("0", "1")), InvalidPermutationError),
+            (lambda: delta(Group((4,)), True), IndexError),
+            (lambda: random_function(Group((4,)), 1.5), ValueError),
+            (lambda: random_function(Group((4,)), True), ValueError),
         ],
         ids=[
             "float-order", "bool-order", "str-order", "float-delta", "float-perm", "bool-perm",
+            "str-perm", "bool-delta", "float-function-seed", "bool-function-seed",
         ],
     )
     def test_rejects_non_integer_data(self, build, error):
@@ -75,6 +84,32 @@ class TestGroupConstruction:
 
 
 class TestIndexing:
+    def test_identity_maps_to_zero(self):
+        g = Group((4, 2))
+        assert g.coords_table[0].tolist() == [0, 0]
+        assert g.negation_perm[0] == 0
+        assert g.add_index(0, np.arange(g.size)).tolist() == list(range(g.size))
+
+    def test_row_major_order(self):
+        g = Group((4, 2))
+        assert g.coords_table[1].tolist() == [0, 1]
+        assert g.coords_table[2].tolist() == [1, 0]
+
+    def test_coords_of_seven_on_4x2(self):
+        # oracle: enumerate all coordinate tuples in row-major order
+        expected = list(itertools.product(range(4), range(2)))
+        table = Group((4, 2)).coords_table
+        assert [tuple(row) for row in table.tolist()] == expected
+        assert table[7].tolist() == [3, 1]
+
+    @given(small_groups())
+    def test_index_roundtrip(self, group):
+        # oracle: the class docstring's index, sum_i x_i * prod_{j>i} n_j
+        strides = [math.prod(group.orders[i + 1 :]) for i in range(len(group.orders))]
+        for j, coords in enumerate(group.coords_table.tolist()):
+            assert all(0 <= x < n for x, n in zip(coords, group.orders))
+            assert sum(x * s for x, s in zip(coords, strides)) == j
+
     @pytest.mark.parametrize("j", [-1, 8, 100])
     def test_out_of_range_index(self, j):
         with pytest.raises(IndexError, match="out of range"):
@@ -99,6 +134,80 @@ class TestIndexing:
         for j, c in enumerate(coords):
             assert type(g.add_index(j, g.size - 1)) is int
             assert g.add_index(j, g.size - 1) == expected[j][-1]
+
+
+class TestArithmetic:
+    def test_mod_four_addition(self):
+        g = Group((4,))
+        assert g.add_index(3, 2) == 1
+        assert g.add_index(1, g.negation_perm[2]) == 3  # 1 - 2
+
+    def test_negation(self):
+        assert Group((4,)).negation_perm.tolist() == [0, 3, 2, 1]
+
+    def test_trivial_group_negation(self):
+        assert Group((1,)).negation_perm.tolist() == [0]
+
+    def test_tables_are_read_only(self):
+        g = Group((4, 2))
+        for table in (g.coords_table, g.negation_perm):
+            with pytest.raises(ValueError, match="read-only"):
+                table[0] = 1
+
+    @given(small_groups())
+    def test_add_neg_cancels(self, group):
+        elements = np.arange(group.size)
+        assert not group.add_index(elements, group.negation_perm).any()
+        assert group.negation_perm[group.negation_perm].tolist() == elements.tolist()
+
+    @given(small_groups(max_size=24))
+    def test_addition_is_commutative_and_associative(self, group):
+        x, y, z = np.meshgrid(*[np.arange(group.size)] * 3, indexing="ij")
+        assert np.array_equal(group.add_index(x, y), group.add_index(y, x))
+        assert np.array_equal(
+            group.add_index(group.add_index(x, y), z), group.add_index(x, group.add_index(y, z))
+        )
+
+
+class TestCharacter:
+    """The pairing chi(x, xi) = exp(2 pi i sum_k x_k xi_k / n_k), read from the
+    transform kernel: character_matrix(g)[xi, x] is conj(chi(x, xi))."""
+
+    def test_z4_quarter_turn(self):
+        assert np.conj(character_matrix(Group((4,)))[1, 1]) == pytest.approx(1j)
+
+    def test_trivial_character(self):
+        matrix = character_matrix(Group((5, 2)))
+        assert np.allclose(matrix[0], 1.0) and np.allclose(matrix[:, 0], 1.0)
+
+    def test_z2_sign(self):
+        assert character_matrix(Group((2,)))[1, 1] == pytest.approx(-1.0)
+
+    @pytest.mark.parametrize("orders", [(6,), (4, 2), (2, 3, 5)])
+    def test_symmetric_under_the_self_duality(self, orders):
+        matrix = character_matrix(Group(orders))
+        assert np.array_equal(matrix, matrix.T)
+
+    @given(small_groups(max_size=24))
+    @settings(max_examples=40)
+    def test_unit_modulus_and_bimultiplicative(self, group):
+        chi = np.conj(character_matrix(group))  # chi[xi, x]
+        x, y = np.meshgrid(np.arange(group.size), np.arange(group.size), indexing="ij")
+        assert np.allclose(np.abs(chi), 1.0)
+        for xi in range(group.size):
+            row = chi[xi]
+            assert np.allclose(row[group.add_index(x, y)], row[x] * row[y])
+            assert np.allclose(row * row[group.negation_perm], 1.0)
+
+    @pytest.mark.parametrize("orders", [(6,), (4, 2), (2, 3), (1,), (2, 2, 2)])
+    def test_orthogonality(self, orders):
+        g = Group(orders)
+        matrix = character_matrix(g)
+        totals = matrix.sum(axis=1)
+        expected = np.zeros(g.size)
+        expected[0] = g.size
+        assert np.allclose(totals, expected, atol=1e-10)
+        assert np.allclose(matrix @ matrix.conj().T, g.size * np.eye(g.size), atol=1e-10)
 
 
 class TestAutomorphisms:
@@ -175,6 +284,25 @@ class TestAutomorphisms:
         with pytest.raises(InvalidPermutationError):
             Automorphism(Group((4,)), (1, 0, 2, 3))
 
+    def test_apply(self):
+        a = Automorphism(Group((4,)), (0, 3, 2, 1))
+        assert a.perm_array[1] == 3
+
+    def test_equality_needs_the_same_group(self):
+        # (0, 3, 2, 1) is an automorphism of both Z4 and Z2 x Z2.
+        perm = (0, 3, 2, 1)
+        assert Automorphism(Group((4,)), perm) == Automorphism(Group((4,)), perm)
+        assert Automorphism(Group((4,)), perm) != Automorphism(Group((2, 2)), perm)
+
+    def test_compose_and_inverse(self):
+        g = Group((2, 4))
+        a = random_automorphism(g, 11).perm_array
+        b = random_automorphism(g, 12).perm_array
+        assert is_automorphism(a[b], g)  # x -> a(b(x))
+        inverse = np.argsort(a)
+        assert Automorphism(g, inverse) == Automorphism(g, a[a[a]])  # Aut(Z2 x Z4) has exponent 4
+        assert Automorphism(g, a[inverse]) == Automorphism.identity(g)
+
     @pytest.mark.parametrize("copy_of", [copy.copy, copy.deepcopy, lambda a: pickle.loads(pickle.dumps(a))], ids=["copy", "deepcopy", "pickle"])
     def test_copies_keep_perm_array_read_only(self, copy_of):
         a = random_automorphism(Group((2, 4)), 11)
@@ -225,6 +353,14 @@ class TestAutomorphisms:
     def test_seed_must_be_a_non_negative_integer(self, seed, message):
         with pytest.raises(ValueError, match=message):
             random_automorphism(Group((4, 2)), seed)
+
+    def test_draws_until_it_accepts(self):
+        # About 7% of the endomorphisms of this group are automorphisms, so
+        # most seeds reject several draws before one is accepted.
+        g = Group((8, 4, 4, 2, 2))
+        assert list(inspect.signature(random_automorphism).parameters) == ["group", "seed"]
+        for seed in range(4):
+            assert is_automorphism(random_automorphism(g, seed).perm_array, g)
 
     def test_size_guard(self):
         with pytest.raises(InvalidGroupError):
