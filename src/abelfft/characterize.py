@@ -12,17 +12,14 @@ identities that characterize the reference family:
       (input-side weight) to pointwise products; primal->primal operators
       must preserve convolutions.
 
-``recover`` reduces a primal->dual operator to a primal->primal one through
-the inverse transform, then reconstructs the relabeling automorphism from the
-supports of transformed point masses, reads the scalar map off constants,
-classifies it as either the identity or complex conjugation, and checks that it
-is multiplicative and conjugate-additive.  The constants go in one batch: the
-probe scalars, then the products and conjugate sums the scalar-map laws need.
-A dense operator's image of alpha * 1 is s * U(1) with s =
-``point_mass_scale(alpha)``, so its constants are scaled off the image of 1
+``recover`` reduces a primal->dual operator to a primal->primal one through the
+inverse transform and runs the ten steps its docstring lists.  The constants go
+in one batch: the probe scalars, then the products and conjugate sums the
+scalar-map laws need.  A dense operator's image of alpha * 1 is s * U(1) with s
+= ``point_mass_scale(alpha)``, so its constants are scaled off the image of 1
 that stage 1 probes, with no further matrix product.  Its last stage and
-``verify_recovery`` score the operator against the model f -> conj?(f o psi)
-in one shared fit: the model image of alpha * delta_x is the single entry
+``verify_recovery`` score the operator against the model f -> conj?(f o psi) in
+one shared fit: the model image of alpha * delta_x is the single entry
 conj?(alpha) at psi^-1(x), so each point-mass image is scored through two
 statistics: its value at that entry and its largest magnitude off it.  One
 walker, ``_point_mass_blocks``, yields each block of point-mass images with
@@ -31,11 +28,11 @@ and ``verify_recovery``.  The unit point masses are probed once: stage 2 reads
 the support map off them and keeps their statistics for the fit.  ``recover``
 takes tol in [0, 1/2), so no entry is within tol of both 0 and 1, and stage 2
 is one magnitude pass per block: a row passes when its largest entry is within
-tol of 1 and its others are within tol of 0.  The first row that fails is
-named by the per-entry rule.  A dense operator's image of alpha * delta_x is
-s * column x, so the fit scores its five other scalars off stage 2's
-statistics times s, with no further transform; an operator given by its apply
-function is still probed once per scalar.
+tol of 1 and its others are within tol of 0.  The first row that fails is named
+by the per-entry rule.  A dense operator's image of alpha * delta_x is s *
+column x, so the fit scores its five other scalars off stage 2's statistics
+times s, with no further transform; an operator given by its apply function is
+still probed once per scalar.
 
 Probes reach the operator in blocks of rows.  Scaled point masses go through
 ``Operator.apply_point_masses``, which reads a dense operator's columns, so
@@ -67,7 +64,6 @@ from __future__ import annotations
 
 import numbers
 from dataclasses import dataclass
-from typing import NoReturn
 
 import numpy as np
 
@@ -97,6 +93,8 @@ _BLOCK_ELEMENTS = 1 << 15
 # Values per exhaustive pair block: each complex temporary stays under glibc's
 # 128 KiB mmap threshold, so blocks reuse heap memory instead of faulting it in.
 _PAIR_BLOCK_ELEMENTS = 1 << 12
+# The recover steps that decide whether the scalar map is the identity or conjugation.
+_DICHOTOMY_STEPS = frozenset({"dichotomy", "dichotomy-cross-validation", "scalar-map-laws"})
 
 
 @dataclass(frozen=True)
@@ -171,6 +169,14 @@ def _require_tolerance(tol: float, bound: float = np.inf) -> None:
         raise ValueError(f"tol must be a finite number >= 0{below}, got {tol!r}")
 
 
+def _require(passed: bool, step: str, message: str, **details) -> None:
+    """Raise ``step``'s error unless ``passed``: DichotomyViolationError for the
+    dichotomy steps, NotEssentiallyFourierError for every other step."""
+    if not passed:
+        error = DichotomyViolationError if step in _DICHOTOMY_STEPS else NotEssentiallyFourierError
+        raise error(step, message, **details)
+
+
 def _worst(errors: np.ndarray, axis: int | None = None):
     """Largest error (along ``axis``), with NaN counted as an infinite error."""
     largest = np.max(errors, axis=axis, initial=0.0)
@@ -214,14 +220,10 @@ def _scalar_map(op: Operator, alphas, tol: float, unit_image: np.ndarray) -> tup
         images = np.array([op.point_mass_scale(alpha) for alpha in alphas])[:, None] * unit_image
     images = _to_primal(op, images)
     deviations = _worst(np.abs(images - images[:, :1]), axis=1)
-    for alpha, deviation in zip(alphas, deviations):
-        if deviation > tol:
-            raise NotEssentiallyFourierError(
-                "scalar-independence",
-                f"U({alpha} * 1) is not constant (max deviation {deviation:.3e})",
-                alpha=alpha,
-                deviation=float(deviation),
-            )
+    first = int((deviations > tol).argmax())
+    alpha, deviation = alphas[first], float(deviations[first])
+    _require(deviation <= tol, "scalar-independence", f"U({alpha} * 1) is not constant (max deviation {deviation:.3e})",
+             alpha=alpha, deviation=deviation)
     return dict(zip(alphas, (complex(v) for v in images[:, 0]))), float(_worst(deviations))
 
 
@@ -240,26 +242,17 @@ def _point_mass_blocks(op: Operator, alpha: complex = 1.0, phi: np.ndarray | Non
         yield start, images, targets, on_value, magnitude.max(axis=1)
 
 
-def _reject_point_mass(image, tol: float, x: int) -> NoReturn:
-    """Stage 2's per-entry rule on U(delta_x), a row that failed the magnitude
-    pass: with tol < 1/2 it is not {0,1}-valued or has no single entry within
-    tol of 1, and the error names which."""
+def _reject_point_mass(image, tol: float, x: int) -> None:
+    """Raise stage 2's per-entry rule on U(delta_x), a row that failed the
+    magnitude pass: with tol < 1/2 it is not {0,1}-valued or has no single
+    entry within tol of 1, and the error names which."""
     distance_to_one = np.abs(image - 1.0)
     worst = float(_worst(np.minimum(np.abs(image), distance_to_one)))
-    if worst > tol:
-        raise NotEssentiallyFourierError(
-            "point-mass-binary",
-            f"U(delta_{x}) is not {{0,1}}-valued (max deviation {worst:.3e})",
-            x=x,
-            max_deviation=worst,
-        )
+    _require(worst <= tol, "point-mass-binary", f"U(delta_{x}) is not {{0,1}}-valued (max deviation {worst:.3e})",
+             x=x, max_deviation=worst)
     supp = np.flatnonzero(distance_to_one <= tol)
-    raise NotEssentiallyFourierError(
-        "singleton-support",
-        f"U(delta_{x}) has support of size {supp.size}, expected a single point",
-        x=x,
-        support=tuple(int(j) for j in supp),
-    )
+    _require(False, "singleton-support", f"U(delta_{x}) has support of size {supp.size}, expected a single point",
+             x=x, support=tuple(int(j) for j in supp))
 
 
 def _score_point_masses(on_value, off_point, expected) -> tuple[float, bool]:
@@ -406,10 +399,15 @@ def check_hypotheses(
 def recover(op: Operator, tol: float = DEFAULT_TOL) -> RecoveryReport:
     """Reconstruct the automorphism and conjugation flag behind a conforming operator.
 
-    Raises NotEssentiallyFourierError (or its DichotomyViolationError
-    subclass) as soon as a structural check fails; the exception names the
-    failing stage and carries the offending data.  ``tol`` must lie in [0, 1/2),
-    where a point-mass image is unambiguously {0,1}-valued, or ValueError is raised.
+    The steps run in this order, and the first that fails raises an exception
+    that names it (``step``) and carries the offending data (``details``):
+    ``unit-preservation``, ``point-mass-binary``, ``singleton-support``,
+    ``support-map-bijection``, ``identity-not-fixed``, ``homomorphism``,
+    ``scalar-independence``, ``dichotomy``, ``dichotomy-cross-validation`` and
+    ``scalar-map-laws``.  The last three, which decide whether the scalar
+    map is the identity or conjugation, raise DichotomyViolationError; the
+    others raise NotEssentiallyFourierError, its base class.  ``tol`` must lie in [0, 1/2), where a point-mass image is
+    unambiguously {0,1}-valued, or ValueError is raised.
     """
     _require_tolerance(tol, RECOVER_TOL_BOUND)
     group = op.group
@@ -419,12 +417,8 @@ def recover(op: Operator, tol: float = DEFAULT_TOL) -> RecoveryReport:
     unit_image = op.apply_batch(np.ones((1, n), dtype=np.complex128))
     u_one = _to_primal(op, unit_image)
     unit_error = float(_worst(np.abs(u_one - 1.0)))
-    if unit_error > tol:
-        raise NotEssentiallyFourierError(
-            "unit-preservation",
-            f"U(1) deviates from 1 by {unit_error:.3e} (tol {tol:.1e})",
-            max_error=unit_error,
-        )
+    _require(unit_error <= tol, "unit-preservation", f"U(1) deviates from 1 by {unit_error:.3e} (tol {tol:.1e})",
+             max_error=unit_error)
 
     # Stage 2: each transformed point mass must be a {0,1} indicator of a single
     # point.  These images are also the model fit's probes 1 * delta_x, and the
@@ -449,24 +443,12 @@ def recover(op: Operator, tol: float = DEFAULT_TOL) -> RecoveryReport:
     if first.size != n:
         x = int(np.setdiff1d(np.arange(n), first)[0])
         collision = (int((phi == phi[x]).argmax()), x)
-        raise NotEssentiallyFourierError(
-            "support-map-bijection",
-            f"point masses at {collision[0]} and {collision[1]} map to the same support",
-            pair=collision,
-        )
-    if phi[0] != 0:
-        raise NotEssentiallyFourierError(
-            "identity-not-fixed",
-            f"the support map sends the identity to index {int(phi[0])}",
-            image=int(phi[0]),
-        )
+        _require(False, "support-map-bijection",
+                 f"point masses at {collision[0]} and {collision[1]} map to the same support", pair=collision)
+    _require(phi[0] == 0, "identity-not-fixed", f"the support map sends the identity to index {int(phi[0])}",
+             image=int(phi[0]))
     violation = find_additivity_violation(phi, group)
-    if violation is not None:
-        raise NotEssentiallyFourierError(
-            "homomorphism",
-            f"support map is not additive on the pair {violation}",
-            pair=violation,
-        )
+    _require(violation is None, "homomorphism", f"support map is not additive on the pair {violation}", pair=violation)
     psi = Automorphism(group, np.argsort(phi))
 
     # Stage 4: the scalar map m, read off constants, must be constant in x, must
@@ -479,36 +461,21 @@ def recover(op: Operator, tol: float = DEFAULT_TOL) -> RecoveryReport:
     m, independence_error = _scalar_map(op, scalars, tol, unit_image)
     m_samples = [(alpha, m[alpha]) for alpha in PROBE_SCALARS]
     m_i = m[1j]
-    if abs(m_i - 1j) <= tol:
-        conjugation = False
-    elif abs(m_i + 1j) <= tol:
-        conjugation = True
-    else:
-        raise DichotomyViolationError(
-            "dichotomy",
-            f"m(i) = {m_i} matches neither i nor -i at tolerance {tol:.1e}",
-            m_i=m_i,
-        )
+    conjugation = abs(m_i + 1j) <= tol  # tol < 1/2, so at most one of i and -i is within tol of m(i)
+    _require(conjugation or abs(m_i - 1j) <= tol, "dichotomy",
+             f"m(i) = {m_i} matches neither i nor -i at tolerance {tol:.1e}", m_i=m_i)
     probe_dichotomy_error = float(
         _worst(np.array([abs(m[a] - (a.conjugate() if conjugation else a)) for a in PROBE_SCALARS]))
     )
-    if probe_dichotomy_error > tol:
-        raise DichotomyViolationError(
-            "dichotomy-cross-validation",
-            f"a probe scalar deviates from the {'conjugation' if conjugation else 'identity'} "
-            f"branch by {probe_dichotomy_error:.3e}",
-            max_error=probe_dichotomy_error,
-        )
+    _require(probe_dichotomy_error <= tol, "dichotomy-cross-validation",
+             f"a probe scalar deviates from the {'conjugation' if conjugation else 'identity'} "
+             f"branch by {probe_dichotomy_error:.3e}", max_error=probe_dichotomy_error)
 
     mult_error = float(_worst(np.array([abs(m[a * b] - m[a] * m[b]) for a, b in pairs])))
     conj_add_error = float(_worst(np.array([abs(m[a + b.conjugate()] - m[a] - m[b].conjugate()) for a, b in pairs])))
-    if max(mult_error, conj_add_error) > tol:
-        raise DichotomyViolationError(
-            "scalar-map-laws",
-            f"the scalar map breaks multiplicativity by {mult_error:.3e} "
-            f"and conjugate additivity by {conj_add_error:.3e}",
-            max_error=max(mult_error, conj_add_error),
-        )
+    _require(max(mult_error, conj_add_error) <= tol, "scalar-map-laws",
+             f"the scalar map breaks multiplicativity by {mult_error:.3e} "
+             f"and conjugate additivity by {conj_add_error:.3e}", max_error=max(mult_error, conj_add_error))
 
     # Stage 5: residual of U(f) against the reconstructed model on scaled point
     # masses and seeded random functions, plus condition star on the point masses.

@@ -176,11 +176,14 @@ def random_automorphism(group: Group, seed: int) -> Automorphism:
     """Draw a seeded random automorphism by rejection over endomorphism matrices.
 
     Entry (i, j) of the matrix maps factor j into factor i and must be a
-    multiple of n_i / gcd(n_i, n_j) for the map to be well defined; the draw
-    is accepted when the induced index map is a bijection.  A draw is uniform
-    over End(G), so it is accepted with probability |Aut(G)| / |End(G)|
-    (Hillar and Rhea, Amer. Math. Monthly 114, 2007).  Over every group the
-    size guard admits, that is at least 3/256, reached by
+    multiple of n_i / gcd(n_i, n_j) for the map to be well defined.  A draw is
+    accepted when it is injective, that is when it sends no element of prime
+    order to 0: a nonzero kernel holds one.  For each prime p those elements
+    are the nonzero x with every x_i a multiple of n_i / gcd(n_i, p), so a draw
+    is judged on them alone, and only the accepted one is mapped over the whole
+    group.  A draw is uniform over End(G), so it is accepted with probability
+    |Aut(G)| / |End(G)| (Hillar and Rhea, Amer. Math. Monthly 114, 2007).  Over
+    every group the size guard admits, that is at least 3/256, reached by
     Z32 x Z16 x Z8 x Z4 x Z4 x Z2 x Z2 x Z3, so the loop ends after about 86
     draws at worst, and with probability 1.
     """
@@ -189,13 +192,26 @@ def random_automorphism(group: Group, seed: int) -> Automorphism:
             f"group size {group.size} exceeds the enumeration guard {MAX_ENUMERABLE_SIZE}"
         )
     rng = np.random.default_rng(as_int(seed, ValueError, "seed", minimum=0))
-    k = len(group.orders)
+    k, orders = len(group.orders), np.array(group.orders)
+    # The primes dividing the size, by trial division up to its square root; a remainder above 1 is prime.
+    primes, rest = [], group.size
+    for p in range(2, math.isqrt(rest) + 1):
+        if rest % p == 0:
+            primes.append(p)
+            while rest % p == 0:
+                rest //= p
+    if rest > 1:
+        primes.append(rest)
+    prime_order = [np.zeros((0, k), dtype=np.int64)]
+    for p in primes:
+        counts = np.gcd(orders, p)  # x_i takes counts[i] values; row 0 of the row-major table is x = 0
+        prime_order.append(np.indices(counts).reshape(k, -1).T[1:] * (orders // counts))
+    prime_order = np.concatenate(prime_order)
     while True:
         matrix = np.zeros((k, k), dtype=np.int64)
         for i, ni in enumerate(group.orders):
             for j, nj in enumerate(group.orders):
                 g = math.gcd(ni, nj)
                 matrix[i, j] = (ni // g) * rng.integers(0, g)
-        induced = group._wrap_index(group.coords_table @ matrix.T)
-        if np.bincount(induced, minlength=group.size).max() == 1:
-            return Automorphism(group, induced)
+        if (prime_order @ matrix.T % orders).any(axis=1).all():
+            return Automorphism(group, group._wrap_index(group.coords_table @ matrix.T))

@@ -245,7 +245,9 @@ class TestRecoverFailures:
         matrix[:, 1] = [0, 1, 1, 0]
         matrix[:, 2] = [0, 0, 0, 0]
         op = Operator.from_matrix(g, PRIMAL, PRIMAL, matrix)
-        with pytest.raises(NotEssentiallyFourierError) as excinfo:
+        with pytest.raises(
+            NotEssentiallyFourierError, match=re.escape("U(delta_1) has support of size 2, expected a single point")
+        ) as excinfo:
             recover(op)
         assert excinfo.value.step == "singleton-support"
         assert excinfo.value.details["x"] == 1
@@ -261,7 +263,9 @@ class TestRecoverFailures:
             return GFunction(g, PRIMAL, f.values)
 
         op = Operator(g, PRIMAL, PRIMAL, collide)
-        with pytest.raises(NotEssentiallyFourierError) as excinfo:
+        with pytest.raises(
+            NotEssentiallyFourierError, match=re.escape("point masses at 1 and 2 map to the same support")
+        ) as excinfo:
             recover(op)
         assert excinfo.value.step == "support-map-bijection"
         assert excinfo.value.details["pair"] == (1, 2)
@@ -285,7 +289,9 @@ class TestRecoverFailures:
     def test_unit_preservation_violation(self):
         g = Group((4,))
         op = Operator.from_matrix(g, PRIMAL, PRIMAL, 2 * np.eye(4, dtype=complex))
-        with pytest.raises(NotEssentiallyFourierError) as excinfo:
+        with pytest.raises(
+            NotEssentiallyFourierError, match=re.escape("U(1) deviates from 1 by 1.000e+00 (tol 1.0e-09)")
+        ) as excinfo:
             recover(op)
         assert excinfo.value.step == "unit-preservation"
 
@@ -295,7 +301,9 @@ class TestRecoverFailures:
         sigma = np.array([0, 1, 3, 2])
         matrix = np.eye(4, dtype=complex)[sigma]
         op = Operator.from_matrix(g, PRIMAL, PRIMAL, matrix)
-        with pytest.raises(NotEssentiallyFourierError) as excinfo:
+        with pytest.raises(
+            NotEssentiallyFourierError, match=re.escape("support map is not additive on the pair (1, 1)")
+        ) as excinfo:
             recover(op)
         assert excinfo.value.step == "homomorphism"
         assert "pair" in excinfo.value.details
@@ -305,7 +313,9 @@ class TestRecoverFailures:
         sigma = np.array([1, 0, 2, 3])
         matrix = np.eye(4, dtype=complex)[sigma]
         op = Operator.from_matrix(g, PRIMAL, PRIMAL, matrix)
-        with pytest.raises(NotEssentiallyFourierError) as excinfo:
+        with pytest.raises(
+            NotEssentiallyFourierError, match=re.escape("the support map sends the identity to index 1")
+        ) as excinfo:
             recover(op)
         assert excinfo.value.step == "identity-not-fixed"
 
@@ -329,7 +339,9 @@ class TestRecoverFailures:
                 values[:] = 2.5
             return GFunction(g, PRIMAL, values)
 
-        with pytest.raises(DichotomyViolationError) as excinfo:
+        with pytest.raises(
+            DichotomyViolationError, match=re.escape("a probe scalar deviates from the identity branch by 5.000e-01")
+        ) as excinfo:
             recover(Operator(g, PRIMAL, PRIMAL, identity_but_two))
         assert excinfo.value.step == "dichotomy-cross-validation"
         assert excinfo.value.details["max_error"] == 0.5
@@ -345,7 +357,8 @@ class TestRecoverFailures:
                 values[:] = 4.5
             return GFunction(g, PRIMAL, values)
 
-        with pytest.raises(DichotomyViolationError) as excinfo:
+        message = "the scalar map breaks multiplicativity by 5.000e-01 and conjugate additivity by 5.000e-01"
+        with pytest.raises(DichotomyViolationError, match=re.escape(message)) as excinfo:
             recover(Operator(g, PRIMAL, PRIMAL, identity_but_four))
         assert excinfo.value.step == "scalar-map-laws"
         assert excinfo.value.details == {"max_error": 0.5}
@@ -376,7 +389,9 @@ class TestRecoverFailures:
                 values[1] = 5
             return GFunction(g, PRIMAL, values)
 
-        with pytest.raises(NotEssentiallyFourierError) as excinfo:
+        with pytest.raises(
+            NotEssentiallyFourierError, match=re.escape("U((4+0j) * 1) is not constant (max deviation 1.000e+00)")
+        ) as excinfo:
             recover(Operator(g, PRIMAL, PRIMAL, uneven_at_four))
         assert excinfo.value.step == "scalar-independence"
         assert excinfo.value.details["alpha"] == 4 + 0j
@@ -488,7 +503,9 @@ class TestBlockedProbes:
     @pytest.mark.parametrize("form", ["T", "U"])
     def test_late_binary_failure_names_the_point_mass(self, form):
         op, _ = late_point_mass_operator(form, "split")
-        with pytest.raises(NotEssentiallyFourierError) as excinfo:
+        with pytest.raises(
+            NotEssentiallyFourierError, match=re.escape("U(delta_200) is not {0,1}-valued (max deviation 5.000e-01)")
+        ) as excinfo:
             recover(op)
         assert excinfo.value.step == "point-mass-binary"
         assert excinfo.value.details["x"] == 200
@@ -800,7 +817,9 @@ class TestProbeCounts:
             probes.append(f.values)
             return GFunction(g, PRIMAL, np.abs(f.values).astype(complex))
 
-        with pytest.raises(DichotomyViolationError) as excinfo:
+        with pytest.raises(
+            DichotomyViolationError, match=re.escape("m(i) = (1+0j) matches neither i nor -i at tolerance 1.0e-09")
+        ) as excinfo:
             recover(Operator(g, PRIMAL, PRIMAL, absolute_value))
         assert excinfo.value.step == "dichotomy"
         # U(1), the 8 point masses, then the 6 probe scalars and 24 derived constants.

@@ -318,6 +318,21 @@ class TestRecoverCommand:
         fileio.save_operator(path, op)
         assert main(["recover", str(path)]) == 1
 
+    @pytest.mark.parametrize("form", ["T", "U"])
+    def test_doubled_record_prints_the_failing_step(self, tmp_path, capsys, form):
+        op_path = tmp_path / "op.json"
+        assert main(["gen-operator", "--orders", "4", "2", "--seed", "3", "--form", form, "-o", str(op_path)]) == 0
+        record = json.loads(op_path.read_text())
+        record["matrix"] = [[[2 * v for v in entry] for entry in row] for row in record["matrix"]]
+        op_path.write_text(json.dumps(record))
+        capsys.readouterr()
+        assert main(["recover", str(op_path)]) == 1
+        recovered, reason, detail = capsys.readouterr().out.splitlines()
+        assert recovered == "recovered: False"
+        assert reason == "reason: unit-preservation: U(1) deviates from 1 by 1.000e+00 (tol 1.0e-09)"
+        key, value = detail.split(": ")
+        assert key == "detail_max_error" and float(value) == pytest.approx(1.0)
+
     def test_wrong_truth_exits_1(self, tmp_path):
         op_path, truth_path = self.gen(tmp_path)
         truth = json.loads(truth_path.read_text())

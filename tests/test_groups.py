@@ -362,6 +362,46 @@ class TestAutomorphisms:
         for seed in range(4):
             assert is_automorphism(random_automorphism(g, seed).perm_array, g)
 
+    @staticmethod
+    def full_map_rejection(group, seed):
+        """Reference sampler: maps every element under each draw and accepts a bijection."""
+        rng = np.random.default_rng(seed)
+        k = len(group.orders)
+        while True:
+            matrix = np.zeros((k, k), dtype=np.int64)
+            for i, ni in enumerate(group.orders):
+                for j, nj in enumerate(group.orders):
+                    g = math.gcd(ni, nj)
+                    matrix[i, j] = (ni // g) * rng.integers(0, g)
+            induced = group._wrap_index(group.coords_table @ matrix.T)
+            if np.bincount(induced, minlength=group.size).max() == 1:
+                return induced.tolist()
+
+    @pytest.mark.parametrize(
+        "orders", [(1,), (7,), (12,), (1, 4, 1, 2), (8, 4, 4, 2, 2), (2,) * 6, (9, 3, 3), (6, 10, 15), (2, 1009)]
+    )
+    def test_draws_match_the_full_map_rejection(self, orders):
+        # Judging a draw on the elements of prime order alone accepts the same draws.
+        g = Group(orders)
+        for seed in range(8):
+            assert list(random_automorphism(g, seed).perm) == self.full_map_rejection(g, seed)
+
+    def test_only_the_accepted_draw_is_mapped_over_the_group(self, monkeypatch):
+        # Most draws on this group are rejected, each before any map of all its elements.
+        g = Group((8, 4, 4, 2, 2))
+        wrap_index = Group._wrap_index
+        full_maps = []
+
+        def counted(group, coords):
+            full_maps.append(np.shape(coords) == (g.size, len(g.orders)))
+            return wrap_index(group, coords)
+
+        monkeypatch.setattr(Group, "_wrap_index", counted)
+        for seed in range(4):
+            full_maps.clear()
+            random_automorphism(g, seed)
+            assert sum(full_maps) == 1
+
     def test_size_guard(self):
         with pytest.raises(InvalidGroupError):
             random_automorphism(Group((2,) * 21), 0)

@@ -36,6 +36,7 @@ from test_battery import (
 from abelfft import (
     DUAL,
     PRIMAL,
+    DichotomyViolationError,
     GFunction,
     Group,
     NotEssentiallyFourierError,
@@ -68,6 +69,8 @@ STAGES = (
     "dichotomy-cross-validation",
     "scalar-map-laws",
 )
+# The steps that raise DichotomyViolationError; every other step raises its base class.
+DICHOTOMY_STEPS = STAGES[-3:]
 RECOVER_SHAPES = EXHAUSTIVE_SHAPES + EXHAUSTIVE_LARGE + RANDOM_SHAPES
 
 
@@ -198,6 +201,7 @@ def outcome(case) -> dict:
     try:
         report = recover(build_operator(*build_args), tol=tol)
     except NotEssentiallyFourierError as exc:
+        assert isinstance(exc, DichotomyViolationError) == (exc.step in DICHOTOMY_STEPS), exc.step
         payload = {key: _payload(value) for key, value in exc.details.items()}
         return {"verdict": "reject", "stage": exc.step, "payload": payload}
     psi = np.asarray(report.psi.perm, dtype=np.int64)
