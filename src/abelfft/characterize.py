@@ -75,7 +75,7 @@ from .errors import (
 from .functions import PRIMAL, haar_weight, star_values
 from .groups import Automorphism, Group, as_int, find_additivity_violation
 from .operators import Operator, T_FORM
-from .transform import _dft_values, _idft_values, convolve_values
+from .transform import _dft_values, convolve_values
 
 PROBE_SCALARS: tuple[complex, ...] = (1 + 0j, -1 + 0j, 1j, 2 + 0j, 0.5 + 0j, 1 + 1j)
 
@@ -200,7 +200,7 @@ def _random_rows(group: Group, rng: np.random.Generator, count: int) -> np.ndarr
 def _to_primal(op: Operator, images: np.ndarray) -> np.ndarray:
     """Operator images as images under the primal->primal map: unchanged for
     U-form, with the inverse transform composed on top for T-form."""
-    return _idft_values(images, op.group) if op.form == T_FORM else images
+    return _dft_values(images, op.group, inverse=True) if op.form == T_FORM else images
 
 
 def _scalar_map(op: Operator, alphas, tol: float, unit_image: np.ndarray) -> tuple[dict[complex, complex], float]:
@@ -322,7 +322,7 @@ def _law_errors(op, op_f, op_g, hat_f, hat_g, lhs, weight) -> list:
     and ``op_g`` are U(f) and U(g), ``hat_f`` and ``hat_g`` their forward
     transforms, ``weight`` the output side's Haar weight, and ``lhs`` the
     images of f g and f conv g in the broadcast shape, overwritten in place."""
-    convolution = _idft_values(hat_f * hat_g, op.group)
+    convolution = _dft_values(hat_f * hat_g, op.group, inverse=True)
     convolution *= weight
     product = op_f * op_g
     rhs = (convolution, product) if op.form == T_FORM else (product, convolution)

@@ -104,14 +104,27 @@ def _perm_array(perm, group: Group) -> np.ndarray:
     return array.astype(np.int64, copy=False)
 
 
+def _translation(group: Group, element: int) -> np.ndarray:
+    """Index of y + element for every element y, by index arithmetic: each nonzero
+    coordinate c_i of the element adds c_i times its stride, less order times the
+    stride where coordinate i of y wraps."""
+    coords, orders = group.coords_table, group.orders
+    strides = group.size // np.cumprod(orders)
+    out = np.arange(group.size, dtype=np.int64) + coords[element] @ strides
+    for i in np.flatnonzero(coords[element]):
+        out[coords[:, i] >= orders[i] - coords[element, i]] -= orders[i] * strides[i]
+    return out
+
+
 def find_additivity_violation(perm: np.ndarray, group: Group) -> tuple[int, int] | None:
     """First pair (i, j), in row-major order, with perm[i + j] != perm[i] + perm[j], or None.
 
     Deciding costs O(k * size): each element x is checked against each cyclic
     generator e_k.  That suffices, because perm(x + e_k) = perm(x) + perm(e_k)
     for all x and k forces perm(0) = 0 (take x = 0) and then, by induction on
-    y, perm(x + y) = perm(x) + perm(y).  Only when a violation exists are the
-    pair rows scanned, in order, to name the first one.
+    y, perm(x + y) = perm(x) + perm(y).  One generator is checked at a time,
+    by index arithmetic on (size,) arrays (``_translation``).  Only when a
+    violation exists are the pair rows scanned, in order, to name the first one.
     """
     n = group.size
     perm = _perm_array(perm, group)
@@ -120,9 +133,11 @@ def find_additivity_violation(perm: np.ndarray, group: Group) -> tuple[int, int]
     elements = np.arange(n, dtype=np.int64)
     # Index of each generator e_k; an order-1 factor's generator is the identity.
     generators = group._wrap_index(np.eye(len(group.orders), dtype=np.int64))
-    lhs = perm[group.add_index(elements[:, None], generators[None, :])]
-    rhs = group.add_index(perm[:, None], perm[generators][None, :])
-    if np.array_equal(lhs, rhs):
+    for e in generators:
+        # Both sides are translations: x + e_k for every x, and perm(x) + perm(e_k).
+        if not np.array_equal(perm[_translation(group, e)], _translation(group, perm[e])[perm]):
+            break
+    else:
         return None
     # A generator violation is itself a violating pair, so some row below has one.
     rows = (perm[group.add_index(i, elements)] != group.add_index(perm[i], perm) for i in range(n))

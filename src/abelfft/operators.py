@@ -45,7 +45,7 @@ import numpy as np
 from .errors import GroupMismatchError, SideMismatchError
 from .functions import DUAL, PRIMAL, SIDES, GFunction
 from .groups import Automorphism, Group
-from .transform import character_matrix, fft_forward
+from .transform import _char_rows, fft_forward
 
 T_FORM = "T"
 U_FORM = "U"
@@ -235,10 +235,12 @@ def build_reference_operator(
 
 
 def reference_operator_matrix(group: Group, psi: Automorphism, form: str) -> np.ndarray:
-    """Dense matrix of the reference operator (the conjugation flag is stored separately),
-    built column-major: column x is the image of delta_x, which sits at phi = psi^-1."""
+    """Dense matrix of the reference operator (the conjugation flag is stored separately), built
+    column-major from its n columns alone: column x is the image of delta_x, which sits at phi = psi^-1."""
     output_side = _reference_output_side(group, psi, form)
     phi = np.argsort(psi.perm_array)
-    # The character matrix is symmetric, so its rows at phi are its columns at phi.
-    images = character_matrix(group) if output_side == DUAL else np.eye(group.size, dtype=np.complex128)
-    return images[phi].T
+    if output_side == DUAL:
+        return _char_rows(group, phi).T  # the character matrix is symmetric: its rows are its columns
+    images = np.zeros((group.size, group.size), dtype=np.complex128)
+    images[np.arange(group.size), phi] = 1
+    return images.T

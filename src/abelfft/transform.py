@@ -155,34 +155,32 @@ def _dft_values(values: np.ndarray, group: Group, inverse: bool = False) -> np.n
     return arr.reshape(values.shape)
 
 
-def _idft_values(values: np.ndarray, group: Group) -> np.ndarray:
-    return _dft_values(values, group, inverse=True)
-
-
 def convolve_values(a: np.ndarray, b: np.ndarray, group: Group, weight: float) -> np.ndarray:
     """Row-wise transform-based convolution of value arrays, scaled by the side's Haar weight."""
     # Every transform returns a new array, so products and scaling go in place.
     spectrum = _dft_values(a, group)
     spectrum *= _dft_values(b, group)
-    out = _idft_values(spectrum, group)
+    out = _dft_values(spectrum, group, inverse=True)
     out *= weight
     return out
 
 
-def _char_block(group: Group, rows: np.ndarray) -> np.ndarray:
-    """Rows of the matrix M[xi, x] = conj(<x, xi>) for the given dual indices.
+def _char_block(group: Group, rows, out: np.ndarray | None = None) -> np.ndarray:
+    """Rows of the matrix M[xi, x] = conj(<x, xi>) for the given dual indices, into ``out`` if given.
 
     The phase sum_i x_i xi_i / n_i is k / size modulo 1, with
     k = sum_i x_i xi_i (size / n_i) mod size.  Every product and partial sum
-    of k is an integer below size^2, which a double holds exactly for any
-    size whose matrix fits in memory, so the float matrix product that forms
-    k is exact.  Each entry is then one lookup in a table of
-    exp(-2 pi i k / size) and carries only that table's rounding.
+    of k is an integer below size^2, which a double holds exactly for any size
+    whose matrix fits in memory: the float product that forms k is exact, and
+    so is its int64 copy, reduced by integer %.  Each entry is one lookup in a
+    table of exp(-2 pi i k / size), carrying only its rounding; "clip" moves no
+    index in [0, size) and lets take fill ``out`` without a buffer.
     """
     size = group.size
     coords = group.coords_table.astype(np.float64)
-    k = (coords[rows] * (size // np.asarray(group.orders))) @ coords.T % size
-    return _phases(size)[k.astype(np.int64)]
+    k = ((coords[rows] * (size // np.asarray(group.orders))) @ coords.T).astype(np.int64)
+    k %= size
+    return _phases(size).take(k, out=out, mode="clip")
 
 
 def _phases(size: int) -> np.ndarray:
@@ -190,53 +188,53 @@ def _phases(size: int) -> np.ndarray:
     return np.exp(-2j * np.pi * (np.arange(size) / size))
 
 
-def _row_blocks(size: int):
-    """Dual indices 0..size-1 as consecutive blocks of ``_NAIVE_BLOCK_ROWS``."""
-    for start in range(0, size, _NAIVE_BLOCK_ROWS):
-        yield np.arange(start, min(start + _NAIVE_BLOCK_ROWS, size))
+def _char_rows(group: Group, duals: np.ndarray) -> np.ndarray:
+    """The rows of M at the dual indices ``duals``, built ``_NAIVE_BLOCK_ROWS`` at a time."""
+    out = np.empty((len(duals), group.size), dtype=np.complex128)
+    for start in range(0, len(duals), _NAIVE_BLOCK_ROWS):
+        _char_block(group, duals[start : start + _NAIVE_BLOCK_ROWS], out[start : start + _NAIVE_BLOCK_ROWS])
+    return out
 
 
 def character_matrix(group: Group) -> np.ndarray:
     """Full transform matrix, column j the transform of the point mass at j."""
-    out = np.empty((group.size, group.size), dtype=np.complex128)
-    for rows in _row_blocks(group.size):
-        out[rows] = _char_block(group, rows)
-    return out
+    return _char_rows(group, np.arange(group.size))
 
 
 def _naive_values(values: np.ndarray, group: Group, inverse: bool) -> np.ndarray:
     """The defining sum, one block of dual indices at a time, O(size^2)."""
     out = np.empty(group.size, dtype=np.complex128)
-    for rows in _row_blocks(group.size):
+    for start in range(0, group.size, _NAIVE_BLOCK_ROWS):
+        rows = slice(start, start + _NAIVE_BLOCK_ROWS)
         # One block of the matrix is alive at a time: no name outlives the product.
         out[rows] = (np.conj if inverse else np.asarray)(_char_block(group, rows)) @ values
     return out / group.size if inverse else out
 
 
+def _transformed(f: GFunction, inverse: bool, values_fn) -> GFunction:
+    """``values_fn(values, group, inverse)`` on the other side; ``f`` is primal, or dual for an inverse."""
+    side, other = (DUAL, PRIMAL) if inverse else (PRIMAL, DUAL)
+    if f.side != side:
+        raise SideMismatchError(f"the {'inverse' if inverse else 'forward'} transform takes a {side}-side function")
+    return GFunction(f.group, other, values_fn(f.values, f.group, inverse))
+
+
 def dft_naive(f: GFunction) -> GFunction:
     """Reference transform evaluated straight from the defining sum, O(size^2)."""
-    if f.side != PRIMAL:
-        raise SideMismatchError("the forward transform takes a primal-side function")
-    return GFunction(f.group, DUAL, _naive_values(f.values, f.group, inverse=False))
+    return _transformed(f, False, _naive_values)
 
 
 def idft_naive(F: GFunction) -> GFunction:
     """Reference inverse, the defining sum with weight 1/size, O(size^2)."""
-    if F.side != DUAL:
-        raise SideMismatchError("the inverse transform takes a dual-side function")
-    return GFunction(F.group, PRIMAL, _naive_values(F.values, F.group, inverse=True))
+    return _transformed(F, True, _naive_values)
 
 
 def fft_forward(f: GFunction) -> GFunction:
-    if f.side != PRIMAL:
-        raise SideMismatchError("the forward transform takes a primal-side function")
-    return GFunction(f.group, DUAL, _dft_values(f.values, f.group))
+    return _transformed(f, False, _dft_values)
 
 
 def fft_inverse(F: GFunction) -> GFunction:
-    if F.side != DUAL:
-        raise SideMismatchError("the inverse transform takes a dual-side function")
-    return GFunction(F.group, PRIMAL, _idft_values(F.values, F.group))
+    return _transformed(F, True, _dft_values)
 
 
 def convolve_fast(f: GFunction, g: GFunction) -> GFunction:

@@ -3,6 +3,7 @@ import inspect
 import itertools
 import math
 import pickle
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -412,6 +413,18 @@ class TestAutomorphisms:
         bad = np.arange(g.size)
         bad[[1, 2]] = bad[[2, 1]]
         assert not is_automorphism(bad, g)
+
+    def test_additivity_check_stays_small_on_many_factors(self):
+        # Checked one generator at a time on (size,) index arrays; the
+        # (size, k, k) index blocks this replaced peaked at 145 MiB here.
+        g = Group((2,) * 16)
+        tracemalloc.start()
+        try:
+            Automorphism.identity(g)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak < 48 * 2**20
 
     @pytest.mark.parametrize(
         "orders",

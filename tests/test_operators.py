@@ -1,4 +1,5 @@
 import gc
+import tracemalloc
 import weakref
 
 import numpy as np
@@ -112,6 +113,20 @@ class TestOperatorMatrices:
                 assert np.array_equal(
                     np.ascontiguousarray(got).view(np.uint64), np.ascontiguousarray(expected).view(np.uint64)
                 )
+
+    @pytest.mark.parametrize("form", ["T", "U"])
+    def test_build_makes_no_second_table(self, form):
+        # Only the n returned images are built: the 16 MiB result plus one block
+        # of character rows, not a full table and its gathered copy (32 MiB).
+        g = Group((32, 32))
+        psi = random_automorphism(g, 4)
+        tracemalloc.start()
+        try:
+            reference_operator_matrix(g, psi, form)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak < 24 * 2**20
 
     def test_matrix_columns_probe_with_point_masses(self):
         g = Group((4,))

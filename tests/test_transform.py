@@ -19,10 +19,12 @@ from abelfft import (
     idft_naive,
     max_abs_diff,
     pointwise_product,
+    random_automorphism,
     random_function,
+    reference_operator_matrix,
     star,
 )
-from abelfft.transform import _char_block, _dft_values, _idft_values, _rader
+from abelfft.transform import _NAIVE_BLOCK_ROWS, _char_block, _dft_values, _rader
 
 from conftest import random_orders, small_groups
 
@@ -94,6 +96,58 @@ class TestCharacterMatrix:
             assert np.max(np.abs(matrix[:, start : start + 512].T - columns)) <= 1e-14
 
 
+def float_reduced_char_block(g, rows):
+    """The character rows as first written: the phase index reduced by a float %."""
+    size = g.size
+    coords = g.coords_table.astype(np.float64)
+    k = (coords[rows] * (size // np.asarray(g.orders))) @ coords.T % size
+    return np.exp(-2j * np.pi * (np.arange(size) / size))[k.astype(np.int64)]
+
+
+def assert_same_bits(actual, expected):
+    assert actual.shape == expected.shape
+    assert np.array_equal(actual.view(np.uint64), expected.view(np.uint64))
+
+
+class TestBitIdentity:
+    """The integer phase index gives the tables of the float-reduced one bit for bit."""
+
+    @pytest.mark.parametrize("orders", [(1,), (2,), (1024,), (32, 32), (2, 2, 64), (8, 9, 5, 7)])
+    def test_full_tables(self, orders):
+        g = Group(orders)
+        psi = random_automorphism(g, 3)
+        phi = np.argsort(psi.perm_array)
+        f = random_function(g, 5)
+        F = fft_forward(f)
+        forward, inverse = np.empty(g.size, dtype=np.complex128), np.empty(g.size, dtype=np.complex128)
+        # Row blocks of the defining sum, as dft_naive and idft_naive first formed them.
+        starts = range(0, g.size, _NAIVE_BLOCK_ROWS)
+        blocks = [np.arange(start, min(start + _NAIVE_BLOCK_ROWS, g.size)) for start in starts]
+        matrix = character_matrix(g)
+        for rows in blocks:
+            expected = float_reduced_char_block(g, rows)
+            assert_same_bits(matrix[rows], expected)
+            forward[rows] = expected @ f.values
+            inverse[rows] = np.conj(expected) @ F.values
+        assert_same_bits(dft_naive(f).values, forward)
+        assert_same_bits(idft_naive(F).values, inverse / g.size)
+        # Both forms are built column-major; their transposes are character_matrix(g)[phi] and np.eye(n)[phi].
+        for form in ("T", "U"):
+            table = matrix if form == "T" else np.eye(g.size, dtype=np.complex128)
+            matrix = None  # two n x n tables alive at most: the expected one and the one built
+            built = reference_operator_matrix(g, psi, form)
+            assert built.flags.f_contiguous
+            for rows in blocks:
+                assert_same_bits(built.T[rows], table[phi[rows]])
+            table = built = None
+
+    @pytest.mark.parametrize("orders", [(4099,), (15015,), (2,) * 12, (3,) * 8, (64, 64)])
+    def test_sampled_rows(self, orders):
+        g = Group(orders)
+        rows = np.random.default_rng(6).choice(g.size, 256, replace=False)
+        assert_same_bits(_char_block(g, rows), float_reduced_char_block(g, rows))
+
+
 class TestFastPath:
     @pytest.mark.parametrize(
         "orders",
@@ -133,7 +187,7 @@ class TestFastPath:
         primal = [random_function(g, rng) for _ in range(4)]
         dual = [random_function(g, rng, DUAL) for _ in range(4)]
         forward = _dft_values(np.stack([f.values for f in primal]), g)
-        inverse = _idft_values(np.stack([F.values for F in dual]), g)
+        inverse = _dft_values(np.stack([F.values for F in dual]), g, inverse=True)
         assert forward.shape == inverse.shape == (4, g.size)
         for row, f in zip(forward, primal):
             assert np.max(np.abs(row - dft_naive(f).values)) <= 1e-9 * (1 + np.sum(np.abs(f.values)))
@@ -179,7 +233,7 @@ def assert_batched_rows_match_character_matrix(g, count):
     rows = rng.standard_normal((count, g.size)) + 1j * rng.standard_normal((count, g.size))
     matrix = character_matrix(g)
     assert relative_error(_dft_values(rows, g), rows @ matrix.T) <= 1e-12
-    assert relative_error(_idft_values(rows, g), rows @ np.conj(matrix).T / g.size) <= 1e-12
+    assert relative_error(_dft_values(rows, g, inverse=True), rows @ np.conj(matrix).T / g.size) <= 1e-12
 
 
 class TestSmallFactorKernel:
@@ -204,7 +258,7 @@ class TestSmallFactorKernel:
         g = Group((n,))
         values = random_function(g, n).values
         assert np.array_equal(fft_forward(random_function(g, n)).values, np.fft.fft(values))
-        assert np.array_equal(_idft_values(values, g), np.fft.ifft(values))
+        assert np.array_equal(_dft_values(values, g, inverse=True), np.fft.ifft(values))
         batch = np.stack([values, 2 * values])
         assert np.array_equal(_dft_values(batch, g), np.fft.fft(batch, axis=-1))
 
@@ -259,7 +313,7 @@ class TestRader:
         g = Group(orders)
         rng = np.random.default_rng(13)
         rows = rng.standard_normal((3, g.size)) + 1j * rng.standard_normal((3, g.size))
-        assert relative_error(_idft_values(_dft_values(rows, g), g), rows) <= 1e-12
+        assert relative_error(_dft_values(_dft_values(rows, g), g, inverse=True), rows) <= 1e-12
 
     def test_convolution_matches_direct_sum_on_both_sides(self):
         g = Group((449,))
