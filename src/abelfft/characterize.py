@@ -25,14 +25,11 @@ statistics: its value at that entry and its largest magnitude off it.  One
 walker, ``_point_mass_blocks``, yields each block of point-mass images with
 those statistics, at phi or at each row's largest entry, for stage 2, the fit
 and ``verify_recovery``.  The unit point masses are probed once: stage 2 reads
-the support map off them and keeps their statistics for the fit.  ``recover``
-takes tol in [0, 1/2), so no entry is within tol of both 0 and 1, and stage 2
-is one magnitude pass per block: a row passes when its largest entry is within
-tol of 1 and its others are within tol of 0.  The first row that fails is named
-by the per-entry rule.  A dense operator's image of alpha * delta_x is s *
-column x, so the fit scores its five other scalars off stage 2's statistics
-times s, with no further transform; an operator given by its apply function is
-still probed once per scalar.
+the support map off them and keeps their statistics for the fit.  A dense
+operator's image of alpha * delta_x is s * column x, so the fit scores its five
+other scalars off stage 2's statistics times s, with no further transform; an
+operator given by its apply function is still probed once per scalar.  Every
+verdict compares an error with tol through one rule, ``_passes``.
 
 Probes reach the operator in blocks of rows.  Scaled point masses go through
 ``Operator.apply_point_masses``, which reads a dense operator's columns, so
@@ -53,16 +50,13 @@ additive, so it is sent delta_x + delta_y* for every pair.  The random branch
 sends its five probe sets (f, g, f g, f conv g, f + g*) as one batch per
 block.  Point-mass probes stream in fixed blocks of about ``_BLOCK_ELEMENTS``
 values, each reduced to per-probe scalars before the next is built, so memory
-stays flat and every stage still fails at the first offending point mass.  Any
-non-finite error counts as an infinite one and every tolerance must be finite
-and >= 0, so NaN never passes a check; the public checks therefore silence
-numpy's overflow and invalid-value warnings, which a huge or non-finite
-operator raises and which would say nothing more.
+stays flat and every stage still fails at the first offending point mass.
 """
 
 from __future__ import annotations
 
 import numbers
+import sys
 from dataclasses import dataclass
 
 import numpy as np
@@ -110,15 +104,15 @@ class HypothesisReport:
 
     @property
     def pass_a(self) -> bool:
-        return self.max_err_a <= self.tol
+        return _passes(self.max_err_a, self.tol)
 
     @property
     def pass_b(self) -> bool:
-        return self.max_err_b <= self.tol
+        return _passes(self.max_err_b, self.tol)
 
     @property
     def pass_c(self) -> bool:
-        return self.max_err_c <= self.tol
+        return _passes(self.max_err_c, self.tol)
 
     @property
     def passed(self) -> bool:
@@ -163,10 +157,18 @@ class RecoveryReport:
         }
 
 
-def _require_tolerance(tol: float, bound: float = np.inf) -> None:
-    if isinstance(tol, bool) or not isinstance(tol, numbers.Real) or not 0 <= tol < bound:
+def _require_tolerance(tol: float, bound: float = np.inf) -> float:
+    if isinstance(tol, bool) or not isinstance(tol, numbers.Real) or not 0 <= tol < bound or tol > sys.float_info.max:
         below = "" if bound == np.inf else f" and < {bound}"
         raise ValueError(f"tol must be a finite number >= 0{below}, got {tol!r}")
+    return float(tol)
+
+
+def _passes(error, tol: float) -> bool | np.ndarray:
+    """The rule behind every verdict: an error passes at or below ``tol`` (a bool, or an array's mask).
+    tol is finite and NaN compares false, so no non-finite error passes; the public checks therefore
+    silence numpy's overflow and invalid-value warnings, which a huge or non-finite operator raises."""
+    return error <= tol if np.ndim(error) else bool(error <= tol)
 
 
 def _require(passed: bool, step: str, message: str, **details) -> None:
@@ -220,9 +222,10 @@ def _scalar_map(op: Operator, alphas, tol: float, unit_image: np.ndarray) -> tup
         images = np.array([op.point_mass_scale(alpha) for alpha in alphas])[:, None] * unit_image
     images = _to_primal(op, images)
     deviations = _worst(np.abs(images - images[:, :1]), axis=1)
-    first = int((deviations > tol).argmax())
+    passed = _passes(deviations, tol)
+    first = int(passed.argmin())
     alpha, deviation = alphas[first], float(deviations[first])
-    _require(deviation <= tol, "scalar-independence", f"U({alpha} * 1) is not constant (max deviation {deviation:.3e})",
+    _require(passed[first], "scalar-independence", f"U({alpha} * 1) is not constant (max deviation {deviation:.3e})",
              alpha=alpha, deviation=deviation)
     return dict(zip(alphas, (complex(v) for v in images[:, 0]))), float(_worst(deviations))
 
@@ -243,14 +246,13 @@ def _point_mass_blocks(op: Operator, alpha: complex = 1.0, phi: np.ndarray | Non
 
 
 def _reject_point_mass(image, tol: float, x: int) -> None:
-    """Raise stage 2's per-entry rule on U(delta_x), a row that failed the
-    magnitude pass: with tol < 1/2 it is not {0,1}-valued or has no single
-    entry within tol of 1, and the error names which."""
+    """Raise stage 2's per-entry rule on U(delta_x), a row that failed the magnitude pass: with tol
+    below 1/2 it is not {0,1}-valued or has no single entry within tol of 1, and the error names which."""
     distance_to_one = np.abs(image - 1.0)
     worst = float(_worst(np.minimum(np.abs(image), distance_to_one)))
-    _require(worst <= tol, "point-mass-binary", f"U(delta_{x}) is not {{0,1}}-valued (max deviation {worst:.3e})",
+    _require(_passes(worst, tol), "point-mass-binary", f"U(delta_{x}) is not {{0,1}}-valued (max deviation {worst:.3e})",
              x=x, max_deviation=worst)
-    supp = np.flatnonzero(distance_to_one <= tol)
+    supp = np.flatnonzero(_passes(distance_to_one, tol))
     _require(False, "singleton-support", f"U(delta_{x}) has support of size {supp.size}, expected a single point",
              x=x, support=tuple(int(j) for j in supp))
 
@@ -348,7 +350,7 @@ def check_hypotheses(
     that sends the constant 4 to 4.5 passes here, and ``recover`` rejects it
     at ``scalar-map-laws``.
     """
-    _require_tolerance(tol)
+    tol = _require_tolerance(tol)
     trials = as_int(trials, ValueError, "trials", minimum=1)
     seed = as_int(seed, ValueError, "seed", minimum=0)
     group = op.group
@@ -409,27 +411,25 @@ def recover(op: Operator, tol: float = DEFAULT_TOL) -> RecoveryReport:
     others raise NotEssentiallyFourierError, its base class.  ``tol`` must lie in [0, 1/2), where a point-mass image is
     unambiguously {0,1}-valued, or ValueError is raised.
     """
-    _require_tolerance(tol, RECOVER_TOL_BOUND)
+    tol = _require_tolerance(tol, RECOVER_TOL_BOUND)
     group = op.group
     n = group.size
 
     # Stage 1: constants must be preserved.
     unit_image = op.apply_batch(np.ones((1, n), dtype=np.complex128))
-    u_one = _to_primal(op, unit_image)
-    unit_error = float(_worst(np.abs(u_one - 1.0)))
-    _require(unit_error <= tol, "unit-preservation", f"U(1) deviates from 1 by {unit_error:.3e} (tol {tol:.1e})",
+    unit_error = float(_worst(np.abs(_to_primal(op, unit_image) - 1.0)))
+    _require(_passes(unit_error, tol), "unit-preservation", f"U(1) deviates from 1 by {unit_error:.3e} (tol {tol:.1e})",
              max_error=unit_error)
 
     # Stage 2: each transformed point mass must be a {0,1} indicator of a single
     # point.  These images are also the model fit's probes 1 * delta_x, and the
     # support map phi is psi^-1 once stage 3 passes, so their statistics
-    # against phi are kept for the fit: two values per point mass.  With
-    # tol < 1/2 the magnitude pass and the per-entry rule agree row for row.
+    # against phi are kept for the fit: two values per point mass.
     binary_error = 0.0
     kept = []
     for start, images, targets, on, off in _point_mass_blocks(op):
         deviation = np.maximum(np.abs(on - 1.0), off)
-        passed = deviation <= tol
+        passed = _passes(deviation, tol)
         if not passed.all():
             row = int(passed.argmin())
             _reject_point_mass(images[row], tol, start + row)
@@ -461,19 +461,19 @@ def recover(op: Operator, tol: float = DEFAULT_TOL) -> RecoveryReport:
     m, independence_error = _scalar_map(op, scalars, tol, unit_image)
     m_samples = [(alpha, m[alpha]) for alpha in PROBE_SCALARS]
     m_i = m[1j]
-    conjugation = abs(m_i + 1j) <= tol  # tol < 1/2, so at most one of i and -i is within tol of m(i)
-    _require(conjugation or abs(m_i - 1j) <= tol, "dichotomy",
+    conjugation = _passes(abs(m_i + 1j), tol)  # tol is below 1/2, so at most one of i and -i is within tol of m(i)
+    _require(conjugation or _passes(abs(m_i - 1j), tol), "dichotomy",
              f"m(i) = {m_i} matches neither i nor -i at tolerance {tol:.1e}", m_i=m_i)
     probe_dichotomy_error = float(
         _worst(np.array([abs(m[a] - (a.conjugate() if conjugation else a)) for a in PROBE_SCALARS]))
     )
-    _require(probe_dichotomy_error <= tol, "dichotomy-cross-validation",
+    _require(_passes(probe_dichotomy_error, tol), "dichotomy-cross-validation",
              f"a probe scalar deviates from the {'conjugation' if conjugation else 'identity'} "
              f"branch by {probe_dichotomy_error:.3e}", max_error=probe_dichotomy_error)
 
     mult_error = float(_worst(np.array([abs(m[a * b] - m[a] * m[b]) for a, b in pairs])))
     conj_add_error = float(_worst(np.array([abs(m[a + b.conjugate()] - m[a] - m[b].conjugate()) for a, b in pairs])))
-    _require(max(mult_error, conj_add_error) <= tol, "scalar-map-laws",
+    _require(_passes(max(mult_error, conj_add_error), tol), "scalar-map-laws",
              f"the scalar map breaks multiplicativity by {mult_error:.3e} "
              f"and conjugate additivity by {conj_add_error:.3e}", max_error=max(mult_error, conj_add_error))
 

@@ -126,9 +126,10 @@ class TestCheckHypotheses:
         with pytest.raises(ValueError, match=re.escape(f"got {tol!r}")):
             recover(op, tol=tol)
 
-    @pytest.mark.parametrize("tol", [np.inf, np.nan, -1.0])
+    @pytest.mark.parametrize("tol", [np.inf, np.nan, -1.0, -5e-324, pytest.param(10**400, id="10**400")])
     def test_tolerance_must_be_finite_and_non_negative(self, tol):
-        # An infinite tol would pass an all-NaN operator, whose errors count as inf.
+        # An infinite tol would pass an all-NaN operator, whose errors count as
+        # inf; 10**400 is finite, but as a float it is not.
         g = Group((4, 2))
         nan_op = Operator.from_matrix(g, PRIMAL, PRIMAL, np.full((8, 8), np.nan, dtype=complex))
         identity = build_reference_operator(g, Automorphism.identity(g), False, "U")
@@ -499,6 +500,20 @@ def late_point_mass_operator(form, kind, x=200):
     return Operator.from_matrix(group, PRIMAL, DUAL, character_matrix(group) @ u), (a, b)
 
 
+def replaced_identity(n, replacements, conjugation=False):
+    """Callable identity on Z_n, or conjugation with ``conjugation``, that first
+    sends each probe of ``replacements``, a list of (probe, image) value pairs,
+    to its image."""
+    group = Group((n,))
+
+    def apply_fn(f):
+        values = next((np.asarray(image, dtype=complex) for probe, image in replacements
+                       if np.array_equal(f.values, probe)), f.values)
+        return GFunction(group, PRIMAL, np.conj(values) if conjugation else values)
+
+    return Operator(group, PRIMAL, PRIMAL, apply_fn)
+
+
 class TestBlockedProbes:
     @pytest.mark.parametrize("form", ["T", "U"])
     def test_late_binary_failure_names_the_point_mass(self, form):
@@ -524,15 +539,7 @@ class TestBlockedProbes:
     def overridden_identity(n, images):
         """A callable U-form identity on Z_n whose images of the point masses
         delta_x named in ``images`` are replaced: constants pass stage 1."""
-        g = Group((n,))
-
-        def apply_fn(f):
-            for x, image in images.items():
-                if np.array_equal(f.values, delta(g, x).values):
-                    return GFunction(g, PRIMAL, image)
-            return f
-
-        return Operator(g, PRIMAL, PRIMAL, apply_fn)
+        return replaced_identity(n, [(np.eye(n)[x], image) for x, image in images.items()])
 
     @pytest.mark.parametrize(
         "kind,step,payload",
@@ -655,6 +662,9 @@ class TestBlockedProbes:
         got = [report.max_err_a, report.max_err_b, report.max_err_c]
         assert all(e > 1e-3 for e in expected)
         assert np.max(np.abs(np.subtract(got, expected))) <= 1e-12
+        # An error equal to tol passes.
+        for identity, error in zip("abc", got):
+            assert getattr(check_hypotheses(op, trials=3, seed=2, tol=error), f"pass_{identity}")
 
     def test_dense_recover_and_verify_read_point_masses_off_columns(self):
         group = Group((256,))
@@ -744,6 +754,122 @@ class TestDenseModelFit:
                 bound = 1e-15 if key in point_masses else 1e-14
                 assert abs(value - probed.diagnostics[key]) <= bound, key
         assert abs(fast.residual - probed.residual) <= 1e-15
+
+
+def point_mass_image(n, x, entries):
+    """The pair (delta_x, image holding ``entries``) for ``replaced_identity``."""
+    image = np.zeros(n, dtype=complex)
+    image[list(entries)] = list(entries.values())
+    return np.eye(n)[x], image
+
+
+# The error that each rejecting step reports, read back as a tolerance.
+STEP_ERRORS = {
+    "unit-preservation": lambda details: details["max_error"],
+    "point-mass-binary": lambda details: details["max_deviation"],
+    "scalar-independence": lambda details: details["deviation"],
+    "dichotomy": lambda details: min(abs(details["m_i"] - 1j), abs(details["m_i"] + 1j)),
+    "dichotomy-cross-validation": lambda details: details["max_error"],
+    "scalar-map-laws": lambda details: details["max_error"],
+}
+
+# Each error is a dyadic value, so it is exact.  Each walk lists its outcomes
+# from tol = 0: a step alone where its details come from rounding.
+TOLERANCE_WALKS = [
+    pytest.param(
+        lambda: Operator.from_matrix(Group((16,)), PRIMAL, PRIMAL, (1 + 2**-30) * np.eye(16, dtype=complex)),
+        [("unit-preservation", {"max_error": 2**-30}), ("dichotomy-cross-validation", {"max_error": 2**-29}),
+         "scalar-map-laws", "accepted"],
+        id="unit-preservation",
+    ),
+    pytest.param(
+        lambda: replaced_identity(16, [point_mass_image(16, 3, {3: 1.0, 9: 2**-4})]),
+        [("point-mass-binary", {"x": 3, "max_deviation": 2**-4}), "accepted"],
+        id="point-mass-off-entry",
+    ),
+    pytest.param(
+        lambda: replaced_identity(16, [point_mass_image(16, 3, {3: 1 - 2**-4})]),
+        [("point-mass-binary", {"x": 3, "max_deviation": 2**-4}), "accepted"],
+        id="point-mass-on-entry",
+    ),
+    pytest.param(
+        # The entry at 9 is within tol of 1 as well, so the support pick holds both.
+        lambda: replaced_identity(16, [point_mass_image(16, 3, {3: 1.0, 9: 1 - 2**-4})]),
+        [("point-mass-binary", {"x": 3, "max_deviation": 2**-4}), ("singleton-support", {"x": 3, "support": (3, 9)})],
+        id="point-mass-support",
+    ),
+    pytest.param(
+        # 3 = 1 + conj 2 comes before 4 = 2 * 2 among the constants.
+        lambda: replaced_identity(4, [(np.full(4, 3), [3, 3 + 2**-4, 3, 3]), (np.full(4, 4), [4, 4 + 2**-3, 4, 4])]),
+        [("scalar-independence", {"alpha": 3 + 0j, "deviation": 2**-4}),
+         ("scalar-independence", {"alpha": 4 + 0j, "deviation": 2**-3}), "accepted"],
+        id="scalar-independence",
+    ),
+    pytest.param(
+        lambda: replaced_identity(8, [(np.full(8, 1j), np.full(8, 1j + 2**-4))]),
+        [("dichotomy", {"m_i": 2**-4 + 1j}), "scalar-map-laws", "accepted"],
+        id="dichotomy-identity",
+    ),
+    pytest.param(
+        lambda: replaced_identity(8, [(np.full(8, 1j), np.full(8, 1j + 2**-4))], conjugation=True),
+        [("dichotomy", {"m_i": 2**-4 - 1j}), "scalar-map-laws", "accepted"],
+        id="dichotomy-conjugation",
+    ),
+    pytest.param(
+        lambda: replaced_identity(8, [(np.full(8, 2), np.full(8, 2 + 2**-4))]),
+        [("dichotomy-cross-validation", {"max_error": 2**-4}), "scalar-map-laws", "accepted"],
+        id="dichotomy-cross-validation",
+    ),
+    pytest.param(
+        lambda: replaced_identity(16, [(np.full(16, 4), np.full(16, 4 + 2**-4))]),
+        [("scalar-map-laws", {"max_error": 2**-4}), "accepted"],
+        id="scalar-map-laws",
+    ),
+]
+
+
+class TestToleranceBoundary:
+    """Every verdict passes an error at or below tol, so tol = 0 demands exact values."""
+
+    @pytest.mark.parametrize("kind", ["dense", "callable"])
+    @pytest.mark.parametrize("conjugation", [False, True])
+    @pytest.mark.parametrize("orders", [(8,), (4, 6), (2, 2, 2)])
+    def test_exact_u_form_passes_at_tol_zero(self, orders, conjugation, kind):
+        group = Group(orders)
+        psi = random_automorphism(group, 7)
+        if kind == "dense":
+            matrix = reference_operator_matrix(group, psi, "U")
+            op = Operator.from_matrix(group, PRIMAL, PRIMAL, matrix, conjugate_input=conjugation)
+        else:
+            op = build_reference_operator(group, psi, conjugation, "U")
+        report = recover(op, tol=0)
+        assert (report.psi, report.conjugation, report.residual) == (psi, conjugation, 0.0)
+        # Identity (c) goes through the transform, so its error is rounding.
+        hypotheses = check_hypotheses(op, trials=4, tol=0)
+        assert hypotheses.pass_a and hypotheses.pass_b
+        for tol in (np.nextafter(0.5, 0), -0.0):
+            assert recover(op, tol=tol).psi == psi
+        with pytest.raises(ValueError, match="tol must be a finite number >= 0 and < 0.5, got -5e-324"):
+            recover(op, tol=-5e-324)
+
+    @pytest.mark.parametrize("build, expected", TOLERANCE_WALKS)
+    def test_an_error_equal_to_tol_passes(self, build, expected):
+        # Rerun recover at the error each rejection reports: the step that
+        # reported it must now pass, up to the next step or to acceptance.
+        op, tol, outcomes = build(), 0.0, []
+        while len(outcomes) < len(expected):
+            try:
+                recover(op, tol=tol)
+            except NotEssentiallyFourierError as exc:
+                outcomes.append((exc.step, exc.details))
+                if exc.step not in STEP_ERRORS or STEP_ERRORS[exc.step](exc.details) == tol:
+                    break
+                tol = STEP_ERRORS[exc.step](exc.details)
+            else:
+                outcomes.append("accepted")
+        steps = [outcome if outcome == "accepted" else outcome[0] for outcome in outcomes]
+        assert steps == [want if isinstance(want, str) else want[0] for want in expected]
+        assert all(got == want for got, want in zip(outcomes, expected) if isinstance(want, tuple))
 
 
 class TestSupportRule:

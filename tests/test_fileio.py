@@ -14,8 +14,11 @@ from abelfft import (
     Group,
     Operator,
     SideMismatchError,
+    build_reference_operator,
+    check_hypotheses,
     fileio,
     random_automorphism,
+    recover,
     reference_operator_matrix,
 )
 
@@ -267,6 +270,20 @@ class TestReportAndTruthFiles:
         loaded = fileio.load_report(path)
         assert loaded["hypothesis_errors"] == {"a": None, "b": None, "c": 2.0}
         assert payload["hypothesis_errors"]["a"] == float("inf")
+
+    @pytest.mark.parametrize("tol", [np.float32(1e-6), np.int64(0), np.float16(1e-3)])
+    def test_report_at_a_numpy_scalar_tolerance_roundtrips(self, tmp_path, tol):
+        # Verdicts are Python bools and the tolerance a Python float, whatever numeric type tol has.
+        group = Group((8,))
+        op = build_reference_operator(group, Automorphism.identity(group), False, "U")
+        report = recover(op, tol=tol)
+        hypothesis = check_hypotheses(op, trials=2, tol=tol)
+        payload = {**report.as_dict(), "group": {"orders": [8]}, "hypothesis_errors": hypothesis.as_dict()}
+        fileio.save_report(tmp_path / "rep.json", payload)
+        loaded = fileio.load_report(tmp_path / "rep.json")
+        assert type(report.conjugation) is bool and loaded["conjugation"] is False
+        assert loaded["tol"] == loaded["hypothesis_errors"]["tol"] == float(tol)
+        assert loaded["hypothesis_errors"]["pass_a"] is True
 
     def test_report_rejects_non_bijection(self, tmp_path):
         path = tmp_path / "rep.json"
