@@ -20,9 +20,12 @@ the matrix columns: the image of alpha * delta_x is column x times
 scale the images are a read-only view of the stored matrix, not a copy.  The
 operator is (conjugate-)linear, so that factor scales any image: the image
 of alpha * 1 is s times the image of 1, which ``recover`` uses for
-constants.  The operator keeps its own copy of a dense matrix, stored
-column-major (Fortran order), so each point-mass image is a contiguous row
-of ``matrix.T``; record files stay row-major.  An operator given only by its
+constants.  A dense matrix is stored complex128, column-major (Fortran
+order) and read-only, so each point-mass image is a contiguous row of
+``matrix.T``; record files stay row-major.  Such an array that owns its data,
+as ``reference_operator_matrix`` returns, is kept without a copy; any other
+is copied.  Turning writes back on for an array handed over, or for
+``op.matrix``, breaks this contract.  An operator given only by its
 apply function stays a black box: both methods call it once per probe, in
 order, and ``point_mass_scale`` is None for it.
 
@@ -114,7 +117,10 @@ class Operator:
         if self.conjugate_input and self.matrix is None:
             raise ValueError("conjugate_input describes a matrix; an apply function conjugates itself")
         if self.matrix is not None:
-            matrix = np.array(self.matrix, dtype=np.complex128, copy=True, order="F")
+            matrix = self.matrix
+            frozen = type(matrix) is np.ndarray and not matrix.flags.writeable and matrix.flags.owndata
+            if not (frozen and matrix.dtype == np.complex128 and matrix.flags.f_contiguous):
+                matrix = np.array(matrix, dtype=np.complex128, copy=True, order="F")
             if matrix.shape != (self.group.size, self.group.size):
                 raise GroupMismatchError(
                     f"operator matrix has shape {matrix.shape}, group has size {self.group.size}"
@@ -236,11 +242,16 @@ def build_reference_operator(
 
 def reference_operator_matrix(group: Group, psi: Automorphism, form: str) -> np.ndarray:
     """Dense matrix of the reference operator (the conjugation flag is stored separately), built
-    column-major from its n columns alone: column x is the image of delta_x, which sits at phi = psi^-1."""
+    column-major from its n columns alone: column x is the image of delta_x, which sits at phi = psi^-1.
+    It is read-only, so ``Operator`` keeps it without a copy: copy it before editing."""
     output_side = _reference_output_side(group, psi, form)
     phi = np.argsort(psi.perm_array)
+    n = group.size
     if output_side == DUAL:
-        return _char_rows(group, phi).T  # the character matrix is symmetric: its rows are its columns
-    images = np.zeros((group.size, group.size), dtype=np.complex128)
-    images[np.arange(group.size), phi] = 1
-    return images.T
+        matrix = np.empty((n, n), dtype=np.complex128, order="F")
+        _char_rows(group, phi, out=matrix.T)  # the character matrix is symmetric: its rows are its columns
+    else:
+        matrix = np.zeros((n, n), dtype=np.complex128, order="F")
+        matrix[phi, np.arange(n)] = 1
+    matrix.setflags(write=False)
+    return matrix

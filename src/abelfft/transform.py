@@ -132,11 +132,13 @@ def _rader(
     p = block.shape[1]
     scale = 1 / p if inverse else 1.0
     x0 = block[:, :1]
-    spectrum = np.fft.fft(block.take(gather, axis=1), axis=1)
+    # Both FFTs run in place on the gather, so a call allocates only it and the result.
+    spectrum = block.take(gather, axis=1).astype(np.complex128, copy=False)
+    np.fft.fft(spectrum, axis=1, out=spectrum)
     total = (spectrum[:, :1] + x0) * scale
     spectrum *= backward if inverse else forward
     spectrum[:, :1] += (p - 1) * scale * x0
-    out = np.fft.ifft(spectrum, axis=1).take(log, axis=1)
+    out = np.fft.ifft(spectrum, axis=1, out=spectrum).take(log, axis=1)
     out[:, :1] = total
     return out
 
@@ -188,9 +190,10 @@ def _phases(size: int) -> np.ndarray:
     return np.exp(-2j * np.pi * (np.arange(size) / size))
 
 
-def _char_rows(group: Group, duals: np.ndarray) -> np.ndarray:
-    """The rows of M at the dual indices ``duals``, built ``_NAIVE_BLOCK_ROWS`` at a time."""
-    out = np.empty((len(duals), group.size), dtype=np.complex128)
+def _char_rows(group: Group, duals: np.ndarray, out: np.ndarray | None = None) -> np.ndarray:
+    """The rows of M at the dual indices ``duals``, built ``_NAIVE_BLOCK_ROWS`` at a time, into ``out`` if given."""
+    if out is None:
+        out = np.empty((len(duals), group.size), dtype=np.complex128)
     for start in range(0, len(duals), _NAIVE_BLOCK_ROWS):
         _char_block(group, duals[start : start + _NAIVE_BLOCK_ROWS], out[start : start + _NAIVE_BLOCK_ROWS])
     return out

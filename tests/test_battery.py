@@ -156,7 +156,7 @@ def test_battery_rejects_every_perturbation_but_small_noise(golden):
 @pytest.mark.parametrize("form", ["T", "U"])
 def test_non_finite_column_gives_infinite_error_dense_and_callable(value, form):
     group = Group((4, 4))
-    matrix = reference_operator_matrix(group, random_automorphism(group, 2), form)
+    matrix = reference_operator_matrix(group, random_automorphism(group, 2), form).copy()
     matrix[:, 5] = value
     output_side = DUAL if form == "T" else PRIMAL
     dense = Operator.from_matrix(group, PRIMAL, output_side, matrix, conjugate_input=True)

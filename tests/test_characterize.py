@@ -888,6 +888,12 @@ class TestSupportRule:
         assert self.score(1.0, below) == (below, True)
         assert self.score(1.0, above) == (above, False)
 
+    def test_off_entry_at_the_cut_holds(self):
+        # The cut for a unit image is DEFAULT_SUPPORT_TOL_FACTOR * 1.0, exactly; the next double above it breaks star.
+        cut = DEFAULT_SUPPORT_TOL_FACTOR
+        assert _score_point_masses(np.array([1 + 0j]), np.array([cut]), 1.0)[1] is True
+        assert _score_point_masses(np.array([1 + 0j]), np.array([np.nextafter(cut, 1)]), 1.0)[1] is False
+
     def test_tolerance_scales_with_the_image(self):
         assert self.score(1e6, 1e-7, expected=1e6)[1] is True
         assert self.score(1e-6, 1e-7, expected=1e-6)[1] is False

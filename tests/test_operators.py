@@ -315,6 +315,54 @@ class TestApplyBatch:
                 assert rows.flags.c_contiguous
                 assert np.array_equal(rows, -1j * matrix[:, start:stop].T)
 
+    @pytest.mark.parametrize("form", ["T", "U"])
+    def test_reference_matrix_is_kept_without_a_copy(self, form):
+        g = Group((4, 6))
+        m = reference_operator_matrix(g, random_automorphism(g, 2), form)
+        assert not m.flags.writeable and m.flags.owndata
+        op = Operator.from_matrix(g, PRIMAL, DUAL if form == "T" else PRIMAL, m)
+        assert np.shares_memory(op.matrix, m)
+
+    @pytest.mark.parametrize("form", ["T", "U"])
+    def test_operator_from_reference_matrix_holds_one_table(self, form):
+        # One 16 MiB matrix plus a block of character rows, not the matrix and its copy (32 MiB).
+        g = Group((32, 32))
+        psi = random_automorphism(g, 4)
+        tracemalloc.start()
+        try:
+            Operator.from_matrix(g, PRIMAL, DUAL if form == "T" else PRIMAL, reference_operator_matrix(g, psi, form))
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak < 24 * 2**20
+
+    @pytest.mark.parametrize(
+        "make, writeable",
+        [
+            (lambda m: np.array(m, order="F"), True),
+            (lambda m: np.array(m, order="C"), False),
+            (lambda m: np.array(m, order="F")[:, :], False),
+            (lambda m: np.array(m, np.complex64, order="F"), False),
+        ],
+        ids=["writeable", "c-order", "read-only-view", "complex64"],
+    )
+    def test_other_matrices_are_copied(self, make, writeable):
+        g = Group((4, 6))
+        given = make(reference_operator_matrix(g, random_automorphism(g, 2), "U"))
+        given.setflags(write=writeable)
+        op = Operator.from_matrix(g, PRIMAL, PRIMAL, given)
+        assert not np.shares_memory(op.matrix, given)
+        assert op.matrix.flags.f_contiguous and not op.matrix.flags.writeable
+        assert op.matrix.dtype == np.complex128 and np.array_equal(op.matrix, given)
+
+    def test_later_write_by_the_caller_does_not_reach_the_operator(self):
+        g = Group((4, 6))
+        matrix = np.array(reference_operator_matrix(g, random_automorphism(g, 2), "T"), order="F")
+        op = Operator.from_matrix(g, PRIMAL, DUAL, matrix)
+        kept = op.matrix.copy()
+        matrix[:, 5] = 7
+        assert np.array_equal(op.matrix, kept)
+
     def test_batch_shape_validation(self):
         g = Group((4,))
         op = Operator.from_matrix(g, PRIMAL, PRIMAL, np.eye(4))
