@@ -11,6 +11,7 @@ that takes each value checks it, and its message is the one printed.
 from __future__ import annotations
 
 import argparse
+import functools
 import json
 import sys
 from pathlib import Path
@@ -61,9 +62,11 @@ def cmd_gen_operator(args: argparse.Namespace) -> int:
         psi = Automorphism.identity(group)
     else:
         psi = random_automorphism(group, args.seed)
-    matrix = reference_operator_matrix(group, psi, args.form)
     output_side = DUAL if args.form == T_FORM else PRIMAL
-    op = Operator.from_matrix(group, PRIMAL, output_side, matrix, args.conjugate)
+    # Passed unnamed, so a U-form matrix is freed once the operator holds its factors; the save rebuilds it.
+    op = Operator.from_matrix(
+        group, PRIMAL, output_side, reference_operator_matrix(group, psi, args.form), args.conjugate
+    )
     fileio.save_operator(args.output, op)
     truth = _truth_path(args.output)
     fileio.save_truth(truth, group, psi.perm, args.conjugate, args.seed)
@@ -138,6 +141,7 @@ def cmd_bench(args: argparse.Namespace) -> int:
     return 0
 
 
+@functools.cache
 def _build_parser() -> argparse.ArgumentParser:
     parser = argparse.ArgumentParser(
         prog="abelfft",
@@ -151,7 +155,6 @@ def _build_parser() -> argparse.ArgumentParser:
     p.add_argument("-o", "--output", required=True)
     p.add_argument("--naive", action="store_true", help="use the quadratic reference path")
     p.add_argument("--inverse", action="store_true", help="apply the inverse transform")
-    p.set_defaults(func=cmd_transform)
 
     p = sub.add_parser("convolve", help="convolve two function files on the same side")
     p.add_argument("f")
@@ -160,7 +163,6 @@ def _build_parser() -> argparse.ArgumentParser:
     mode = p.add_mutually_exclusive_group()
     mode.add_argument("--direct", action="store_true", help="direct quadratic sum")
     mode.add_argument("--fft", action="store_true", help="transform-multiply-inverse (default)")
-    p.set_defaults(func=cmd_convolve)
 
     p = sub.add_parser("gen-operator", help="write a reference operator plus a truth sidecar")
     p.add_argument("--orders", nargs="+", type=int, required=True)
@@ -169,27 +171,23 @@ def _build_parser() -> argparse.ArgumentParser:
     p.add_argument("--form", choices=[T_FORM, U_FORM], required=True)
     p.add_argument("--psi", choices=["identity", "random"], default="random")
     p.add_argument("-o", "--output", required=True)
-    p.set_defaults(func=cmd_gen_operator)
 
     p = sub.add_parser("check", help="check the algebraic hypotheses of an operator file")
     p.add_argument("operator")
     p.add_argument("--trials", type=int, default=DEFAULT_CHECK_TRIALS)
     p.add_argument("--tol", type=float, default=DEFAULT_TOL, help="largest identity error that passes, >= 0")
     p.add_argument("--seed", type=int, default=0)
-    p.set_defaults(func=cmd_check)
 
     p = sub.add_parser("recover", help="recover the automorphism and conjugation flag")
     p.add_argument("operator")
     p.add_argument("-o", "--output")
     p.add_argument("--tol", type=float, default=DEFAULT_TOL, help="largest deviation a stage allows, in [0, 0.5)")
     p.add_argument("--truth", help="truth sidecar to verify the recovery against")
-    p.set_defaults(func=cmd_recover)
 
     p = sub.add_parser("bench", help="time the fast path against the reference path")
     p.add_argument("--orders", nargs="+", type=int, required=True)
     p.add_argument("--reps", type=int, default=20)
     p.add_argument("--seed", type=int, default=0)
-    p.set_defaults(func=cmd_bench)
 
     return parser
 
@@ -201,7 +199,8 @@ def main(argv=None) -> int:
     except SystemExit as exc:
         return int(exc.code) if exc.code else 0
     try:
-        return args.func(args)
+        # Looked up at call time, so a command wrapped after the parser was built is the one run.
+        return globals()["cmd_" + args.command.replace("-", "_")](args)
     except (ValueError, OSError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2

@@ -22,10 +22,16 @@ operator is (conjugate-)linear, so that factor scales any image: the image
 of alpha * 1 is s times the image of 1, which ``recover`` uses for
 constants.  A dense matrix is stored complex128, column-major (Fortran
 order) and read-only, so each point-mass image is a contiguous row of
-``matrix.T``; record files stay row-major.  Such an array that owns its data,
-as ``reference_operator_matrix`` returns, is kept without a copy; any other
-is copied.  Turning writes back on for an array handed over, or for
-``op.matrix``, breaks this contract.  An operator given only by its
+``matrix.T``; record files stay row-major.  Such an array that owns its data
+is kept without a copy; any other is copied.  A monomial matrix whose every
+entry off its nonzeros is +0.0+0.0j, as ``reference_operator_matrix``'s U-form
+is, is not kept at all: the operator holds (source, scale) and the inverse
+permutation, O(n) numbers, and builds ``op.matrix`` from them bit for bit on
+its first read.  Its point-mass images are written into a fresh block of
+s * 0, equal bit for bit to s times the columns.  A monomial matrix with a
+-0.0 off its nonzeros is stored as any other.  These tests run on the array
+as given, before any copy.  Turning writes back on for an array handed over,
+or for ``op.matrix``, breaks this contract.  An operator given only by its
 apply function stays a black box: both methods call it once per probe, in
 order, and ``point_mass_scale`` is None for it.
 
@@ -40,7 +46,7 @@ conjugation flag:
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from functools import cached_property
 from typing import Callable, Optional
 
 import numpy as np
@@ -95,39 +101,70 @@ def monomial_factors(matrix: np.ndarray) -> Optional[tuple[np.ndarray, np.ndarra
     return source, matrix[index, source]
 
 
-@dataclass(eq=False)
+def _off_support_is_positive_zero(matrix: np.ndarray, scale: np.ndarray) -> bool:
+    """Whether every entry of the complex128 monomial ``matrix`` off its nonzeros
+    ``scale`` is +0.0+0.0j: whether its nonzero 64-bit words are all in ``scale``."""
+    words = np.ravel(matrix, order="K").view(np.uint64)  # a view of a C- or F-contiguous matrix
+    return np.count_nonzero(words) == np.count_nonzero(scale.view(np.uint64))
+
+
 class Operator:
     """A map out of the primal function space, treated as a black box by the engine.
 
     The input side must be primal, or SideMismatchError is raised; the output
     side gives the form: dual for T-form, primal for U-form."""
 
-    group: Group
-    input_side: str
-    output_side: str
-    apply_fn: Optional[Callable[[GFunction], GFunction]] = None
-    matrix: Optional[np.ndarray] = None
-    conjugate_input: bool = False
-    _monomial: Optional[tuple[np.ndarray, np.ndarray]] = field(default=None, init=False, repr=False)
-
-    def __post_init__(self):
-        require_operator_sides(self.input_side, self.output_side)
-        if (self.apply_fn is None) == (self.matrix is None):
+    def __init__(
+        self,
+        group: Group,
+        input_side: str,
+        output_side: str,
+        apply_fn: Optional[Callable[[GFunction], GFunction]] = None,
+        matrix: Optional[np.ndarray] = None,
+        conjugate_input: bool = False,
+    ):
+        require_operator_sides(input_side, output_side)
+        if (apply_fn is None) == (matrix is None):
             raise ValueError("an operator needs either an apply function or a matrix")
-        if self.conjugate_input and self.matrix is None:
+        if conjugate_input and matrix is None:
             raise ValueError("conjugate_input describes a matrix; an apply function conjugates itself")
-        if self.matrix is not None:
-            matrix = self.matrix
-            frozen = type(matrix) is np.ndarray and not matrix.flags.writeable and matrix.flags.owndata
-            if not (frozen and matrix.dtype == np.complex128 and matrix.flags.f_contiguous):
-                matrix = np.array(matrix, dtype=np.complex128, copy=True, order="F")
-            if matrix.shape != (self.group.size, self.group.size):
-                raise GroupMismatchError(
-                    f"operator matrix has shape {matrix.shape}, group has size {self.group.size}"
-                )
-            matrix.setflags(write=False)
-            self.matrix = matrix
-            self._monomial = monomial_factors(matrix)
+        self.group = group
+        self.input_side = input_side
+        self.output_side = output_side
+        self.apply_fn = apply_fn
+        self.conjugate_input = conjugate_input
+        self._monomial: Optional[tuple[np.ndarray, np.ndarray]] = None
+        self._inverse: Optional[np.ndarray] = None  # source^-1, kept only when the matrix is not
+        if matrix is None:
+            self.matrix = None
+            return
+        given = matrix
+        if type(matrix) is not np.ndarray or matrix.dtype != np.complex128:
+            matrix = np.array(matrix, dtype=np.complex128, order="F")
+        if matrix.shape != (group.size, group.size):
+            raise GroupMismatchError(f"operator matrix has shape {matrix.shape}, group has size {group.size}")
+        self._monomial = monomial_factors(matrix)
+        if self._monomial is not None and _off_support_is_positive_zero(matrix, self._monomial[1]):
+            # The factors rebuild the matrix bit for bit, so it is not kept (see ``matrix``).
+            self._inverse = np.argsort(self._monomial[0])
+            return
+        frozen = matrix is not given or (not matrix.flags.writeable and matrix.flags.owndata)
+        if not (frozen and matrix.flags.f_contiguous):
+            matrix = np.array(matrix, order="F")
+        matrix.setflags(write=False)
+        self.matrix = matrix
+
+    @cached_property
+    def matrix(self) -> np.ndarray:
+        """The dense matrix, read-only and column-major; None for an operator given by
+        its apply function.  An operator kept as its monomial factors builds it here,
+        on first read, and keeps it."""
+        source, scale = self._monomial
+        n = source.size
+        matrix = np.zeros((n, n), dtype=np.complex128, order="F")
+        matrix[np.arange(n), source] = scale
+        matrix.setflags(write=False)
+        return matrix
 
     @property
     def form(self) -> str:
@@ -140,7 +177,7 @@ class Operator:
             raise SideMismatchError(
                 f"operator expects {self.input_side}-side input, got {f.side}"
             )
-        if self.matrix is not None:
+        if self.apply_fn is None:
             return GFunction(self.group, self.output_side, self.apply_batch(f.values[None])[0])
         out = self.apply_fn(f)
         if not isinstance(out, GFunction):
@@ -162,7 +199,7 @@ class Operator:
             raise GroupMismatchError(
                 f"probe rows have shape {values.shape}, group has size {self.group.size}"
             )
-        if self.matrix is not None:
+        if self.apply_fn is None:
             rows = np.conj(values) if self.conjugate_input else values
             if self._monomial is None:
                 return rows @ self.matrix.T
@@ -183,7 +220,7 @@ class Operator:
         """The factor s with image(alpha * f) = s * image(f) for every f, point masses
         and constants among them: conj?(alpha) for a dense operator, None for one
         given by an apply function."""
-        if self.matrix is None:
+        if self.apply_fn is not None:
             return None
         return np.conj(alpha) if self.conjugate_input else alpha
 
@@ -193,6 +230,17 @@ class Operator:
         if not 0 <= start <= stop <= n:
             raise IndexError(f"point masses [{start}, {stop}) out of range for group of size {n}")
         s = self.point_mass_scale(scale)
+        if self._inverse is not None:
+            # Row x holds column x's one nonzero, at row inverse[x] of the matrix, in a
+            # block of s * 0, which is what the product below leaves off the support.
+            targets = self._inverse[start:stop]
+            values = self._monomial[1][targets]
+            zero = np.zeros(1, dtype=np.complex128)
+            if s != 1:
+                values, zero = s * values, s * zero
+            images = np.full((stop - start, n), zero[0])
+            images[np.arange(stop - start), targets] = values
+            return images
         if s is not None:
             # Column x of the matrix is the image of delta_x, a contiguous row of matrix.T.
             rows = self.matrix.T[start:stop]
@@ -243,7 +291,8 @@ def build_reference_operator(
 def reference_operator_matrix(group: Group, psi: Automorphism, form: str) -> np.ndarray:
     """Dense matrix of the reference operator (the conjugation flag is stored separately), built
     column-major from its n columns alone: column x is the image of delta_x, which sits at phi = psi^-1.
-    It is read-only, so ``Operator`` keeps it without a copy: copy it before editing."""
+    It is read-only, so ``Operator`` keeps a T-form one without a copy, and a U-form one as its
+    factors alone: copy it before editing."""
     output_side = _reference_output_side(group, psi, form)
     phi = np.argsort(psi.perm_array)
     n = group.size

@@ -14,6 +14,7 @@ from abelfft import (
     random_function,
 )
 from abelfft.bench import time_transform_paths
+from abelfft import cli
 from abelfft.cli import main
 
 
@@ -525,3 +526,36 @@ class TestVersion:
     def test_version_flag(self, capsys):
         assert main(["--version"]) == 0
         assert "abelfft" in capsys.readouterr().out
+
+
+class TestParserReuse:
+    def test_calls_in_one_process_match_fresh_calls(self, tmp_path, capsys):
+        op_path = tmp_path / "op.json"
+        assert main(["gen-operator", "--orders", "4", "2", "--seed", "3", "--form", "U", "-o", str(op_path)]) == 0
+        capsys.readouterr()
+        calls = [["check", str(op_path), "--seed", "-1"], ["check", str(op_path)], ["--version"]]
+
+        def run(args):
+            code = main(args)
+            out = capsys.readouterr()
+            return code, out.out, out.err
+
+        fresh = []
+        for args in calls:
+            cli._build_parser.cache_clear()
+            fresh.append(run(args))
+        cli._build_parser.cache_clear()
+        reused = [run(args) for args in calls]
+        assert cli._build_parser.cache_info().misses == 1
+        assert reused == fresh
+        assert [code for code, _, _ in reused] == [2, 0, 0]
+        assert "seed must be >= 0" in reused[0][2] and reused[2][1].startswith("abelfft ")
+
+    def test_a_command_wrapped_after_the_parser_is_built_is_the_one_run(self, tmp_path, monkeypatch):
+        # A tracer may wrap cmd_* functions at any time; the cached parser must not hold the old ones.
+        op_path = tmp_path / "op.json"
+        assert main(["gen-operator", "--orders", "4", "--form", "T", "-o", str(op_path)]) == 0
+        seen = []
+        monkeypatch.setattr(cli, "cmd_check", lambda args: seen.append(args.operator) or 7)
+        assert main(["check", str(op_path)]) == 7
+        assert seen == [str(op_path)]

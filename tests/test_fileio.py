@@ -1,4 +1,5 @@
 import json
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -115,6 +116,26 @@ class TestOperatorFiles:
         assert loaded.input_side == PRIMAL and loaded.output_side == DUAL
         assert loaded.conjugate_input is True
         assert np.array_equal(loaded.matrix, matrix)
+
+    @pytest.mark.parametrize("conjugation", [False, True])
+    def test_u_form_record_loads_to_its_factors_alone(self, tmp_path, conjugation):
+        # A (16, 16) U-form matrix is 1 MiB; the loaded operator keeps O(n) numbers
+        # and writes the bytes it was read from.
+        group = Group((16, 16))
+        psi = random_automorphism(group, 6)
+        path, again = tmp_path / "u.json", tmp_path / "again.json"
+        fileio.save_operator(
+            path, Operator.from_matrix(group, PRIMAL, PRIMAL, reference_operator_matrix(group, psi, "U"), conjugation)
+        )
+        tracemalloc.start()
+        try:
+            op = fileio.load_operator(path)
+            held = tracemalloc.get_traced_memory()[0]
+        finally:
+            tracemalloc.stop()
+        assert held < group.size**2 * 16 // 8
+        fileio.save_operator(again, op)
+        assert again.read_bytes() == path.read_bytes()
 
     def test_unserialized_operator_rejected(self, tmp_path):
         group = Group((2,))

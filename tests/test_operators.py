@@ -12,17 +12,21 @@ from abelfft import (
     GFunction,
     Group,
     GroupMismatchError,
+    NotEssentiallyFourierError,
     Operator,
     SideMismatchError,
     build_reference_operator,
     character_matrix,
+    check_hypotheses,
     delta,
     dft_naive,
     fft_forward,
     max_abs_diff,
     random_automorphism,
     random_function,
+    recover,
     reference_operator_matrix,
+    verify_recovery,
 )
 from abelfft.characterize import PROBE_SCALARS
 from abelfft.operators import monomial_factors, point_mass_rows
@@ -317,11 +321,21 @@ class TestApplyBatch:
 
     @pytest.mark.parametrize("form", ["T", "U"])
     def test_reference_matrix_is_kept_without_a_copy(self, form):
+        # A T-form matrix is kept as given; a U-form one is not kept at all, only its factors.
         g = Group((4, 6))
         m = reference_operator_matrix(g, random_automorphism(g, 2), form)
         assert not m.flags.writeable and m.flags.owndata
         op = Operator.from_matrix(g, PRIMAL, DUAL if form == "T" else PRIMAL, m)
-        assert np.shares_memory(op.matrix, m)
+        if form == "T":
+            assert np.shares_memory(op.matrix, m)
+            return
+        held = _held_arrays(op)
+        assert held and all(a.size <= g.size for a in held)
+        assert not any(np.shares_memory(a, m) for a in held)
+        # Read, the matrix is rebuilt bit for bit, with the stored layout, and kept.
+        assert np.array_equal(_bits(op.matrix), _bits(m)) and not np.shares_memory(op.matrix, m)
+        assert op.matrix.flags.f_contiguous and not op.matrix.flags.writeable
+        assert op.matrix is op.matrix
 
     @pytest.mark.parametrize("form", ["T", "U"])
     def test_operator_from_reference_matrix_holds_one_table(self, form):
@@ -336,21 +350,42 @@ class TestApplyBatch:
             tracemalloc.stop()
         assert peak < 24 * 2**20
 
+    def test_u_form_operator_holds_no_matrix(self):
+        # Once the reference matrix (16 MiB) is dropped, the operator holds its factors alone.
+        g = Group((32, 32))
+        psi = random_automorphism(g, 4)
+        tracemalloc.start()
+        try:
+            op = Operator.from_matrix(g, PRIMAL, PRIMAL, reference_operator_matrix(g, psi, "U"))
+            held = tracemalloc.get_traced_memory()[0]
+        finally:
+            tracemalloc.stop()
+        assert held < 2**20
+        assert np.array_equal(op.apply_point_masses(0, g.size), reference_operator_matrix(g, psi, "U").T)
+
     @pytest.mark.parametrize(
-        "make, writeable",
+        "make, writeable, form",
         [
-            (lambda m: np.array(m, order="F"), True),
-            (lambda m: np.array(m, order="C"), False),
-            (lambda m: np.array(m, order="F")[:, :], False),
-            (lambda m: np.array(m, np.complex64, order="F"), False),
+            (lambda m: np.array(m, order="F"), True, "U"),
+            (lambda m: np.array(m, order="C"), False, "U"),
+            (lambda m: np.array(m, order="F")[:, :], False, "U"),
+            (lambda m: np.array(m, np.complex64, order="F"), False, "U"),
+            (lambda m: np.array(m, order="F"), True, "T"),
+            (lambda m: np.array(m, order="C"), False, "T"),
+            (lambda m: np.array(m, order="F")[:, :], False, "T"),
+            (lambda m: np.array(m, np.complex64, order="F"), False, "T"),
         ],
-        ids=["writeable", "c-order", "read-only-view", "complex64"],
+        ids=[
+            "writeable", "c-order", "read-only-view", "complex64",
+            "t-writeable", "t-c-order", "t-read-only-view", "t-complex64",
+        ],
     )
-    def test_other_matrices_are_copied(self, make, writeable):
+    def test_other_matrices_are_copied(self, make, writeable, form):
+        # A U-form input is kept as its factors, so its op.matrix is a rebuilt array.
         g = Group((4, 6))
-        given = make(reference_operator_matrix(g, random_automorphism(g, 2), "U"))
+        given = make(reference_operator_matrix(g, random_automorphism(g, 2), form))
         given.setflags(write=writeable)
-        op = Operator.from_matrix(g, PRIMAL, PRIMAL, given)
+        op = Operator.from_matrix(g, PRIMAL, DUAL if form == "T" else PRIMAL, given)
         assert not np.shares_memory(op.matrix, given)
         assert op.matrix.flags.f_contiguous and not op.matrix.flags.writeable
         assert op.matrix.dtype == np.complex128 and np.array_equal(op.matrix, given)
@@ -374,6 +409,12 @@ class TestApplyBatch:
             op.apply_point_masses(2, 5)
         with pytest.raises(IndexError):
             op.apply_point_masses(3, 2)
+
+
+def _held_arrays(op):
+    """The numpy arrays an operator holds, directly or in a tuple."""
+    values = [v for value in vars(op).values() for v in (value if isinstance(value, tuple) else (value,))]
+    return [v for v in values if isinstance(v, np.ndarray)]
 
 
 def _product(op, rows):
@@ -435,12 +476,41 @@ class TestMonomialPath:
         assert np.all(np.abs(got - expected) <= 2 * np.finfo(float).eps * size)
 
     def test_finite_probes_are_answered_without_the_product(self):
-        op = self.operator(_monomial_matrix(self.n, 13, np.full(self.n, 2.0)))
+        # The matrix of an operator kept as its factors is built only on a read of
+        # op.matrix, which the product path makes: finite probes never make it.
+        matrix = _monomial_matrix(self.n, 13, np.full(self.n, 2.0))
+        op = self.operator(matrix)
         rows = self.probes(14)
-        expected = op.apply_batch(rows)
-        op.matrix = np.zeros_like(op.matrix)  # the product would now give zeros
-        assert np.array_equal(op.apply_batch(rows), expected)
-        assert np.abs(expected).min() > 0
+        for block in (rows, rows[:1]):
+            assert np.array_equal(_bits(op.apply_batch(block)), _bits(block @ matrix.T))
+        op.apply(GFunction(op.group, PRIMAL, rows[0]))
+        op.apply_point_masses(0, self.n, 1j)
+        assert "matrix" not in vars(op) and not any(a.size > self.n for a in _held_arrays(op))
+        rows[2, 5] = np.nan
+        with np.errstate(invalid="ignore"):  # 0 * nan
+            op.apply_batch(rows)
+        assert "matrix" in vars(op)
+
+    @pytest.mark.parametrize("conjugate_input", [False, True])
+    @pytest.mark.parametrize("kind", ["permutation", "negative", "complex"])
+    def test_point_masses_of_factors_are_the_scaled_columns_bit_for_bit(self, kind, conjugate_input):
+        rng = np.random.default_rng(15)
+        scales = {
+            "permutation": np.ones(self.n),
+            "negative": -rng.uniform(0.5, 3.0, self.n),
+            "complex": rng.standard_normal(self.n) + 1j * rng.standard_normal(self.n),
+        }[kind]
+        matrix = _monomial_matrix(self.n, 16, scales)
+        op = self.operator(matrix, conjugate_input)
+        assert "matrix" not in vars(op)
+        for scale in (*PROBE_SCALARS, complex(-0.3, 1.7), -2.0):
+            s = op.point_mass_scale(scale)
+            for start, stop in ((0, self.n), (5, 17), (9, 9)):
+                rows = op.apply_point_masses(start, stop, scale)
+                columns = matrix.T[start:stop]
+                assert np.array_equal(_bits(rows), _bits(columns if s == 1 else s * columns))
+        assert "matrix" not in vars(op)
+        assert np.array_equal(_bits(op.matrix), _bits(matrix))
 
     def test_factors_give_source_and_scale_per_row(self):
         matrix = np.array([[0, 2j, 0], [0, 0, -1], [3, 0, 0]], dtype=np.complex128)
@@ -492,6 +562,8 @@ class TestMonomialPath:
         assert np.signbit(matrix.real).sum() == self.n * (self.n - 1)
         op = self.operator(matrix)
         assert op._monomial is not None
+        # The factors would not rebuild the -0.0 entries, so the matrix is kept too.
+        assert np.array_equal(_bits(vars(op)["matrix"]), _bits(matrix))
         rows = self.probes(8)
         assert np.array_equal(_bits(op.apply_batch(rows)), _bits(_product(op, rows)))
         # A column of negative zeros is a zero column.
@@ -529,3 +601,39 @@ class TestMonomialPath:
         assert not finite.all()
         assert np.array_equal(np.isfinite(got), finite)
         assert np.array_equal(_bits(got[finite]), _bits(expected[finite]))
+
+
+def _verdicts(op, u_report):
+    """check_hypotheses, recover and verify_recovery on ``op``, as reprs field by field
+    (repr keeps every bit of a float, -0.0 included); a rejection as its class, step,
+    message and details.  ``u_report`` is what verify_recovery scores."""
+    out = {"check": repr(check_hypotheses(op, trials=4, seed=3).as_dict())}
+    try:
+        out["recover"] = {key: repr(value) for key, value in recover(op).as_dict().items()}
+    except NotEssentiallyFourierError as exc:
+        out["recover"] = (type(exc).__name__, exc.step, str(exc), repr(exc.details))
+    out["verify"] = repr(verify_recovery(op, u_report, trials=4))
+    return out
+
+
+class TestFactorsOnlyAgainstDense:
+    """An operator kept as its factors decides as the same matrix kept dense: one
+    off-support zero set to -0.0 makes ``Operator`` keep the matrix."""
+
+    @pytest.mark.parametrize("form", ["U", "T"])
+    @pytest.mark.parametrize("conjugation", [False, True])
+    @pytest.mark.parametrize("orders", [(8, 8), (32, 32)])
+    def test_same_verdicts_bit_for_bit(self, orders, conjugation, form):
+        g = Group(orders)
+        psi = random_automorphism(g, 21)
+        matrix = reference_operator_matrix(g, psi, "U")
+        dense_matrix = np.array(matrix)
+        dense_matrix[1, 0] = complex(-0.0, 0.0)  # off the support: column 0 holds its 1 at phi(0) = 0
+        out_side = DUAL if form == "T" else PRIMAL
+        factors = Operator.from_matrix(g, PRIMAL, out_side, matrix, conjugation)
+        dense = Operator.from_matrix(g, PRIMAL, out_side, dense_matrix, conjugation)
+        assert "matrix" not in vars(factors) and "matrix" in vars(dense)
+        assert factors._monomial is not None and dense._monomial is not None
+        u_report = recover(Operator.from_matrix(g, PRIMAL, PRIMAL, matrix, conjugation))
+        assert _verdicts(factors, u_report) == _verdicts(dense, u_report)
+        assert "matrix" not in vars(factors)
