@@ -232,13 +232,14 @@ class Operator:
         s = self.point_mass_scale(scale)
         if self._inverse is not None:
             # Row x holds column x's one nonzero, at row inverse[x] of the matrix, in a
-            # block of s * 0, which is what the product below leaves off the support.
+            # block of s * 0: bit for bit what ``s * rows`` below holds off the support.
             targets = self._inverse[start:stop]
             values = self._monomial[1][targets]
-            zero = np.zeros(1, dtype=np.complex128)
-            if s != 1:
-                values, zero = s * values, s * zero
-            images = np.full((stop - start, n), zero[0])
+            if s == 1:
+                images = np.zeros((stop - start, n), dtype=np.complex128)
+            else:
+                values = s * values
+                images = np.full((stop - start, n), s * np.zeros(1, dtype=np.complex128))
             images[np.arange(stop - start), targets] = values
             return images
         if s is not None:
