@@ -235,11 +235,10 @@ class Operator:
             # block of s * 0: bit for bit what ``s * rows`` below holds off the support.
             targets = self._inverse[start:stop]
             values = self._monomial[1][targets]
-            if s == 1:
-                images = np.zeros((stop - start, n), dtype=np.complex128)
-            else:
-                values = s * values
-                images = np.full((stop - start, n), s * np.zeros(1, dtype=np.complex128))
+            zero = np.zeros(1, dtype=np.complex128)
+            if s != 1:
+                values, zero = s * values, s * zero
+            images = np.full((stop - start, n), zero[0])
             images[np.arange(stop - start), targets] = values
             return images
         if s is not None:
