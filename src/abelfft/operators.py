@@ -4,36 +4,34 @@ An operator maps primal input to a declared side; beyond that the engine only
 ever calls ``apply_batch`` and ``apply_point_masses``.  An operator is given
 either by an apply function or by a dense matrix plus a conjugate-input flag,
 meaning apply(f) = matrix @ f.values, with f conjugated first if the flag is
-set.  A dense operator answers a whole block of k probes in ``apply_batch``
-(``apply`` is a batch of one) by one of two paths, chosen once when the
-operator is built.  A monomial matrix, one nonzero entry in every row and
-every column (a scaled permutation, as the U-form reference matrix is),
-takes a gather and a scale, O(k * n): output entry r is input entry
-source[r] times the nonzero of row r.  Any other matrix, such as a T-form
-one (its first column is all ones), takes one matrix product, O(k * n^2).
-The two agree bit for bit for real scales and within one rounding for
-complex ones; a probe row with a non-finite entry takes the product on
-either path, which spreads it over the row (0 * inf is NaN).
-``apply_point_masses`` reads the images of scaled point masses straight off
-the matrix columns: the image of alpha * delta_x is column x times
-``point_mass_scale(alpha)``, which is conj?(alpha) by the flag.  At unit
-scale the images are a read-only view of the stored matrix, not a copy.  The
-operator is (conjugate-)linear, so that factor scales any image: the image
-of alpha * 1 is s times the image of 1, which ``recover`` uses for
-constants.  A dense matrix is stored complex128, column-major (Fortran
-order) and read-only, so each point-mass image is a contiguous row of
-``matrix.T``; record files stay row-major.  Such an array that owns its data
-is kept without a copy; any other is copied.  A monomial matrix whose every
-entry off its nonzeros is +0.0+0.0j, as ``reference_operator_matrix``'s U-form
-is, is not kept at all: the operator holds (source, scale) and the inverse
-permutation, O(n) numbers, and builds ``op.matrix`` from them bit for bit on
-its first read.  Its point-mass images are written into a fresh block of
-s * 0, equal bit for bit to s times the columns.  A monomial matrix with a
--0.0 off its nonzeros is stored as any other.  These tests run on the array
-as given, before any copy.  Turning writes back on for an array handed over,
-or for ``op.matrix``, breaks this contract.  An operator given only by its
-apply function stays a black box: both methods call it once per probe, in
-order, and ``point_mass_scale`` is None for it.
+set.  A dense operator is stored one of two ways, decided once when it is
+built by ``monomial_factors`` on the array as given, before any copy.  When
+the matrix is a scaled permutation whose factors (source, scale) rebuild it
+bit for bit (one nonzero in every row and every column and +0.0+0.0j
+everywhere else, as ``reference_operator_matrix``'s U-form is), the operator
+holds those factors and the inverse permutation, O(n) numbers, and no
+matrix.  A block of k probes in ``apply_batch`` (``apply`` is a batch of one)
+then takes a gather and a scale, O(k * n): output entry r is input entry
+source[r] times scale[r].  Any other matrix, a T-form one or a monomial one
+with a -0.0 zero among them, is kept read-only, complex128 and column-major
+(Fortran order), and a block takes one matrix product, O(k * n^2).  The
+gather agrees with the product bit for bit for real scales and within one
+rounding for complex ones; a probe row with a non-finite entry takes the
+product, which spreads it over the row (0 * inf is NaN).  A factors-only
+operator builds ``op.matrix`` from its factors on first read and keeps it.
+The image of alpha * delta_x is column x of the matrix times
+``point_mass_scale(alpha)``, which is conj?(alpha) by the flag.  A kept
+matrix gives each image as a contiguous row of ``matrix.T``, a read-only view
+at unit scale; factors write each image's one nonzero into a fresh block of
+s * 0, equal bit for bit to s times the column.  The operator is
+(conjugate-)linear, so that factor scales any image: the image of alpha * 1
+is s times the image of 1, which ``recover`` uses for constants.  A
+read-only, column-major complex128 array that owns its data is kept without
+a copy; any other is copied.  Record files stay row-major.  Turning writes
+back on for an array handed over, or for ``op.matrix``, breaks this
+contract.  An operator given only by its apply function stays a black box:
+both methods call it once per probe, in order, and ``point_mass_scale`` is
+None for it.
 
 T-form operators map primal to dual, U-form operators map primal to primal;
 there are no others, so the output side gives the form.
@@ -76,36 +74,33 @@ def require_operator_sides(input_side: str, output_side: str) -> None:
 
 
 def monomial_factors(matrix: np.ndarray) -> Optional[tuple[np.ndarray, np.ndarray]]:
-    """(source, scale) with matrix @ v == v[source] * scale when every row and every
-    column of the square matrix holds exactly one nonzero entry, else None.
+    """(source, scale) with matrix @ v == v[source] * scale when the factors rebuild the
+    square complex128 matrix bit for bit: every row and every column holds one nonzero
+    (!= 0, so NaN is one) and every other entry is +0.0+0.0j.  Else None.
 
-    Zero means == 0, so -0.0 is zero and NaN is not.  A matrix whose first column
-    is not a single nonzero is refused after reading that column alone."""
+    Each line, a column of a column-major matrix and a row of any other, is read along
+    memory.  A matrix whose first column is not a single nonzero is refused after
+    reading that column alone."""
     n = matrix.shape[0]
     if np.count_nonzero(matrix[:, 0]) != 1:
         return None
-    nonzero = matrix.T != 0  # row c is the pattern of column c
-    if np.count_nonzero(nonzero) != n:
-        return None
-    # The row of each column's first nonzero (row 0 for a zero column).  With n
-    # nonzeros in all, the entries picked are all nonzero only if every column
-    # holds exactly one.
-    target = nonzero.argmax(axis=1)
+    column_major = matrix.flags.f_contiguous
+    lines = matrix.T if column_major else matrix
+    picks = (lines != 0).argmax(axis=1)  # each line's first nonzero (0 for a line of zeros)
     index = np.arange(n)
-    if not nonzero[index, target].all():
+    values = lines[index, picks]
+    if not values.all():
         return None
-    source = np.full(n, -1)
-    source[target] = index
-    if (source < 0).any():  # two columns share a row
+    # Every entry but the picks is +0.0+0.0j: its 64-bit words are all zero.
+    if np.count_nonzero(np.ravel(lines).view(np.uint64)) != np.count_nonzero(values.view(np.uint64)):
         return None
-    return source, matrix[index, source]
-
-
-def _off_support_is_positive_zero(matrix: np.ndarray, scale: np.ndarray) -> bool:
-    """Whether every entry of the complex128 monomial ``matrix`` off its nonzeros
-    ``scale`` is +0.0+0.0j: whether its nonzero 64-bit words are all in ``scale``."""
-    words = np.ravel(matrix, order="K").view(np.uint64)  # a view of a C- or F-contiguous matrix
-    return np.count_nonzero(words) == np.count_nonzero(scale.view(np.uint64))
+    crossing = np.full(n, -1)
+    crossing[picks] = index
+    if (crossing < 0).any():  # two lines pick the same crossing line
+        return None
+    if column_major:
+        return crossing, values[crossing]
+    return picks, values
 
 
 class Operator:
@@ -133,8 +128,9 @@ class Operator:
         self.output_side = output_side
         self.apply_fn = apply_fn
         self.conjugate_input = conjugate_input
+        # The factors (source, scale) and source^-1, held exactly when no matrix is.
         self._monomial: Optional[tuple[np.ndarray, np.ndarray]] = None
-        self._inverse: Optional[np.ndarray] = None  # source^-1, kept only when the matrix is not
+        self._inverse: Optional[np.ndarray] = None
         if matrix is None:
             self.matrix = None
             return
@@ -144,7 +140,7 @@ class Operator:
         if matrix.shape != (group.size, group.size):
             raise GroupMismatchError(f"operator matrix has shape {matrix.shape}, group has size {group.size}")
         self._monomial = monomial_factors(matrix)
-        if self._monomial is not None and _off_support_is_positive_zero(matrix, self._monomial[1]):
+        if self._monomial is not None:
             # The factors rebuild the matrix bit for bit, so it is not kept (see ``matrix``).
             self._inverse = np.argsort(self._monomial[0])
             return

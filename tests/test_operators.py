@@ -21,6 +21,7 @@ from abelfft import (
     delta,
     dft_naive,
     fft_forward,
+    fileio,
     max_abs_diff,
     random_automorphism,
     random_function,
@@ -363,6 +364,22 @@ class TestApplyBatch:
         assert held < 2**20
         assert np.array_equal(op.apply_point_masses(0, g.size), reference_operator_matrix(g, psi, "U").T)
 
+    def test_row_major_u_form_is_decided_along_its_rows(self):
+        # A row-major input, as load_operator parses, is read along its rows: the one
+        # n x n transient is the 1 MiB nonzero mask, with no transposed copy of it.
+        g = Group((32, 32))
+        psi = random_automorphism(g, 4)
+        given = np.ascontiguousarray(reference_operator_matrix(g, psi, "U"))
+        tracemalloc.start()
+        try:
+            op = Operator.from_matrix(g, PRIMAL, PRIMAL, given)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak < 1.5 * 2**20
+        assert "matrix" not in vars(op)
+        assert np.array_equal(_bits(op.matrix), _bits(given))
+
     @pytest.mark.parametrize(
         "make, writeable, form",
         [
@@ -424,6 +441,65 @@ def _product(op, rows):
 
 def _bits(values):
     return np.ascontiguousarray(values).view(np.uint64)
+
+
+def _strided_view(matrix):
+    """``matrix`` as a view that is neither row- nor column-major."""
+    n = matrix.shape[0]
+    view = np.zeros((2 * n, 3 * n), dtype=matrix.dtype)[::2, ::3]
+    view[...] = matrix
+    return view
+
+
+_LAYOUTS = {
+    "row-major": np.ascontiguousarray,
+    "column-major": np.asfortranarray,
+    "strided-view": _strided_view,
+}
+
+
+def _monomial_by_definition(matrix):
+    """``monomial_factors`` by its definition, entry by entry: (source, scale) when every
+    row and every column holds one nonzero and no other entry has a nonzero 64-bit word."""
+    n = matrix.shape[0]
+    support = {(r, c) for r in range(n) for c in range(n) if matrix[r, c] != 0}
+    if sorted(r for r, _ in support) != list(range(n)) or sorted(c for _, c in support) != list(range(n)):
+        return None
+    for r in range(n):
+        for c in range(n):
+            if (r, c) not in support and _bits(matrix[r, c]).any():
+                return None
+    source = np.array([c for _, c in sorted(support)])
+    return source, matrix[np.arange(n), source]
+
+
+# Scales that test the definition's edges: non-finite, signed zeros in a nonzero
+# entry, and a -0.0-valued entry, which is a zero.
+_EDGE_SCALES = [
+    1.0, -1.0, 2.5j, complex(2, -0.0), complex(-0.0, 3), np.nan, -np.inf,
+    complex(np.nan, 1), complex(0, np.inf), complex(-0.0, -0.0),
+]
+
+
+def _random_candidate(rng):
+    """A small scaled permutation matrix, then at most one edit that may break it."""
+    n = int(rng.integers(1, 7))
+    scales = rng.standard_normal(n) + 1j * rng.standard_normal(n)
+    edge = rng.random(n) < 0.2
+    scales[edge] = rng.choice(np.array(_EDGE_SCALES), edge.sum())
+    matrix = np.zeros((n, n), dtype=np.complex128)
+    matrix[rng.permutation(n), np.arange(n)] = scales
+    r, c, other = rng.integers(n, size=3)
+    edit = rng.integers(6)
+    if edit == 1:  # a stray -0.0, in either part
+        matrix[r, c] = rng.choice([complex(-0.0, 0.0), complex(0.0, -0.0)])
+    elif edit == 2:  # a stray +3
+        matrix[r, c] = 3
+    elif edit == 3:  # a zeroed entry
+        matrix[r, c] = 0
+    elif edit == 4:  # a duplicated column
+        matrix[:, other] = matrix[:, c]
+    return matrix
 
 
 def _monomial_matrix(n, seed, scales):
@@ -512,11 +588,27 @@ class TestMonomialPath:
         assert "matrix" not in vars(op)
         assert np.array_equal(_bits(op.matrix), _bits(matrix))
 
-    def test_factors_give_source_and_scale_per_row(self):
+    @pytest.mark.parametrize("layout", _LAYOUTS)
+    def test_factors_give_source_and_scale_per_row(self, layout):
         matrix = np.array([[0, 2j, 0], [0, 0, -1], [3, 0, 0]], dtype=np.complex128)
-        source, scale = monomial_factors(np.asfortranarray(matrix))
+        source, scale = monomial_factors(_LAYOUTS[layout](matrix))
         assert source.tolist() == [1, 2, 0]
         assert scale.tolist() == [2j, -1, 3]
+
+    def test_factors_match_the_definition_in_every_layout(self):
+        rng = np.random.default_rng(2029)
+        found = {True: 0, False: 0}
+        for _ in range(2000):
+            matrix = _random_candidate(rng)
+            expected = _monomial_by_definition(matrix)
+            found[expected is not None] += 1
+            for layout, make in _LAYOUTS.items():
+                got = monomial_factors(make(matrix))
+                assert (got is None) == (expected is None), (layout, matrix)
+                if got is not None:
+                    assert np.array_equal(got[0], expected[0]), (layout, matrix)
+                    assert np.array_equal(_bits(got[1]), _bits(expected[1])), (layout, matrix)
+        assert min(found.values()) > 500
 
     def non_monomial(self):
         n = self.n
@@ -534,6 +626,8 @@ class TestMonomialPath:
         empty_and_doubled[1, 0] = 1
         empty_and_doubled[np.arange(2, n), np.arange(2, n)] = 1
         empty_and_doubled[3, 2] = 1
+        negative_zero = eye.copy()
+        negative_zero[2, 11] = complex(0.0, -0.0)
         t_form = reference_operator_matrix(Group((4, 6)), random_automorphism(Group((4, 6)), 5), "T")
         return {
             "two-in-a-column": two_in_a_column,
@@ -541,31 +635,62 @@ class TestMonomialPath:
             "shared-row": shared_row,
             "zero-first-column": np.roll(zero_column, -7, axis=1),
             "empty-and-doubled": empty_and_doubled,
+            "negative-zero": negative_zero,
             "t-form": t_form,
         }
 
+    @pytest.mark.parametrize("layout", _LAYOUTS)
     @pytest.mark.parametrize(
         "kind",
-        ["two-in-a-column", "zero-column", "shared-row", "zero-first-column", "empty-and-doubled", "t-form"],
+        [
+            "two-in-a-column", "zero-column", "shared-row", "zero-first-column", "empty-and-doubled",
+            "negative-zero", "t-form",
+        ],
     )
-    def test_other_matrices_take_the_product(self, kind):
-        matrix = self.non_monomial()[kind]
-        assert monomial_factors(np.asfortranarray(matrix)) is None
+    def test_other_matrices_take_the_product(self, kind, layout):
+        matrix = _LAYOUTS[layout](self.non_monomial()[kind])
+        assert monomial_factors(matrix) is None
         op = self.operator(matrix, True)
-        assert op._monomial is None
+        assert op._monomial is None and op._inverse is None
+        assert np.array_equal(_bits(vars(op)["matrix"]), _bits(matrix))
         rows = self.probes(6)
         assert np.array_equal(_bits(op.apply_batch(rows)), _bits(_product(op, rows)))
 
-    def test_negative_zeros_count_as_zero(self):
+    @pytest.mark.parametrize("kind", ["t-form", "zero-first-column"])
+    def test_first_column_alone_refuses(self, kind):
+        # A first column that is not a single nonzero refuses the matrix before any
+        # n x n pass (the nonzero mask alone would be 1 MiB).
+        g = Group((32, 32))
+        matrix = reference_operator_matrix(g, random_automorphism(g, 4), "T" if kind == "t-form" else "U")
+        if kind == "zero-first-column":
+            matrix = np.array(matrix, order="F")
+            matrix[:, 0] = 0
+        tracemalloc.start()
+        try:
+            refused = monomial_factors(matrix) is None
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert refused and peak < 2**16
+
+    def test_negative_zeros_count_as_zero(self, tmp_path):
         matrix = _monomial_matrix(self.n, 7, np.full(self.n, complex(2.0, -0.0)))
         matrix[matrix == 0] = complex(-0.0, -0.0)
         assert np.signbit(matrix.real).sum() == self.n * (self.n - 1)
         op = self.operator(matrix)
-        assert op._monomial is not None
-        # The factors would not rebuild the -0.0 entries, so the matrix is kept too.
+        # The factors would not rebuild the -0.0 entries, so the matrix is kept, and
+        # probes take its product.
+        assert op._monomial is None and op._inverse is None
         assert np.array_equal(_bits(vars(op)["matrix"]), _bits(matrix))
         rows = self.probes(8)
-        assert np.array_equal(_bits(op.apply_batch(rows)), _bits(_product(op, rows)))
+        assert np.array_equal(_bits(op.apply_batch(rows)), _bits(rows @ matrix.T))
+        # Saved, it keeps every -0.0; loaded and saved again, it writes the same bytes.
+        path, again = tmp_path / "op.json", tmp_path / "again.json"
+        fileio.save_operator(path, op)
+        loaded = fileio.load_operator(path)
+        assert np.array_equal(_bits(loaded.matrix), _bits(matrix))
+        fileio.save_operator(again, loaded)
+        assert again.read_bytes() == path.read_bytes()
         # A column of negative zeros is a zero column.
         matrix[:, 2] = complex(-0.0, 0.0)
         assert self.operator(matrix)._monomial is None
@@ -618,7 +743,8 @@ def _verdicts(op, u_report):
 
 class TestFactorsOnlyAgainstDense:
     """An operator kept as its factors decides as the same matrix kept dense: one
-    off-support zero set to -0.0 makes ``Operator`` keep the matrix."""
+    off-support zero set to -0.0 makes ``Operator`` keep the matrix, so the reference
+    answers every probe by the plain product."""
 
     @pytest.mark.parametrize("form", ["U", "T"])
     @pytest.mark.parametrize("conjugation", [False, True])
@@ -633,7 +759,7 @@ class TestFactorsOnlyAgainstDense:
         factors = Operator.from_matrix(g, PRIMAL, out_side, matrix, conjugation)
         dense = Operator.from_matrix(g, PRIMAL, out_side, dense_matrix, conjugation)
         assert "matrix" not in vars(factors) and "matrix" in vars(dense)
-        assert factors._monomial is not None and dense._monomial is not None
+        assert factors._monomial is not None and dense._monomial is None
         u_report = recover(Operator.from_matrix(g, PRIMAL, PRIMAL, matrix, conjugation))
         assert _verdicts(factors, u_report) == _verdicts(dense, u_report)
         assert "matrix" not in vars(factors)
