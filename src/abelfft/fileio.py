@@ -11,12 +11,13 @@ The [re, im] array is written as text straight from the numpy array, each
 distinct value formatted once; the bytes are exactly those json.dumps writes
 for the per-entry float lists.
 
-Function and operator records are read in one flat pass over their array:
-the other members are decoded by json's own primitives, the array's brackets
-and commas (numbers and whitespace deleted) must equal those of a regular
-array of [re, im] pairs, no number may touch a bracket from outside, and its
-numbers, brackets turned into spaces, are parsed as one JSON list.  Any record
-that this scan does not take, whether malformed or merely unusual, is parsed
+Function and operator records are read in one flat pass over their array
+when it is the record's last member, as every writer puts it: json decodes
+the record with its array replaced by 0, the array's brackets and commas
+(numbers and whitespace deleted) must equal those of a regular array of
+[re, im] pairs, no number may touch a bracket from outside, and its numbers,
+brackets turned into spaces, are parsed as one JSON list.  Any record that
+this scan does not take, whether malformed or merely unusual, is parsed
 whole by json.loads, which loads it or names what is wrong with it.
 
 Function file:   {"group": {"orders": [...]}, "side": "primal"|"dual",
@@ -35,7 +36,6 @@ from __future__ import annotations
 import json
 import math
 from itertools import chain
-from json.decoder import WHITESPACE, scanstring
 from pathlib import Path
 from typing import Union
 
@@ -80,6 +80,7 @@ _DECODER = json.JSONDecoder(parse_constant=_reject_constant)
 _NUMBER_CHARS = b"0123456789.eE+-"
 _NUMBERS_TO_ZEROS = bytes.maketrans(_NUMBER_CHARS, b"0" * len(_NUMBER_CHARS))
 _BRACKETS_TO_SPACES = str.maketrans("[]", "  ")
+_JSON_WHITESPACE = " \t\n\r"
 
 
 def _skeleton(shape: tuple[int, ...]) -> bytes:
@@ -126,42 +127,30 @@ def _flat_array(value: str, ndim: int) -> np.ndarray | None:
 
 
 def _scan_record(text: str, key: str, ndim: int) -> dict | None:
-    """The members of the JSON object ``text`` as json.loads reads them, but the ``key``
-    array read by ``_flat_array``; None for any record that this scan does not take.
+    """The JSON object ``text`` as json.loads reads it, but its last member, the ``key``
+    array, read by ``_flat_array``; None for any record that this scan does not take.
 
-    json's own primitives read the keys and every other member, so member order,
-    duplicate keys (the last wins), escapes, whitespace and trailing data are those
-    of json.loads.
+    It takes a record only when the last '"' before the final '}' closes ``key``, the
+    key follows '{' or ',', only JSON whitespace and one colon sit between the key and
+    '[', and only JSON whitespace follows the '}'.  json decodes the record with that
+    array replaced by 0, so member grammar, escapes, duplicate keys (the last wins) and
+    nesting are those of json.loads.
     """
-    data = {}
-    pos = WHITESPACE.match(text).end()
-    if not text.startswith("{", pos):
+    closing = text.rfind("}")
+    quote = text.rfind('"', 0, closing)
+    opening = text.find("[", quote, closing)
+    start = quote - len(key) - 1
+    if not (
+        quote < opening < closing
+        and text[start : quote + 1] == f'"{key}"'
+        and text[:start].rstrip(_JSON_WHITESPACE).endswith(("{", ","))
+        and text[quote + 1 : opening].strip(_JSON_WHITESPACE) == ":"
+        and not text[closing + 1 :].strip(_JSON_WHITESPACE)
+    ):
         return None
-    pos = WHITESPACE.match(text, pos + 1).end()
-    while text.startswith('"', pos):
-        name, pos = scanstring(text, pos + 1)
-        pos = WHITESPACE.match(text, pos).end()
-        if not text.startswith(":", pos):
-            return None
-        pos = WHITESPACE.match(text, pos + 1).end()
-        if name == key:
-            # A well-formed array ends at its last bracket before the next key.
-            stop = text.find('"', pos)
-            end = text.rfind("]", pos, len(text) if stop < 0 else stop) + 1
-            value = _flat_array(text[pos:end], ndim)
-            if value is None:
-                return None
-            pos = end
-        else:
-            value, pos = _DECODER.raw_decode(text, pos)
-        data[name] = value
-        pos = WHITESPACE.match(text, pos).end()
-        if text.startswith("}", pos):
-            return data if WHITESPACE.match(text, pos + 1).end() == len(text) else None
-        if not text.startswith(",", pos):
-            return None
-        pos = WHITESPACE.match(text, pos + 1).end()
-    return None
+    data = _DECODER.decode(text[:opening] + "0}")
+    data[key] = _flat_array(text[opening:closing], ndim)
+    return None if data[key] is None else data
 
 
 def _load_array_record(path: PathLike, key: str, ndim: int) -> dict:
@@ -170,7 +159,7 @@ def _load_array_record(path: PathLike, key: str, ndim: int) -> dict:
     text = _read_text(path)
     try:
         data = _scan_record(text, key, ndim)
-    except (ValueError, RecursionError):  # json's primitives found an error; the full parse names it
+    except (ValueError, RecursionError):  # json found an error outside the array; the full parse names it
         data = None
     return _load_json(path, text) if data is None else data
 
