@@ -28,8 +28,14 @@ and ``verify_recovery``.  The unit point masses are probed once: stage 2 reads
 the support map off them and keeps their statistics for the fit.  A dense
 operator's image of alpha * delta_x is s * column x, so the fit scores its five
 other scalars off stage 2's statistics times s, with no further transform; an
-operator given by its apply function is still probed once per scalar.  Every
-verdict compares an error with tol through one rule, ``_passes``.
+operator given by its apply function is still probed once per scalar.  A
+dense operator and its model are (conjugate-)linear, so the unit point-mass
+images fix their difference E, and |E f| <= max|E| * sum |f| for every f: it
+gets no random probe, its ``residual_random`` is None, and its ``residual`` is
+the point-mass residual, |alpha| * max|E| at worst over the probe scalars
+(``verify_recovery``'s is max|E|).  An apply function need not be linear, so
+it is also scored on seeded random functions.  Every verdict compares an error
+with tol through one rule, ``_passes``.
 
 Probes reach the operator in blocks of rows.  Scaled point masses go through
 ``Operator.apply_point_masses``, which reads a dense operator's columns, so
@@ -275,12 +281,12 @@ def _model_fit(
     trials: int,
     seed: int,
     unit_stats: tuple[np.ndarray, np.ndarray] | None = None,
-) -> tuple[float, bool, float]:
+) -> tuple[float, bool, float | None]:
     """Worst residual against the model f -> conj?(f o psi) on the point masses
     alpha * delta_x (alpha in ``scalars``), whether condition star holds on
-    them, and the worst residual on ``trials`` seeded random functions.  The
-    model image of alpha * delta_x is the single entry conj?(alpha) at phi(x),
-    phi = psi^-1, so each image is scored at that entry and off it.
+    them, and the worst residual on ``trials`` seeded random functions, None for
+    a dense operator.  The model image of alpha * delta_x is the single entry
+    conj?(alpha) at phi(x), phi = psi^-1, so each image is scored there and off it.
 
     ``unit_stats`` are the statistics of the primal images of the unit point
     masses 1 * delta_x against phi.  Given them, the fit does not probe the
@@ -288,7 +294,6 @@ def _model_fit(
     s = ``op.point_mass_scale(alpha)``: it scores those from the unit
     statistics times s (|s| off the target).  The inverse transform is linear,
     so this matches probing up to rounding."""
-    n = op.group.size
     perm = psi.perm_array
     phi = np.argsort(perm)
     residual_point = 0.0
@@ -306,9 +311,11 @@ def _model_fit(
             residual_point = max(residual_point, worst)
             condition_star_ok &= star_ok
 
+    if op.point_mass_scale(1) is not None:  # linear: the point masses bound every image
+        return residual_point, condition_star_ok, None
     rng = np.random.default_rng(seed)
     residual_random = 0.0
-    for start, stop in _blocks(trials, n):
+    for start, stop in _blocks(trials, op.group.size):
         probes = _random_rows(op.group, rng, stop - start)
         images = _to_primal(op, op.apply_batch(probes))
         expected = np.conj(probes[:, perm]) if conjugation else probes[:, perm]
@@ -477,19 +484,11 @@ def recover(op: Operator, tol: float = DEFAULT_TOL) -> RecoveryReport:
              f"the scalar map breaks multiplicativity by {mult_error:.3e} "
              f"and conjugate additivity by {conj_add_error:.3e}", max_error=max(mult_error, conj_add_error))
 
-    # Stage 5: residual of U(f) against the reconstructed model on scaled point
-    # masses and seeded random functions, plus condition star on the point masses.
-    # The fit scores the unit scalar, and every scalar of a dense operator, off
-    # stage 2's statistics; it probes the other scalars of a callable operator.
+    # Stage 5: residual of U(f) against the reconstructed model, and condition star, on scaled
+    # point masses: the unit scalar, and every scalar of a dense operator, off stage 2's statistics.
+    # A callable operator is probed on its other scalars and on seeded random functions.
     residual_point, condition_star_ok, residual_random = _model_fit(
-        op,
-        psi,
-        conjugation,
-        PROBE_SCALARS,
-        DEFAULT_RESIDUAL_TRIALS,
-        DEFAULT_RECOVER_SEED,
-        unit_stats=(on_value, off_point),
-    )
+        op, psi, conjugation, PROBE_SCALARS, DEFAULT_RESIDUAL_TRIALS, DEFAULT_RECOVER_SEED, (on_value, off_point))
 
     diagnostics = {
         "unit_error": unit_error,
@@ -509,7 +508,7 @@ def recover(op: Operator, tol: float = DEFAULT_TOL) -> RecoveryReport:
     return RecoveryReport(
         psi=psi,
         conjugation=conjugation,
-        residual=max(residual_point, residual_random),
+        residual=max(residual_point, residual_random or 0.0),
         m_samples=m_samples,
         diagnostics=diagnostics,
         tol=tol,
@@ -524,15 +523,14 @@ def verify_recovery(
     trials: int = DEFAULT_RESIDUAL_TRIALS,
     seed: int = DEFAULT_VERIFY_SEED,
 ) -> float:
-    """Independent residual of the operator against a report's model.
-
-    Probes every point mass plus ``trials`` fresh random functions, so a
-    report carrying the wrong automorphism shows an order-one residual.
-    ``trials = 0`` checks the point masses only.
-    """
+    """Independent residual of the operator against a report's model, on every
+    point mass: a wrong automorphism shows an order-one residual.  A dense
+    operator's point masses fix its residual exactly (see the module docstring);
+    one given by its apply function is also sent ``trials`` fresh random
+    functions (0 checks the point masses only)."""
     trials = as_int(trials, ValueError, "trials", minimum=0)
     seed = as_int(seed, ValueError, "seed", minimum=0)
     if report.psi.group != op.group:
         raise GroupMismatchError("report and operator live on different groups")
     point, _, random = _model_fit(op, report.psi, report.conjugation, (1.0,), trials, seed)
-    return max(point, random)
+    return max(point, random or 0.0)

@@ -17,8 +17,9 @@ with a -0.0 zero among them, is kept read-only, complex128 and column-major
 (Fortran order), and a block takes one matrix product, O(k * n^2).  The
 gather agrees with the product bit for bit for real scales and within one
 rounding for complex ones; a probe row with a non-finite entry takes the
-product, which spreads it over the row (0 * inf is NaN).  A factors-only
-operator builds ``op.matrix`` from its factors on first read and keeps it.
+product, against a matrix built for that call alone, which spreads it over the
+row (0 * inf is NaN).  A factors-only operator builds ``op.matrix`` from its
+factors on first read and keeps it.
 The image of alpha * delta_x is column x of the matrix times
 ``point_mass_scale(alpha)``, which is conj?(alpha) by the flag.  A kept
 matrix gives each image as a contiguous row of ``matrix.T``, a read-only view
@@ -155,6 +156,10 @@ class Operator:
         """The dense matrix, read-only and column-major; None for an operator given by
         its apply function.  An operator kept as its monomial factors builds it here,
         on first read, and keeps it."""
+        return self._factors_matrix()
+
+    def _factors_matrix(self) -> np.ndarray:
+        """The matrix the monomial factors rebuild, read-only and column-major, kept by no one."""
         source, scale = self._monomial
         n = source.size
         matrix = np.zeros((n, n), dtype=np.complex128, order="F")
@@ -204,8 +209,9 @@ class Operator:
             out *= scale
             finite = np.isfinite(rows).all(axis=1)
             if not finite.all():
-                # The product spreads a non-finite entry over its whole row (0 * inf is NaN).
-                out[~finite] = rows[~finite] @ self.matrix.T
+                # The product spreads a non-finite entry over its whole row (0 * inf is NaN);
+                # its matrix is built for this call, so the factors stay the only storage.
+                out[~finite] = rows[~finite] @ self._factors_matrix().T
             return out
         out = np.empty_like(values)
         for i, row in enumerate(values):

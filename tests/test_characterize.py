@@ -669,24 +669,31 @@ class TestBlockedProbes:
     def test_dense_recover_and_verify_read_point_masses_off_columns(self):
         group = Group((256,))
         psi = random_automorphism(group, 3)
-        op = Operator.from_matrix(
-            group, PRIMAL, DUAL, reference_operator_matrix(group, psi, "T"), conjugate_input=True
-        )
-        batched_rows = []
-        apply_batch = op.apply_batch
+        matrix = reference_operator_matrix(group, psi, "T")
+        dense = Operator.from_matrix(group, PRIMAL, DUAL, matrix, conjugate_input=True)
+        twin = Operator(group, PRIMAL, DUAL, lambda f: GFunction(group, DUAL, matrix @ np.conj(f.values)))
+        batched_rows = {}
+        for name, op in (("dense", dense), ("twin", twin)):
+            rows = batched_rows[name] = []
+            apply_batch = op.apply_batch
 
-        def counting_apply_batch(values):
-            batched_rows.append(len(values))
-            return apply_batch(values)
+            def counting_apply_batch(values, rows=rows, apply_batch=apply_batch):
+                rows.append(len(values))
+                return apply_batch(values)
 
-        op.apply_batch = counting_apply_batch
-        report = recover(op)
-        assert report.psi == psi and report.conjugation
-        assert verify_recovery(op, report) < 1e-9
-        # Only recover's constant 1 and each call's 32 random functions go
-        # through the matrix product; the other constants are scaled off the
-        # image of 1, and the point masses are read off the columns.
-        assert batched_rows == [1, 32, 32]
+            op.apply_batch = counting_apply_batch
+            report = recover(op)
+            assert report.psi == psi and report.conjugation
+            assert verify_recovery(op, report) < 1e-9
+        # Only recover's constant 1 goes through the dense operator's matrix product;
+        # the other constants are scaled off the image of 1, the point masses are
+        # read off the columns, and neither call sends a random function.
+        assert batched_rows["dense"] == [1]
+        # The twin gets each point mass in blocks of 128, the constants in one
+        # batch, and 32 random functions per call.
+        unit, point_masses = [1], [128, 128]
+        recover_rows = unit + point_masses + [30] + 5 * point_masses + [32]
+        assert batched_rows["twin"] == recover_rows + point_masses + [32]
 
 
 def perturbed_dense_pair(orders, form, conjugation, perturbation):
@@ -745,15 +752,43 @@ class TestDenseModelFit:
         assert star_ok is probed.diagnostics["condition_star_ok"]
         assert star_ok is (perturbation == "noise")
         assert fast.diagnostics.keys() == probed.diagnostics.keys()
+        # Only the twin, a black box that need not be linear, is sent random
+        # functions, so only the random residual and the residual built on it differ.
+        assert fast.diagnostics["residual_random"] is None
+        assert isinstance(probed.diagnostics["residual_random"], float)
+        assert fast.residual == fast.diagnostics["residual_point_masses"]
         point_masses = ("point_mass_binary_error", "residual_point_masses")
         for key, value in fast.diagnostics.items():
             if isinstance(value, float):
-                # Constants and random functions reach the dense operator as one
-                # matrix product per block and the twin as one matrix-vector
-                # product each, which round differently, by up to about 5e-15.
+                # Constants reach the dense operator as one matrix product and the
+                # twin as one matrix-vector product each, which round differently,
+                # by up to about 5e-15.
                 bound = 1e-15 if key in point_masses else 1e-14
                 assert abs(value - probed.diagnostics[key]) <= bound, key
-        assert abs(fast.residual - probed.residual) <= 1e-15
+
+    @pytest.mark.parametrize("perturbation", ["noise", "leak", "nudge"])
+    @pytest.mark.parametrize("conjugation", [False, True])
+    @pytest.mark.parametrize("form", ["T", "U"])
+    def test_dense_residual_is_the_largest_entry_of_the_difference(self, form, conjugation, perturbation):
+        # The operator and its model are (conjugate-)linear, so their difference E,
+        # taken here on the primal side, bounds every image: |E f| <= max|E| * sum|f|.
+        psi, op, _ = perturbed_dense_pair((8, 8), form, conjugation, perturbation)
+        group, n = op.group, op.group.size
+        primal = np.linalg.solve(character_matrix(group), op.matrix) if form == "T" else op.matrix
+        largest = np.abs(primal - reference_operator_matrix(group, psi, "U")).max()
+        floor = 64 * np.finfo(float).eps * n
+        report = recover(op)
+        # recover scores alpha * delta_x for each probe scalar alpha: |alpha| * max|E| at worst.
+        assert abs(report.residual - max(map(abs, PROBE_SCALARS)) * largest) <= floor
+        residual = verify_recovery(op, report)
+        assert abs(residual - largest) <= floor
+        rng = np.random.default_rng(31)
+        f = _random_rows(group, rng, 32)
+        images = op.apply_batch(f)
+        images = np.linalg.solve(character_matrix(group), images.T).T if form == "T" else images
+        model = f[:, psi.perm_array]
+        error = np.abs(images - (np.conj(model) if conjugation else model)).max(axis=1)
+        assert np.all(error <= residual * np.abs(f).sum(axis=1) + floor)
 
 
 def point_mass_image(n, x, entries):

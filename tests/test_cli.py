@@ -334,6 +334,17 @@ class TestRecoverCommand:
         key, value = detail.split(": ")
         assert key == "detail_max_error" and float(value) == pytest.approx(1.0)
 
+    def test_exit_code_is_the_recover_verdict_alone(self, tmp_path, capsys):
+        # At tol 0 the exact U-form operator is recovered, while the embedded check
+        # fails on the rounding of its transforms: recover still exits 0.
+        op_path = tmp_path / "op.json"
+        args = ["gen-operator", "--orders", "4", "2", "--seed", "3", "--form", "U", "--conjugate", "-o", str(op_path)]
+        assert main(args) == 0
+        capsys.readouterr()
+        assert main(["recover", str(op_path), "--tol", "0", "--truth", str(tmp_path / "op.truth.json")]) == 0
+        out = capsys.readouterr().out.splitlines()
+        assert "truth_match: True" in out and "hypotheses_passed: False" in out
+
     def test_wrong_truth_exits_1(self, tmp_path):
         op_path, truth_path = self.gen(tmp_path)
         truth = json.loads(truth_path.read_text())

@@ -184,7 +184,9 @@ def battery_cases():
 
 
 def _payload(value):
-    """A JSON form of a stage payload: complex as [re, im], tuples as lists."""
+    """A JSON form of a stage payload: complex as [re, im], tuples as lists, None as null."""
+    if value is None:
+        return None
     if isinstance(value, (tuple, list)):
         return [_payload(v) for v in value]
     if isinstance(value, (complex, np.complexfloating)):
@@ -215,7 +217,7 @@ def outcome(case) -> dict:
 
 
 def _matches(actual, expected, size: int) -> bool:
-    """Equal, with floats compared by ``test_battery``'s rule and everything else exactly."""
+    """Equal, with floats compared by ``test_battery``'s rule and everything else, null included, exactly."""
     if isinstance(expected, dict):
         return isinstance(actual, dict) and actual.keys() == expected.keys() and all(
             _matches(actual[key], expected[key], size) for key in expected
@@ -258,6 +260,18 @@ def test_exact_operators_are_recovered(golden):
             assert result["verdict"] == "accept", case_id
             # A 1e-11 leak is within tolerance, but off the support it is not rounding.
             assert result["diagnostics"]["condition_star_ok"] is ("-leak-" not in case_id), case_id
+
+
+def test_only_callable_reports_carry_a_random_residual(golden):
+    # A dense operator's point masses fix its difference from the model, so its
+    # report's residual is the point-mass residual and no random function is sent.
+    for case_id, result in golden.items():
+        if result["verdict"] == "accept":
+            diagnostics = result["diagnostics"]
+            dense = case_id.startswith("dense-")
+            assert (diagnostics["residual_random"] is None) is dense, case_id
+            if dense:
+                assert result["residual"] == diagnostics["residual_point_masses"], case_id
 
 
 if __name__ == "__main__":
