@@ -262,18 +262,6 @@ def test_exact_operators_are_recovered(golden):
             assert result["diagnostics"]["condition_star_ok"] is ("-leak-" not in case_id), case_id
 
 
-def test_only_callable_reports_carry_a_random_residual(golden):
-    # A dense operator's point masses fix its difference from the model, so its
-    # report's residual is the point-mass residual and no random function is sent.
-    for case_id, result in golden.items():
-        if result["verdict"] == "accept":
-            diagnostics = result["diagnostics"]
-            dense = case_id.startswith("dense-")
-            assert (diagnostics["residual_random"] is None) is dense, case_id
-            if dense:
-                assert result["residual"] == diagnostics["residual_point_masses"], case_id
-
-
 if __name__ == "__main__":
     results = {case[0]: outcome(case) for case in battery_cases()}
     GOLDEN.write_text(json.dumps(results, indent=1, sort_keys=True) + "\n")
