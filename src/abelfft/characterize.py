@@ -28,14 +28,11 @@ and ``verify_recovery``.  The unit point masses are probed once: stage 2 reads
 the support map off them and keeps their statistics for the fit.  A dense
 operator's image of alpha * delta_x is s * column x, so the fit scores its five
 other scalars off stage 2's statistics times s, with no further transform; an
-operator given by its apply function is still probed once per scalar.  A
-dense operator and its model are (conjugate-)linear, so the unit point-mass
-images fix their difference E, and |E f| <= max|E| * sum |f| for every f: it
-gets no random probe, its ``residual_random`` is None, and its ``residual`` is
-the point-mass residual, |alpha| * max|E| at worst over the probe scalars
-(``verify_recovery``'s is max|E|).  An apply function need not be linear, so
-it is also scored on seeded random functions.  Every verdict compares an error
-with tol through one rule, ``_passes``.
+operator given by its apply function is still probed once per scalar.  The
+fit's residual is the worse of the point masses' and seeded random functions',
+but a dense operator whose flag is the model's gets no random function: its
+point masses bound every image (``_model_fit``).  Every verdict compares an
+error with tol through one rule, ``_passes``.
 
 Probes reach the operator in blocks of rows.  Scaled point masses go through
 ``Operator.apply_point_masses``, which reads a dense operator's columns, so
@@ -284,9 +281,14 @@ def _model_fit(
 ) -> tuple[float, bool, float | None]:
     """Worst residual against the model f -> conj?(f o psi) on the point masses
     alpha * delta_x (alpha in ``scalars``), whether condition star holds on
-    them, and the worst residual on ``trials`` seeded random functions, None for
-    a dense operator.  The model image of alpha * delta_x is the single entry
-    conj?(alpha) at phi(x), phi = psi^-1, so each image is scored there and off it.
+    them, and the worst residual on ``trials`` seeded random functions.  The
+    model image of alpha * delta_x is the single entry conj?(alpha) at phi(x),
+    phi = psi^-1, so each image is scored at that entry and off it.
+
+    A dense operator whose flag is ``conjugation`` is linear (or conjugate-linear)
+    as the model is, so the unit point masses fix their difference E, and
+    |E f| <= max|E| * sum|f| for every f: it gets no random function (None).  A
+    wrong flag, which the real scalar 1 cannot show, or an apply function does.
 
     ``unit_stats`` are the statistics of the primal images of the unit point
     masses 1 * delta_x against phi.  Given them, the fit does not probe the
@@ -311,7 +313,7 @@ def _model_fit(
             residual_point = max(residual_point, worst)
             condition_star_ok &= star_ok
 
-    if op.point_mass_scale(1) is not None:  # linear: the point masses bound every image
+    if op.point_mass_scale(1j) == (-1j if conjugation else 1j):
         return residual_point, condition_star_ok, None
     rng = np.random.default_rng(seed)
     residual_random = 0.0
@@ -486,9 +488,16 @@ def recover(op: Operator, tol: float = DEFAULT_TOL) -> RecoveryReport:
 
     # Stage 5: residual of U(f) against the reconstructed model, and condition star, on scaled
     # point masses: the unit scalar, and every scalar of a dense operator, off stage 2's statistics.
-    # A callable operator is probed on its other scalars and on seeded random functions.
+    # A callable operator is probed on its other scalars, and on seeded random functions.
     residual_point, condition_star_ok, residual_random = _model_fit(
-        op, psi, conjugation, PROBE_SCALARS, DEFAULT_RESIDUAL_TRIALS, DEFAULT_RECOVER_SEED, (on_value, off_point))
+        op,
+        psi,
+        conjugation,
+        PROBE_SCALARS,
+        DEFAULT_RESIDUAL_TRIALS,
+        DEFAULT_RECOVER_SEED,
+        unit_stats=(on_value, off_point),
+    )
 
     diagnostics = {
         "unit_error": unit_error,
@@ -523,11 +532,10 @@ def verify_recovery(
     trials: int = DEFAULT_RESIDUAL_TRIALS,
     seed: int = DEFAULT_VERIFY_SEED,
 ) -> float:
-    """Independent residual of the operator against a report's model, on every
-    point mass: a wrong automorphism shows an order-one residual.  A dense
-    operator's point masses fix its residual exactly (see the module docstring);
-    one given by its apply function is also sent ``trials`` fresh random
-    functions (0 checks the point masses only)."""
+    """Independent residual of the operator against a report's model on every
+    point mass, and on ``trials`` fresh random functions (0: none), so a wrong
+    automorphism or flag shows an order-one residual.  A dense operator whose
+    flag is the report's gets none: its point masses fix it (``_model_fit``)."""
     trials = as_int(trials, ValueError, "trials", minimum=0)
     seed = as_int(seed, ValueError, "seed", minimum=0)
     if report.psi.group != op.group:

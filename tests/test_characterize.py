@@ -432,6 +432,22 @@ class TestVerifyRecovery:
         flipped = dataclasses.replace(report, conjugation=True)
         assert verify_recovery(op, flipped, trials=8) >= 0.5
 
+    @pytest.mark.parametrize("conjugation", [False, True])
+    @pytest.mark.parametrize("form", ["T", "U"])
+    def test_wrong_flag_shows_large_residual_on_a_dense_operator(self, form, conjugation):
+        # The point masses at the real scalar 1 agree under either flag, so a dense
+        # operator whose flag is not the report's is still sent the random functions.
+        g = Group((5,))
+        psi = random_automorphism(g, 2)
+        out_side = DUAL if form == "T" else PRIMAL
+        op = Operator.from_matrix(g, PRIMAL, out_side, reference_operator_matrix(g, psi, form), conjugation)
+        report = recover(op)
+        assert report.conjugation is conjugation and report.diagnostics["residual_random"] is None
+        assert verify_recovery(op, report, trials=8) <= 1e-15
+        flipped = dataclasses.replace(report, conjugation=not conjugation)
+        assert verify_recovery(op, flipped, trials=0) <= 1e-15
+        assert verify_recovery(op, flipped, trials=8) >= 0.5
+
     @pytest.mark.parametrize(
         "seed, message",
         [
