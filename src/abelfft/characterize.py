@@ -34,11 +34,11 @@ but a dense operator whose flag is the model's gets no random function: its
 point masses bound every image (``_model_fit``).  Every verdict compares an
 error with tol through one rule, ``_passes``.
 
-Probes reach the operator in blocks of rows.  Scaled point masses go through
+Probes reach the operator in blocks of rows.  Unit point masses go through
 ``Operator.apply_point_masses``, which reads a dense operator's columns, so
 each costs O(size); every other probe (the constant 1, random functions,
-sums, and an apply function's other constants) goes through
-``Operator.apply_batch``, which a dense operator answers in one call.
+sums, and an apply function's scaled point masses and other constants) goes
+through ``Operator.apply_batch``, which a dense operator answers in one call.
 ``_to_primal`` then takes T-form images back to the primal side with one
 inverse transform.  An operator given only by its apply function is called
 once per probe, in order, either way.  The exhaustive
@@ -71,7 +71,7 @@ from .errors import (
 )
 from .functions import PRIMAL, haar_weight, star_values
 from .groups import Automorphism, Group, as_int, find_additivity_violation
-from .operators import Operator, T_FORM
+from .operators import Operator, T_FORM, point_mass_rows
 from .transform import _dft_values, convolve_values
 
 PROBE_SCALARS: tuple[complex, ...] = (1 + 0j, -1 + 0j, 1j, 2 + 0j, 0.5 + 0j, 1 + 1j)
@@ -239,7 +239,11 @@ def _point_mass_blocks(op: Operator, alpha: complex = 1.0, phi: np.ndarray | Non
     without phi, and its statistics are its value there and its largest magnitude off it."""
     n = op.group.size
     for start, stop in _blocks(n, n):
-        images = _to_primal(op, op.apply_point_masses(start, stop, alpha))
+        if alpha == 1:
+            images = op.apply_point_masses(start, stop)
+        else:
+            images = op.apply_batch(point_mass_rows(n, start, stop, alpha))
+        images = _to_primal(op, images)
         magnitude = np.abs(images)
         targets = magnitude.argmax(axis=1) if phi is None else phi[start:stop]
         rows = np.arange(stop - start)
@@ -275,15 +279,15 @@ def _model_fit(
     psi: Automorphism,
     conjugation: bool,
     scalars,
-    trials: int,
     seed: int,
     unit_stats: tuple[np.ndarray, np.ndarray] | None = None,
 ) -> tuple[float, bool, float | None]:
     """Worst residual against the model f -> conj?(f o psi) on the point masses
     alpha * delta_x (alpha in ``scalars``), whether condition star holds on
-    them, and the worst residual on ``trials`` seeded random functions.  The
-    model image of alpha * delta_x is the single entry conj?(alpha) at phi(x),
-    phi = psi^-1, so each image is scored at that entry and off it.
+    them, and the worst residual on ``DEFAULT_RESIDUAL_TRIALS`` random functions
+    drawn from ``seed``.  The model image of alpha * delta_x is the single entry
+    conj?(alpha) at phi(x), phi = psi^-1, so each image is scored at that entry
+    and off it.
 
     A dense operator whose flag is ``conjugation`` is linear (or conjugate-linear)
     as the model is, so the unit point masses fix their difference E, and
@@ -317,7 +321,7 @@ def _model_fit(
         return residual_point, condition_star_ok, None
     rng = np.random.default_rng(seed)
     residual_random = 0.0
-    for start, stop in _blocks(trials, op.group.size):
+    for start, stop in _blocks(DEFAULT_RESIDUAL_TRIALS, op.group.size):
         probes = _random_rows(op.group, rng, stop - start)
         images = _to_primal(op, op.apply_batch(probes))
         expected = np.conj(probes[:, perm]) if conjugation else probes[:, perm]
@@ -494,7 +498,6 @@ def recover(op: Operator, tol: float = DEFAULT_TOL) -> RecoveryReport:
         psi,
         conjugation,
         PROBE_SCALARS,
-        DEFAULT_RESIDUAL_TRIALS,
         DEFAULT_RECOVER_SEED,
         unit_stats=(on_value, off_point),
     )
@@ -526,19 +529,13 @@ def recover(op: Operator, tol: float = DEFAULT_TOL) -> RecoveryReport:
 
 
 @np.errstate(over="ignore", invalid="ignore")
-def verify_recovery(
-    op: Operator,
-    report: RecoveryReport,
-    trials: int = DEFAULT_RESIDUAL_TRIALS,
-    seed: int = DEFAULT_VERIFY_SEED,
-) -> float:
+def verify_recovery(op: Operator, report: RecoveryReport) -> float:
     """Independent residual of the operator against a report's model on every
-    point mass, and on ``trials`` fresh random functions (0: none), so a wrong
-    automorphism or flag shows an order-one residual.  A dense operator whose
-    flag is the report's gets none: its point masses fix it (``_model_fit``)."""
-    trials = as_int(trials, ValueError, "trials", minimum=0)
-    seed = as_int(seed, ValueError, "seed", minimum=0)
+    point mass, and on ``DEFAULT_RESIDUAL_TRIALS`` random functions seeded with
+    ``DEFAULT_VERIFY_SEED``, so a wrong automorphism or flag shows an order-one
+    residual.  A dense operator whose flag is the report's gets no random
+    function: its point masses fix it (``_model_fit``)."""
     if report.psi.group != op.group:
         raise GroupMismatchError("report and operator live on different groups")
-    point, _, random = _model_fit(op, report.psi, report.conjugation, (1.0,), trials, seed)
+    point, _, random = _model_fit(op, report.psi, report.conjugation, (1.0,), DEFAULT_VERIFY_SEED)
     return max(point, random or 0.0)

@@ -272,7 +272,8 @@ def load_function(path: PathLike) -> GFunction:
 
 
 def save_operator(path: PathLike, op: Operator) -> None:
-    if op.matrix is None:
+    matrix = op.matrix  # built on each read for an operator kept as its factors
+    if matrix is None:
         raise FileFormatError("operator has no serialized matrix form")
     _dump_array_record(
         path,
@@ -283,7 +284,7 @@ def save_operator(path: PathLike, op: Operator) -> None:
             "conjugate_input": bool(op.conjugate_input),
         },
         "matrix",
-        op.matrix,
+        matrix,
     )
 
 

@@ -18,15 +18,15 @@ with a -0.0 zero among them, is kept read-only, complex128 and column-major
 gather agrees with the product bit for bit for real scales and within one
 rounding for complex ones; a probe row with a non-finite entry takes the
 product, against a matrix built for that call alone, which spreads it over the
-row (0 * inf is NaN).  A factors-only operator builds ``op.matrix`` from its
-factors on first read and keeps it.
-The image of alpha * delta_x is column x of the matrix times
-``point_mass_scale(alpha)``, which is conj?(alpha) by the flag.  A kept
-matrix gives each image as a contiguous row of ``matrix.T``, a read-only view
-at unit scale; factors write each image's one nonzero into a fresh block of
-s * 0, equal bit for bit to s times the column.  The operator is
-(conjugate-)linear, so that factor scales any image: the image of alpha * 1
-is s times the image of 1, which ``recover`` uses for constants.  A
+row (0 * inf is NaN).  Either way the operator holds one storage for life:
+``op.matrix`` of a factors-only operator is built from its factors on each
+read and is not kept.
+``apply_point_masses`` answers the unit point masses: the image of delta_x
+is column x of the matrix.  A kept matrix gives each as a contiguous row of
+``matrix.T``, a read-only view; factors write each one nonzero into a fresh
+block of zeros.  The operator is (conjugate-)linear, so the image of alpha * f
+is s times the image of f, with s = ``point_mass_scale(alpha)``, conj?(alpha)
+by the flag: ``recover`` scales unit images and the image of 1 by it.  A
 read-only, column-major complex128 array that owns its data is kept without
 a copy; any other is copied.  Record files stay row-major.  Turning writes
 back on for an array handed over, or for ``op.matrix``, breaks this
@@ -45,7 +45,6 @@ conjugation flag:
 
 from __future__ import annotations
 
-from functools import cached_property
 from typing import Callable, Optional
 
 import numpy as np
@@ -132,8 +131,8 @@ class Operator:
         # The factors (source, scale) and source^-1, held exactly when no matrix is.
         self._monomial: Optional[tuple[np.ndarray, np.ndarray]] = None
         self._inverse: Optional[np.ndarray] = None
+        self._matrix: Optional[np.ndarray] = None
         if matrix is None:
-            self.matrix = None
             return
         given = matrix
         if type(matrix) is not np.ndarray or matrix.dtype != np.complex128:
@@ -149,17 +148,15 @@ class Operator:
         if not (frozen and matrix.flags.f_contiguous):
             matrix = np.array(matrix, order="F")
         matrix.setflags(write=False)
-        self.matrix = matrix
+        self._matrix = matrix
 
-    @cached_property
-    def matrix(self) -> np.ndarray:
+    @property
+    def matrix(self) -> Optional[np.ndarray]:
         """The dense matrix, read-only and column-major; None for an operator given by
-        its apply function.  An operator kept as its monomial factors builds it here,
-        on first read, and keeps it."""
-        return self._factors_matrix()
-
-    def _factors_matrix(self) -> np.ndarray:
-        """The matrix the monomial factors rebuild, read-only and column-major, kept by no one."""
+        its apply function.  An operator kept as its monomial factors builds it from
+        them on each read and does not keep it."""
+        if self._monomial is None:
+            return self._matrix
         source, scale = self._monomial
         n = source.size
         matrix = np.zeros((n, n), dtype=np.complex128, order="F")
@@ -203,7 +200,7 @@ class Operator:
         if self.apply_fn is None:
             rows = np.conj(values) if self.conjugate_input else values
             if self._monomial is None:
-                return rows @ self.matrix.T
+                return rows @ self._matrix.T
             source, scale = self._monomial
             out = rows.take(source, axis=1)
             out *= scale
@@ -211,7 +208,7 @@ class Operator:
             if not finite.all():
                 # The product spreads a non-finite entry over its whole row (0 * inf is NaN);
                 # its matrix is built for this call, so the factors stay the only storage.
-                out[~finite] = rows[~finite] @ self._factors_matrix().T
+                out[~finite] = rows[~finite] @ self.matrix.T
             return out
         out = np.empty_like(values)
         for i, row in enumerate(values):
@@ -226,28 +223,21 @@ class Operator:
             return None
         return np.conj(alpha) if self.conjugate_input else alpha
 
-    def apply_point_masses(self, start: int, stop: int, scale: complex = 1.0) -> np.ndarray:
-        """Images of ``scale * delta_x`` for x in range(start, stop), one row each."""
+    def apply_point_masses(self, start: int, stop: int) -> np.ndarray:
+        """Images of the unit point masses delta_x for x in range(start, stop), one row each."""
         n = self.group.size
         if not 0 <= start <= stop <= n:
             raise IndexError(f"point masses [{start}, {stop}) out of range for group of size {n}")
-        s = self.point_mass_scale(scale)
         if self._inverse is not None:
-            # Row x holds column x's one nonzero, at row inverse[x] of the matrix, in a
-            # block of s * 0: bit for bit what ``s * rows`` below holds off the support.
+            # Row x holds column x's one nonzero, at row inverse[x] of the matrix.
             targets = self._inverse[start:stop]
-            values = self._monomial[1][targets]
-            zero = np.zeros(1, dtype=np.complex128)
-            if s != 1:
-                values, zero = s * values, s * zero
-            images = np.full((stop - start, n), zero[0])
-            images[np.arange(stop - start), targets] = values
+            images = np.zeros((stop - start, n), dtype=np.complex128)
+            images[np.arange(stop - start), targets] = self._monomial[1][targets]
             return images
-        if s is not None:
+        if self._matrix is not None:
             # Column x of the matrix is the image of delta_x, a contiguous row of matrix.T.
-            rows = self.matrix.T[start:stop]
-            return rows if s == 1 else s * rows
-        return self.apply_batch(point_mass_rows(n, start, stop, scale))
+            return self._matrix.T[start:stop]
+        return self.apply_batch(point_mass_rows(n, start, stop))
 
     @classmethod
     def from_matrix(

@@ -265,18 +265,22 @@ class TestApplyBatch:
         assert all(np.array_equal(seen, row) for seen, row in zip(calls, rows))
         assert np.array_equal(batch, 2 * rows)
 
-        # Point masses reach a callable one apply each, as scale * delta_x, in index order.
+        # Unit point masses reach a callable one apply each, as delta_x, in index order.
         calls.clear()
-        images = op.apply_point_masses(1, 5, 1j)
+        images = op.apply_point_masses(1, 5)
         assert len(calls) == 4
         for x, seen in zip(range(1, 5), calls):
-            assert np.array_equal(seen, 1j * delta(g, x).values)
-        assert np.array_equal(images, 2j * np.eye(g.size)[1:5])
+            assert np.array_equal(seen, delta(g, x).values)
+        assert np.array_equal(images, 2 * np.eye(g.size)[1:5])
         assert op.point_mass_scale(1j) is None
 
     @pytest.mark.parametrize("conjugation", [False, True])
-    @pytest.mark.parametrize("scale", PROBE_SCALARS)
-    def test_dense_point_masses_match_batch_bit_for_bit(self, conjugation, scale):
+    @pytest.mark.parametrize("scale", [*PROBE_SCALARS, -2.0, complex(-0.3, 1.7)])
+    def test_dense_point_masses_scale_to_the_batch(self, conjugation, scale):
+        # The rule recover uses: the image of scale * delta_x is s times the image of
+        # delta_x.  Each part of every probe scalar and of -2 is 0, +-1, 2 or 1/2, so
+        # each part of s * entry is exact or one rounded sum, whatever order BLAS takes;
+        # a general complex scale is one complex product, rounded apart.
         g = Group((4, 6))
         rng = np.random.default_rng(4)
         matrix = rng.standard_normal((g.size, g.size)) + 1j * rng.standard_normal((g.size, g.size))
@@ -284,11 +288,13 @@ class TestApplyBatch:
         s = op.point_mass_scale(scale)
         assert s == (np.conj(scale) if conjugation else scale)
         for start, stop in ((0, g.size), (3, 17), (5, 5)):
-            columns = op.apply_point_masses(start, stop, scale)
-            assert np.array_equal(columns, s * op.apply_point_masses(start, stop))
+            units = op.apply_point_masses(start, stop)
             batch = op.apply_batch(point_mass_rows(g.size, start, stop, scale))
-            assert columns.shape == (stop - start, g.size)
-            assert np.array_equal(np.ascontiguousarray(columns).view(np.uint64), batch.view(np.uint64))
+            assert units.shape == batch.shape == (stop - start, g.size)
+            if scale == complex(-0.3, 1.7):
+                assert np.all(np.abs(s * units - batch) <= 4 * np.finfo(float).eps * abs(s) * np.abs(units))
+            else:
+                assert np.array_equal(_bits(s * units), _bits(batch))
 
     @pytest.mark.parametrize("conjugation", [False, True])
     def test_unit_scale_point_masses_are_a_read_only_view(self, conjugation):
@@ -301,9 +307,6 @@ class TestApplyBatch:
         assert not rows.flags.writeable
         with pytest.raises(ValueError):
             rows[0, 0] = 0
-        scaled = op.apply_point_masses(3, 17, 2)
-        assert scaled.flags.writeable and not np.shares_memory(scaled, op.matrix)
-        assert np.array_equal(scaled, 2 * rows)
 
     @pytest.mark.parametrize("form", ["T", "U"])
     def test_dense_storage_is_column_major(self, form):
@@ -316,9 +319,9 @@ class TestApplyBatch:
             op = Operator.from_matrix(g, PRIMAL, out_side, given, True)
             assert op.matrix.flags.f_contiguous and np.array_equal(op.matrix, matrix)
             for start, stop in ((0, g.size), (3, 17)):
-                rows = op.apply_point_masses(start, stop, 1j)
+                rows = op.apply_point_masses(start, stop)
                 assert rows.flags.c_contiguous
-                assert np.array_equal(rows, -1j * matrix[:, start:stop].T)
+                assert np.array_equal(rows, matrix[:, start:stop].T)
 
     @pytest.mark.parametrize("form", ["T", "U"])
     def test_reference_matrix_is_kept_without_a_copy(self, form):
@@ -328,15 +331,16 @@ class TestApplyBatch:
         assert not m.flags.writeable and m.flags.owndata
         op = Operator.from_matrix(g, PRIMAL, DUAL if form == "T" else PRIMAL, m)
         if form == "T":
-            assert np.shares_memory(op.matrix, m)
+            assert np.shares_memory(op.matrix, m) and op.matrix is op.matrix
             return
         held = _held_arrays(op)
         assert held and all(a.size <= g.size for a in held)
         assert not any(np.shares_memory(a, m) for a in held)
-        # Read, the matrix is rebuilt bit for bit, with the stored layout, and kept.
+        # Read, the matrix is rebuilt bit for bit, with the stored layout, and not kept.
         assert np.array_equal(_bits(op.matrix), _bits(m)) and not np.shares_memory(op.matrix, m)
         assert op.matrix.flags.f_contiguous and not op.matrix.flags.writeable
-        assert op.matrix is op.matrix
+        assert op.matrix is not op.matrix
+        assert _held_arrays(op) == held
 
     @pytest.mark.parametrize("form", ["T", "U"])
     def test_operator_from_reference_matrix_holds_one_table(self, form):
@@ -377,7 +381,7 @@ class TestApplyBatch:
         finally:
             tracemalloc.stop()
         assert peak < 1.5 * 2**20
-        assert "matrix" not in vars(op)
+        assert not any(a.size > g.size for a in _held_arrays(op))
         assert np.array_equal(_bits(op.matrix), _bits(given))
 
     @pytest.mark.parametrize(
@@ -552,25 +556,42 @@ class TestMonomialPath:
         assert np.all(np.abs(got - expected) <= 2 * np.finfo(float).eps * size)
 
     def test_finite_probes_are_answered_without_the_product(self):
-        # The matrix of an operator kept as its factors is kept only after a read
-        # of op.matrix: finite probes never build it.
         matrix = _monomial_matrix(self.n, 13, np.full(self.n, 2.0))
         op = self.operator(matrix)
         rows = self.probes(14)
         for block in (rows, rows[:1]):
             assert np.array_equal(_bits(op.apply_batch(block)), _bits(block @ matrix.T))
         op.apply(GFunction(op.group, PRIMAL, rows[0]))
-        op.apply_point_masses(0, self.n, 1j)
-        assert "matrix" not in vars(op) and not any(a.size > self.n for a in _held_arrays(op))
+        op.apply_point_masses(0, self.n)
+        assert not any(a.size > self.n for a in _held_arrays(op))
         rows[2, 5] = np.nan
         with np.errstate(invalid="ignore"):  # 0 * nan
             op.apply_batch(rows)
         # The product a non-finite probe takes builds its matrix for that call alone.
-        assert "matrix" not in vars(op) and not any(a.size > self.n for a in _held_arrays(op))
+        assert not any(a.size > self.n for a in _held_arrays(op))
+
+    def test_factors_stay_the_only_storage(self, tmp_path):
+        # Saving the operator, reading its matrix and a non-finite probe each build
+        # the matrix for that call alone: afterwards the operator holds O(n) numbers.
+        matrix = _monomial_matrix(self.n, 13, np.full(self.n, 2.0))
+        op = self.operator(matrix)
+        fileio.save_operator(tmp_path / "op.json", op)
+        assert np.array_equal(_bits(op.matrix), _bits(matrix))
+        assert op.matrix.shape == (self.n, self.n)
+        rows = self.probes(14)
+        rows[2, 5] = np.nan
+        with np.errstate(invalid="ignore"):  # 0 * nan
+            op.apply_batch(rows)
+        held = _held_arrays(op)
+        assert held and not any(a.size > self.n for a in held)
 
     @pytest.mark.parametrize("conjugate_input", [False, True])
     @pytest.mark.parametrize("kind", ["permutation", "negative", "complex"])
-    def test_point_masses_of_factors_are_the_scaled_columns_bit_for_bit(self, kind, conjugate_input):
+    def test_point_masses_of_factors_are_the_columns_bit_for_bit(self, kind, conjugate_input):
+        # The unit images are the columns bit for bit.  The rule recover uses, s times
+        # a unit image for the image of scale * delta_x, holds exactly: the gather takes
+        # the same product.  Only the signs of the zeros off the support may differ,
+        # since 0 * scale[r] takes its sign from scale[r] and s * 0 from s.
         rng = np.random.default_rng(15)
         scales = {
             "permutation": np.ones(self.n),
@@ -579,14 +600,13 @@ class TestMonomialPath:
         }[kind]
         matrix = _monomial_matrix(self.n, 16, scales)
         op = self.operator(matrix, conjugate_input)
-        assert "matrix" not in vars(op)
-        for scale in (*PROBE_SCALARS, complex(-0.3, 1.7), -2.0):
-            s = op.point_mass_scale(scale)
-            for start, stop in ((0, self.n), (5, 17), (9, 9)):
-                rows = op.apply_point_masses(start, stop, scale)
-                columns = matrix.T[start:stop]
-                assert np.array_equal(_bits(rows), _bits(columns if s == 1 else s * columns))
-        assert "matrix" not in vars(op)
+        for start, stop in ((0, self.n), (5, 17), (9, 9)):
+            units = op.apply_point_masses(start, stop)
+            assert np.array_equal(_bits(units), _bits(matrix.T[start:stop]))
+            for scale in (*PROBE_SCALARS, complex(-0.3, 1.7), -2.0):
+                batch = op.apply_batch(point_mass_rows(self.n, start, stop, scale))
+                assert np.array_equal(op.point_mass_scale(scale) * units, batch)
+        assert not any(a.size > self.n for a in _held_arrays(op))
         assert np.array_equal(_bits(op.matrix), _bits(matrix))
 
     @pytest.mark.parametrize("layout", _LAYOUTS)
@@ -653,7 +673,7 @@ class TestMonomialPath:
         assert monomial_factors(matrix) is None
         op = self.operator(matrix, True)
         assert op._monomial is None and op._inverse is None
-        assert np.array_equal(_bits(vars(op)["matrix"]), _bits(matrix))
+        assert op.matrix is op.matrix and np.array_equal(_bits(op.matrix), _bits(matrix))
         rows = self.probes(6)
         assert np.array_equal(_bits(op.apply_batch(rows)), _bits(_product(op, rows)))
 
@@ -682,7 +702,7 @@ class TestMonomialPath:
         # The factors would not rebuild the -0.0 entries, so the matrix is kept, and
         # probes take its product.
         assert op._monomial is None and op._inverse is None
-        assert np.array_equal(_bits(vars(op)["matrix"]), _bits(matrix))
+        assert op.matrix is op.matrix and np.array_equal(_bits(op.matrix), _bits(matrix))
         rows = self.probes(8)
         assert np.array_equal(_bits(op.apply_batch(rows)), _bits(rows @ matrix.T))
         # Saved, it keeps every -0.0; loaded and saved again, it writes the same bytes.
@@ -738,7 +758,7 @@ def _verdicts(op, u_report):
         out["recover"] = {key: repr(value) for key, value in recover(op).as_dict().items()}
     except NotEssentiallyFourierError as exc:
         out["recover"] = (type(exc).__name__, exc.step, str(exc), repr(exc.details))
-    out["verify"] = repr(verify_recovery(op, u_report, trials=4))
+    out["verify"] = repr(verify_recovery(op, u_report))
     return out
 
 
@@ -759,8 +779,8 @@ class TestFactorsOnlyAgainstDense:
         out_side = DUAL if form == "T" else PRIMAL
         factors = Operator.from_matrix(g, PRIMAL, out_side, matrix, conjugation)
         dense = Operator.from_matrix(g, PRIMAL, out_side, dense_matrix, conjugation)
-        assert "matrix" not in vars(factors) and "matrix" in vars(dense)
         assert factors._monomial is not None and dense._monomial is None
+        assert dense.matrix is dense.matrix
         u_report = recover(Operator.from_matrix(g, PRIMAL, PRIMAL, matrix, conjugation))
         assert _verdicts(factors, u_report) == _verdicts(dense, u_report)
-        assert "matrix" not in vars(factors)
+        assert not any(a.size > g.size for a in _held_arrays(factors))
