@@ -69,9 +69,9 @@ from .errors import (
     GroupMismatchError,
     NotEssentiallyFourierError,
 )
-from .functions import PRIMAL, haar_weight, star_values
-from .groups import Automorphism, Group, as_int, find_additivity_violation
-from .operators import Operator, T_FORM, point_mass_rows
+from .functions import PRIMAL, _random_rows, haar_weight, point_mass_rows, star_values
+from .groups import Automorphism, as_int, find_additivity_violation
+from .operators import Operator, T_FORM
 from .transform import _dft_values, convolve_values
 
 PROBE_SCALARS: tuple[complex, ...] = (1 + 0j, -1 + 0j, 1j, 2 + 0j, 0.5 + 0j, 1 + 1j)
@@ -192,14 +192,6 @@ def _blocks(count: int, size: int, budget: int = _BLOCK_ELEMENTS):
     """(start, stop) ranges over ``count`` probes of ``size`` values, in order."""
     step = max(1, budget // size)
     return ((start, min(start + step, count)) for start in range(0, count, step))
-
-
-def _random_rows(group: Group, rng: np.random.Generator, count: int) -> np.ndarray:
-    """``count`` seeded random functions as rows, drawn in one call but in the
-    order, and with the values, of ``count`` calls to ``random_function``."""
-    rows = np.empty((count, group.size), dtype=np.complex128)
-    rows.real, rows.imag = rng.standard_normal((count, 2, group.size)).transpose(1, 0, 2)
-    return rows
 
 
 def _to_primal(op: Operator, images: np.ndarray) -> np.ndarray:
@@ -381,7 +373,7 @@ def check_hypotheses(
         images = np.concatenate([op_delta, op.apply_batch(np.zeros((1, n), dtype=np.complex128))])
         xs, ys = np.indices((n, n))
         image_rows = np.stack([np.where(xs == ys, xs, n), group.add_index(xs, ys)])
-        points = np.eye(n, dtype=np.complex128)
+        points = point_mass_rows(n, 0, n)
         star_points = star_values(points, group, PRIMAL)
         # delta_y* is the point mass at -y, so a dense operator's image of delta_x + delta_y*
         # is column x plus column -y: (a) errs by U(delta_-y) - U(delta_y)* whatever x.

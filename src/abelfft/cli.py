@@ -95,6 +95,11 @@ def cmd_check(args: argparse.Namespace) -> int:
 
 def cmd_recover(args: argparse.Namespace) -> int:
     op = fileio.load_operator(args.operator)
+    # The sidecar is read and checked first, so a bad one exits 2 before any recovery or report file.
+    truth = fileio.load_truth(args.truth) if args.truth else None
+    if truth is not None and truth["group"] != op.group:
+        print("error: truth sidecar describes a different group", file=sys.stderr)
+        return 2
     try:
         report = recover(op, tol=args.tol)
     except NotEssentiallyFourierError as exc:
@@ -115,11 +120,7 @@ def cmd_recover(args: argparse.Namespace) -> int:
     _print_kv("conjugation", report.conjugation)
     _print_kv("residual", report.residual)
     _print_kv("hypotheses_passed", hypothesis.passed)
-    if args.truth:
-        truth = fileio.load_truth(args.truth)
-        if truth["group"] != op.group:
-            print("error: truth sidecar describes a different group", file=sys.stderr)
-            return 2
+    if truth is not None:
         matches = truth["psi"] == list(report.psi.perm) and truth["conjugation"] == report.conjugation
         _print_kv("truth_match", matches)
         if not matches:

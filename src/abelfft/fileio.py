@@ -29,6 +29,7 @@ Report file:     {"group": ..., "psi": [...], "conjugation": bool,
                   "residual": float, "m_samples": ..., "diagnostics": {...},
                   "hypothesis_errors": {...}|null, "version": str, "seed": int}
 Truth sidecar:   {"group": ..., "psi": [...], "conjugation": bool, "seed": int}
+                 a report's or sidecar's psi must be an automorphism of its group
 """
 
 from __future__ import annotations
@@ -43,7 +44,7 @@ import numpy as np
 
 from .errors import FileFormatError
 from .functions import SIDES, GFunction
-from .groups import Group, as_int
+from .groups import Group, as_int, is_automorphism
 from .operators import Operator, require_operator_sides
 
 PathLike = Union[str, Path]
@@ -310,8 +311,9 @@ def _parse_assignment(data: dict, path: PathLike) -> tuple[Group, list[int], boo
         raise FileFormatError(f'{path}: "psi" must be a permutation list of length {group.size}')
     if any(type(v) is not int for v in perm):
         raise FileFormatError(f'{path}: "psi" entries must be integers')
-    if sorted(perm) != list(range(group.size)):
-        raise FileFormatError(f'{path}: "psi" is not a bijection of 0..{group.size - 1}')
+    # In range first, so no entry past int64 reaches the array check.
+    if min(perm) < 0 or max(perm) >= group.size or not is_automorphism(perm, group):
+        raise FileFormatError(f'{path}: "psi" is not an automorphism of the group with orders {list(group.orders)}')
     if not isinstance(data.get("conjugation"), bool):
         raise FileFormatError(f'{path}: "conjugation" must be a boolean')
     return group, perm, data["conjugation"]

@@ -6,6 +6,9 @@ transform is a bijection and all four exchange identities hold exactly.  The
 side also fixes the involution: on the primal side f*(x) = conj(f(-x)); on the
 dual side the matching involution is plain pointwise conjugation, which is
 what the transform maps the primal involution to.
+
+Every point mass in the package is built by ``point_mass_rows`` and every seeded
+Gaussian probe row by ``_random_rows``; ``delta`` and ``random_function`` are one row.
 """
 
 from __future__ import annotations
@@ -82,14 +85,19 @@ def haar_weight(group: Group, side: str) -> float:
     return 1.0 if side == PRIMAL else 1.0 / group.size
 
 
+def point_mass_rows(size: int, start: int, stop: int, scale: complex = 1.0) -> np.ndarray:
+    """Rows ``scale * delta_x`` for x in range(start, stop), as a (stop - start, size) array."""
+    rows = np.zeros((stop - start, size), dtype=np.complex128)
+    rows[np.arange(stop - start), np.arange(start, stop)] = scale
+    return rows
+
+
 def delta(group: Group, at: int, side: str = PRIMAL) -> GFunction:
-    """Point mass: 1 at the element with index ``at``, 0 elsewhere."""
+    """Point mass: 1 at the element with index ``at``, 0 elsewhere; one row of ``point_mass_rows``."""
     j = as_int(at, IndexError, "an element index")
     if not 0 <= j < group.size:
         raise IndexError(f"element index {j} out of range for group of size {group.size}")
-    values = np.zeros(group.size, dtype=np.complex128)
-    values[j] = 1.0
-    return GFunction(group, side, values)
+    return GFunction(group, side, point_mass_rows(group.size, j, j + 1)[0])
 
 
 def zero(group: Group, side: str = PRIMAL) -> GFunction:
@@ -99,13 +107,17 @@ def zero(group: Group, side: str = PRIMAL) -> GFunction:
 def random_function(
     group: Group, rng: Union[int, np.random.Generator], side: str = PRIMAL
 ) -> GFunction:
-    """Complex-Gaussian random function, deterministic given an integer seed >= 0."""
-    if isinstance(rng, np.random.Generator):
-        gen = rng
-    else:
-        gen = np.random.default_rng(as_int(rng, ValueError, "seed", minimum=0))
-    values = gen.standard_normal(group.size) + 1j * gen.standard_normal(group.size)
-    return GFunction(group, side, values)
+    """Complex-Gaussian random function, deterministic given an integer seed >= 0; one row of ``_random_rows``."""
+    if not isinstance(rng, np.random.Generator):
+        rng = np.random.default_rng(as_int(rng, ValueError, "seed", minimum=0))
+    return GFunction(group, side, _random_rows(group, rng, 1)[0])
+
+
+def _random_rows(group: Group, rng: np.random.Generator, count: int) -> np.ndarray:
+    """``count`` complex-Gaussian rows in one draw from ``rng``: each row's real parts, then its imaginary parts."""
+    rows = np.empty((count, group.size), dtype=np.complex128)
+    rows.real, rows.imag = rng.standard_normal((count, 2, group.size)).transpose(1, 0, 2)
+    return rows
 
 
 def star(f: GFunction) -> GFunction:

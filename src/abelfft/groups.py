@@ -92,6 +92,19 @@ class Group:
         return int(index) if np.ndim(index) == 0 else index
 
 
+def _prime_factors(n: int) -> list[int]:
+    """The distinct primes dividing n >= 1, ascending, by trial division up to sqrt(n); a remainder above 1 is prime."""
+    primes = []
+    for p in range(2, math.isqrt(n) + 1):
+        if n % p == 0:
+            primes.append(p)
+            while n % p == 0:
+                n //= p
+    if n > 1:
+        primes.append(n)
+    return primes
+
+
 def _perm_array(perm, group: Group) -> np.ndarray:
     """``perm`` as an int64 array of the group's size; a wrong length, or an entry that
     is not an integer (a bool among integers included), raises instead of truncating."""
@@ -208,17 +221,8 @@ def random_automorphism(group: Group, seed: int) -> Automorphism:
         )
     rng = np.random.default_rng(as_int(seed, ValueError, "seed", minimum=0))
     k, orders = len(group.orders), np.array(group.orders)
-    # The primes dividing the size, by trial division up to its square root; a remainder above 1 is prime.
-    primes, rest = [], group.size
-    for p in range(2, math.isqrt(rest) + 1):
-        if rest % p == 0:
-            primes.append(p)
-            while rest % p == 0:
-                rest //= p
-    if rest > 1:
-        primes.append(rest)
     prime_order = [np.zeros((0, k), dtype=np.int64)]
-    for p in primes:
+    for p in _prime_factors(group.size):
         counts = np.gcd(orders, p)  # x_i takes counts[i] values; row 0 of the row-major table is x = 0
         prime_order.append(np.indices(counts).reshape(k, -1).T[1:] * (orders // counts))
     prime_order = np.concatenate(prime_order)

@@ -50,19 +50,12 @@ from typing import Callable, Optional
 import numpy as np
 
 from .errors import GroupMismatchError, SideMismatchError
-from .functions import DUAL, PRIMAL, SIDES, GFunction
+from .functions import DUAL, PRIMAL, SIDES, GFunction, point_mass_rows
 from .groups import Automorphism, Group
 from .transform import _char_rows, fft_forward
 
 T_FORM = "T"
 U_FORM = "U"
-
-
-def point_mass_rows(size: int, start: int, stop: int, scale: complex = 1.0) -> np.ndarray:
-    """Rows ``scale * delta_x`` for x in range(start, stop), as a (stop - start, size) array."""
-    rows = np.zeros((stop - start, size), dtype=np.complex128)
-    rows[np.arange(stop - start), np.arange(start, stop)] = scale
-    return rows
 
 
 def require_operator_sides(input_side: str, output_side: str) -> None:
@@ -101,6 +94,15 @@ def monomial_factors(matrix: np.ndarray) -> Optional[tuple[np.ndarray, np.ndarra
     if column_major:
         return crossing, values[crossing]
     return picks, values
+
+
+def _monomial_matrix(source: np.ndarray, scale) -> np.ndarray:
+    """The read-only, column-major matrix whose row r holds scale[r] in column source[r], +0.0+0.0j elsewhere."""
+    n = source.size
+    matrix = np.zeros((n, n), dtype=np.complex128, order="F")
+    matrix[np.arange(n), source] = scale
+    matrix.setflags(write=False)
+    return matrix
 
 
 class Operator:
@@ -157,12 +159,7 @@ class Operator:
         them on each read and does not keep it."""
         if self._monomial is None:
             return self._matrix
-        source, scale = self._monomial
-        n = source.size
-        matrix = np.zeros((n, n), dtype=np.complex128, order="F")
-        matrix[np.arange(n), source] = scale
-        matrix.setflags(write=False)
-        return matrix
+        return _monomial_matrix(*self._monomial)
 
     @property
     def form(self) -> str:
@@ -282,17 +279,13 @@ def build_reference_operator(
 
 def reference_operator_matrix(group: Group, psi: Automorphism, form: str) -> np.ndarray:
     """Dense matrix of the reference operator (the conjugation flag is stored separately), built
-    column-major from its n columns alone: column x is the image of delta_x, which sits at phi = psi^-1.
-    It is read-only, so ``Operator`` keeps a T-form one without a copy, and a U-form one as its
-    factors alone: copy it before editing."""
-    output_side = _reference_output_side(group, psi, form)
-    phi = np.argsort(psi.perm_array)
+    column-major: column x is the image of delta_x, which sits at phi = psi^-1.  The U-form one is
+    the monomial matrix with source psi and unit scales.  It is read-only, so ``Operator`` keeps a
+    T-form one without a copy, and a U-form one as its factors alone: copy it before editing."""
+    if _reference_output_side(group, psi, form) == PRIMAL:
+        return _monomial_matrix(psi.perm_array, 1)
     n = group.size
-    if output_side == DUAL:
-        matrix = np.empty((n, n), dtype=np.complex128, order="F")
-        _char_rows(group, phi, out=matrix.T)  # the character matrix is symmetric: its rows are its columns
-    else:
-        matrix = np.zeros((n, n), dtype=np.complex128, order="F")
-        matrix[phi, np.arange(n)] = 1
+    matrix = np.empty((n, n), dtype=np.complex128, order="F")
+    _char_rows(group, np.argsort(psi.perm_array), out=matrix.T)  # symmetric: its rows are its columns
     matrix.setflags(write=False)
     return matrix

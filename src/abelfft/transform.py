@@ -33,7 +33,7 @@ import numpy as np
 
 from .errors import SideMismatchError
 from .functions import DUAL, PRIMAL, GFunction
-from .groups import Group
+from .groups import Group, _prime_factors
 
 _NAIVE_BLOCK_ROWS = 256
 # Largest product of consecutive orders transformed as one character matrix.
@@ -44,8 +44,8 @@ _RUN_SIZE = 64
 # against 25 us, at 769 34 against 50 us.
 _RADER_MIN = 400
 # Rader's convolution has length p - 1, which stays a fast FFT only when it
-# has no prime factor above these.
-_RADER_RADICES = (2, 3, 5, 7)
+# has no prime factor above this.
+_RADER_MAX_RADIX = 7
 
 
 def _plan_runs(group: Group) -> tuple:
@@ -89,14 +89,8 @@ def _run_product(forward: np.ndarray, backward: np.ndarray, block: np.ndarray, i
 
 
 def _is_rader_order(p: int) -> bool:
-    """True for a prime p >= ``_RADER_MIN`` whose p - 1 factors over ``_RADER_RADICES``."""
-    if p < _RADER_MIN:
-        return False
-    rest = p - 1
-    for q in _RADER_RADICES:
-        while rest % q == 0:
-            rest //= q
-    return rest == 1 and all(p % d for d in range(2, math.isqrt(p) + 1))
+    """True for a prime p >= ``_RADER_MIN`` whose p - 1 has no prime factor above ``_RADER_MAX_RADIX``."""
+    return p >= _RADER_MIN and _prime_factors(p - 1)[-1] <= _RADER_MAX_RADIX and _prime_factors(p) == [p]
 
 
 def _rader_step(p: int) -> partial:
@@ -106,7 +100,8 @@ def _rader_step(p: int) -> partial:
     inverse kernel conj(w^(g^m)) / p has the forward one's spectrum conjugated
     and index-reversed."""
     n = p - 1
-    g = next(g for g in range(2, p) if all(pow(g, n // q, p) != 1 for q in _RADER_RADICES if n % q == 0))
+    factors = _prime_factors(n)
+    g = next(g for g in range(2, p) if all(pow(g, n // q, p) != 1 for q in factors))
     powers = np.ones(n, dtype=np.int64)  # powers[m] = g^m mod p, doubling the known prefix each pass
     known = 1
     while known < n:

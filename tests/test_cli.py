@@ -380,6 +380,35 @@ class TestRecoverCommand:
         err = capsys.readouterr().err
         assert err.startswith("error:") and "integers" in err and "Traceback" not in err
 
+    def test_truth_psi_that_is_not_an_automorphism_exits_2(self, tmp_path, capsys):
+        # Swapping 1 and 2 on Z_8 is a bijection that fixes 0, but 1 + 1 = 2 goes to 2 + 2 = 4, not 1.
+        op_path = tmp_path / "op.json"
+        assert main(["gen-operator", "--orders", "8", "--form", "U", "-o", str(op_path)]) == 0
+        truth_path = tmp_path / "bad.truth.json"
+        truth = json.loads((tmp_path / "op.truth.json").read_text())
+        truth["psi"] = [0, 2, 1, 3, 4, 5, 6, 7]
+        truth_path.write_text(json.dumps(truth))
+        capsys.readouterr()
+        assert main(["recover", str(op_path), "--truth", str(truth_path)]) == 2
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert "bad.truth.json" in captured.err and "automorphism" in captured.err
+
+    @pytest.mark.parametrize("sidecar", ["missing", "other-group"])
+    def test_bad_truth_exits_2_before_recovering(self, tmp_path, capsys, sidecar):
+        op_path, truth_path = self.gen(tmp_path)
+        if sidecar == "missing":
+            truth_path = tmp_path / "missing.json"
+        else:
+            truth_path = tmp_path / "other" / "op.truth.json"
+            truth_path.parent.mkdir()
+            assert main(["gen-operator", "--orders", "8", "--form", "T", "-o", str(truth_path.parent / "op.json")]) == 0
+        report_path = tmp_path / "r.json"
+        capsys.readouterr()
+        assert main(["recover", str(op_path), "-o", str(report_path), "--truth", str(truth_path)]) == 2
+        assert capsys.readouterr().out == ""
+        assert not report_path.exists()
+
     @pytest.mark.parametrize("option", [["--trials", "4"], ["--check-seed", "1"]], ids=["trials", "check-seed"])
     def test_removed_options_exit_2(self, tmp_path, capsys, option):
         op_path, _ = self.gen(tmp_path)

@@ -350,6 +350,27 @@ class TestReportAndTruthFiles:
             with pytest.raises(FileFormatError):
                 load(path)
 
+    @pytest.mark.parametrize(
+        "orders, psi",
+        [((8,), [0, 2, 1, 3, 4, 5, 6, 7]), ((2, 4), [0, 2, 1, 3, 4, 5, 6, 7]), ((3,), [1, 2, 0])],
+        ids=["swap-on-z8", "swap-on-z2-x-z4", "moves-zero"],
+    )
+    @pytest.mark.parametrize("load", [fileio.load_report, fileio.load_truth])
+    def test_psi_must_be_an_automorphism(self, tmp_path, orders, psi, load):
+        # Each psi is a bijection of the indices that does not respect addition.
+        path = tmp_path / "rec.json"
+        path.write_text(json.dumps({"group": {"orders": list(orders)}, "psi": psi, "conjugation": False}))
+        with pytest.raises(FileFormatError, match="rec.json.*automorphism"):
+            load(path)
+
+    @pytest.mark.parametrize("entry", [2**70, 2**63, -(2**70)])
+    @pytest.mark.parametrize("load", [fileio.load_report, fileio.load_truth])
+    def test_psi_entry_past_int64_is_a_format_error(self, tmp_path, entry, load):
+        path = tmp_path / "rec.json"
+        path.write_text(json.dumps({"group": {"orders": [2]}, "psi": [0, entry], "conjugation": False}))
+        with pytest.raises(FileFormatError, match="rec.json"):
+            load(path)
+
     def test_truth_roundtrip(self, tmp_path):
         group = Group((2, 2))
         psi = random_automorphism(group, 1)
@@ -662,6 +683,9 @@ class TestFlatScan:
                 False,
                 id="dual-with-malformed-matrix",
             ),
+            # JSON allows no character outside ASCII in an array of numbers: the scan refuses it unread.
+            pytest.param("operator", _op(_MATRIX.replace("1.5", "\uff11.5")), False, id="non-ascii-digit-in-array"),
+            pytest.param("function", _fn(_VALUES.replace(", ", ",\u00a0", 1)), False, id="non-ascii-space-in-array"),
             pytest.param("operator", _op(_MATRIX.replace("[[7", "[[ [7")), False, id="extra-bracket"),
             pytest.param("operator", _op(_MATRIX.replace("1.5,", "1.5")), False, id="missing-comma"),
             # Brackets and commas in place, one number in each slot, but outside its slot's brackets.

@@ -22,6 +22,7 @@ from abelfft import (
     random_automorphism,
     random_function,
 )
+from abelfft.groups import _prime_factors
 
 from conftest import small_groups
 
@@ -285,6 +286,11 @@ class TestAutomorphisms:
         with pytest.raises(InvalidPermutationError):
             Automorphism(Group((4,)), (1, 0, 2, 3))
 
+    def test_length_error_survives_the_entry_scan(self):
+        # Every entry is an integer, so the scan for a non-integer one finds none and the length error is raised.
+        with pytest.raises(InvalidPermutationError, match="length 2"):
+            Automorphism(Group((4,)), [0, 1])
+
     def test_apply(self):
         a = Automorphism(Group((4,)), (0, 3, 2, 1))
         assert a.perm_array[1] == 3
@@ -439,3 +445,14 @@ class TestAutomorphisms:
                 None,
             )
             assert find_additivity_violation(np.asarray(perm), g) == first
+
+
+def test_prime_factors_match_a_sieve():
+    limit = 5000
+    composite = np.zeros(limit + 1, dtype=bool)
+    for p in range(2, math.isqrt(limit) + 1):
+        composite[p * p :: p] = True
+    primes = [p for p in range(2, limit + 1) if not composite[p]]
+    for n in range(1, limit + 1):
+        assert _prime_factors(n) == [p for p in primes if n % p == 0], n
+    assert _prime_factors(65536) == [2] and _prime_factors(65537) == [65537]

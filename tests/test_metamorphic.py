@@ -10,12 +10,23 @@ A U-form case is run twice: as built (held as its factors when its matrix is
 monomial), and kept dense with one off-support zero set to -0.0, as
 ``TestFactorsOnlyAgainstDense`` does.
 
-Two relations are checked, on recover's verdict, failing step, psi and flag, and
+Four relations are checked, on recover's verdict, failing step, psi and flag, and
 on check's verdict:
   - flipping ``conjugate_input`` moves only the recovered flag;
   - reversing the factor order, the same coordinate permutation on both sides
     (the pairing is a sum over coordinates), keeps every verdict and step and
-    transports psi.
+    transports psi;
+  - merging two coprime factors Z_m x Z_n into Z_mn (the Chinese remainder
+    theorem) keeps every verdict and transports psi.  The dual side's map differs
+    from the primal one, so that the pairing is kept: (a, b) goes to a n + b m,
+    and for Z_2 x Z_3 -> Z_6 its inverse is xi -> (xi mod 2, -xi mod 3);
+  - precomposing with an automorphism sigma, U'(f) = U(f o sigma), keeps every
+    verdict and turns psi into sigma o psi.
+The last two relabel the point masses, and stage 2 of ``recover`` walks them in
+index order and raises at the first bad one, as ``point-mass-binary`` or
+``singleton-support`` by that one's entries.  A reject there may therefore name
+the other of those two steps; every other step is decided on all point masses
+at once, or on constants, and must not move.
 """
 
 from __future__ import annotations
@@ -34,6 +45,7 @@ from abelfft import (
     NotEssentiallyFourierError,
     Operator,
     check_hypotheses,
+    random_automorphism,
     recover,
 )
 
@@ -48,6 +60,8 @@ CASES = st.tuples(
     st.sampled_from(PERTURBATIONS),
     st.integers(0, 2**16),
 )
+# The steps that stage 2 raises at its first bad point mass, in index order.
+STAGE_2_STEPS = {"point-mass-binary", "singleton-support"}
 
 
 def _storages(orders, form, flag, perturbation, seed) -> list[np.ndarray]:
@@ -105,3 +119,74 @@ def test_reversing_the_factor_order_transports_psi(case):
         reordered = _operator(reversed_group, form, matrix[np.ix_(back, back)], flag)
         assert (op._monomial is None) == (reordered._monomial is None)
         assert _outcome(reordered) == ((verdict, step, transported, conjugation), passed)
+
+
+def _relabelled(outcome, expected) -> tuple:
+    """``outcome`` of a relabelled operator, its step taken as ``expected``'s when
+    both are stage 2 steps, which depend on the order of the point masses."""
+    (verdict, step, psi, conjugation), passed = outcome
+    if {step, expected[0][1]} <= STAGE_2_STEPS:
+        step = expected[0][1]
+    return (verdict, step, psi, conjugation), passed
+
+
+def _coprime_pair(orders):
+    """The first pair of factor positions (i, j), i < j, whose orders are coprime, or None."""
+    pairs = ((i, j) for i in range(len(orders)) for j in range(i + 1, len(orders)))
+    return next(((i, j) for i, j in pairs if math.gcd(orders[i], orders[j]) == 1), None)
+
+
+def _crt_merge(group, i, j):
+    """The group with factors i and j, of coprime orders m and n, merged into Z_mn at
+    position i, and the index maps of the primal and the dual side onto it.
+
+    On the primal side (u, v) goes to the z with z = u mod m and z = v mod n.  On the
+    dual side (a, b) goes to a n + b m mod mn, so that u a / m + v b / n = z (a n + b m) / mn
+    mod 1: the pairing is kept."""
+    orders, coords = group.orders, group.coords_table
+    m, n = orders[i], orders[j]
+    rest = [k for k in range(len(orders)) if k not in (i, j)]
+    merged = Group((m * n, *(orders[k] for k in rest)))
+    u, v = coords[:, i], coords[:, j]
+
+    def index(z):
+        return np.ravel_multi_index((z, *coords[:, rest].T), merged.orders)
+
+    primal = index((u * n * pow(n, -1, m) + v * m * pow(m, -1, n)) % (m * n))
+    dual = index((u * n + v * m) % (m * n))
+    return merged, primal, dual
+
+
+@given(CASES.filter(lambda case: _coprime_pair(case[0]) is not None))
+@settings(max_examples=60, derandomize=True, deadline=None)
+def test_merging_coprime_factors_transports_psi(case):
+    orders, form, flag = case[:3]
+    group = Group(orders)
+    merged, primal, dual = _crt_merge(group, *_coprime_pair(orders))
+    # Entry (r, c) of the matrix moves to (rows[r], primal[c]); an output lives on the dual side in T-form.
+    rows = dual if form == "T" else primal
+    for matrix in _storages(*case):
+        op = _operator(group, form, matrix, flag)
+        (verdict, step, psi, conjugation), passed = _outcome(op)
+        transported = None if psi is None else tuple(primal[np.asarray(psi)[np.argsort(primal)]].tolist())
+        moved = _operator(merged, form, matrix[np.ix_(np.argsort(rows), np.argsort(primal))], flag)
+        assert (op._monomial is None) == (moved._monomial is None)
+        expected = ((verdict, step, transported, conjugation), passed)
+        assert _relabelled(_outcome(moved), expected) == expected
+
+
+@given(CASES, st.integers(0, 2**16))
+@settings(max_examples=60, derandomize=True, deadline=None)
+def test_precomposing_with_an_automorphism_composes_psi(case, sigma_seed):
+    orders, form, flag = case[:3]
+    group = Group(orders)
+    sigma = random_automorphism(group, sigma_seed).perm_array
+    for matrix in _storages(*case):
+        op = _operator(group, form, matrix, flag)
+        (verdict, step, psi, conjugation), passed = _outcome(op)
+        composed = None if psi is None else tuple(sigma[np.asarray(psi)].tolist())
+        # U'(f) = U(f o sigma): column c of the matrix moves to column sigma(c).
+        moved = _operator(group, form, matrix[:, np.argsort(sigma)], flag)
+        assert (op._monomial is None) == (moved._monomial is None)
+        expected = ((verdict, step, composed, conjugation), passed)
+        assert _relabelled(_outcome(moved), expected) == expected
