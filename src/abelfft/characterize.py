@@ -13,26 +13,16 @@ identities that characterize the reference family:
       must preserve convolutions.
 
 ``recover`` reduces a primal->dual operator to a primal->primal one through the
-inverse transform and runs the ten steps its docstring lists.  The constants go
+inverse transform and runs the eleven steps its docstring lists.  The constants go
 in one batch: the probe scalars, then the products and conjugate sums the
 scalar-map laws need.  A dense operator's image of alpha * 1 is s * U(1) with s
 = ``point_mass_scale(alpha)``, so its constants are scaled off the image of 1
-that stage 1 probes, with no further matrix product.  Its last stage and
-``verify_recovery`` score the operator against the model f -> conj?(f o psi) in
-one shared fit: the model image of alpha * delta_x is the single entry
-conj?(alpha) at psi^-1(x), so each point-mass image is scored through two
-statistics: its value at that entry and its largest magnitude off it.  One
-walker, ``_point_mass_blocks``, yields each block of point-mass images with
-those statistics, at phi or at each row's largest entry, for stage 2, the fit
-and ``verify_recovery``.  The unit point masses are probed once: stage 2 reads
-the support map off them and keeps their statistics for the fit.  A dense
-operator's image of alpha * delta_x is s * column x, so the fit scores its five
-other scalars off stage 2's statistics times s, with no further transform; an
-operator given by its apply function is still probed once per scalar.  The
-fit's residual is the worse of the point masses' and seeded random functions',
-but a dense operator whose flag is the model's gets no random function: its
-point masses bound every image (``_model_fit``).  Every verdict compares an
-error with tol through one rule, ``_passes``.
+that stage 1 probes, with no further matrix product.  Its last stage,
+``model-fit``, and ``verify_recovery`` score the operator against the model
+f -> conj?(f o psi) in one shared fit, ``_model_fit``.  The unit point masses
+are probed once: stage 2 reads the support map off them and keeps their
+statistics for the fit.  Every verdict compares an error with tol through one
+rule, ``_passes``.
 
 Probes reach the operator in blocks of rows.  Unit point masses go through
 ``Operator.apply_point_masses``, which reads a dense operator's columns, so
@@ -41,19 +31,17 @@ sums, and an apply function's scaled point masses and other constants) goes
 through ``Operator.apply_batch``, which a dense operator answers in one call.
 ``_to_primal`` then takes T-form images back to the primal side with one
 inverse transform.  An operator given only by its apply function is called
-once per probe, in order, either way.  The exhaustive
-branch of ``check_hypotheses`` transforms each of the n point-mass images
-once, so each of the n^2 pairs costs one inverse transform; each of its
-blocks holds every y for a run of x, broadcast into rows, and stays under
-``_PAIR_BLOCK_ELEMENTS`` values.  Every other side of (b) and (c) is gathered
-from the point-mass images.  A dense operator's image of delta_x + delta_y*
-is the sum of columns x and -y, so its error of (a), U(delta_-y) - U(delta_y)*
-up to rounding whatever x, is taken once; an apply function need not be
-additive, so it is sent delta_x + delta_y* for every pair.  The random branch
-sends its five probe sets (f, g, f g, f conv g, f + g*) as one batch per
-block.  Point-mass probes stream in fixed blocks of about ``_BLOCK_ELEMENTS``
-values, each reduced to per-probe scalars before the next is built, so memory
-stays flat and every stage still fails at the first offending point mass.
+once per probe, in order, either way.  The exhaustive branch of
+``check_hypotheses`` transforms each of the n point-mass images once, so each
+of the n^2 pairs costs one inverse transform; each of its blocks holds every y
+for a run of x, broadcast into rows.  Every other side of (b) and (c) is
+gathered from the point-mass images.  A dense operator's image of
+delta_x + delta_y* is the sum of columns x and -y, so its error of (a),
+U(delta_-y) - U(delta_y)* up to rounding whatever x, is taken once; an apply
+function need not be additive, so it is sent delta_x + delta_y* for every pair.
+Every probe family streams in blocks of about ``_BLOCK_ELEMENTS`` values, each
+reduced to per-probe scalars before the next is built, so memory stays flat and
+every stage still fails at the first offending point mass.
 """
 
 from __future__ import annotations
@@ -87,9 +75,6 @@ DEFAULT_VERIFY_SEED = 905
 _EXHAUSTIVE_PAIR_BUDGET = 4096
 # Values per probe block: 32 probes at size 1024.
 _BLOCK_ELEMENTS = 1 << 15
-# Values per exhaustive pair block: each complex temporary stays under glibc's
-# 128 KiB mmap threshold, so blocks reuse heap memory instead of faulting it in.
-_PAIR_BLOCK_ELEMENTS = 1 << 12
 # The recover steps that decide whether the scalar map is the identity or conjugation.
 _DICHOTOMY_STEPS = frozenset({"dichotomy", "dichotomy-cross-validation", "scalar-map-laws"})
 
@@ -188,9 +173,9 @@ def _worst(errors: np.ndarray, axis: int | None = None):
     return np.where(np.isnan(largest), np.inf, largest)
 
 
-def _blocks(count: int, size: int, budget: int = _BLOCK_ELEMENTS):
+def _blocks(count: int, size: int):
     """(start, stop) ranges over ``count`` probes of ``size`` values, in order."""
-    step = max(1, budget // size)
+    step = max(1, _BLOCK_ELEMENTS // size)
     return ((start, min(start + step, count)) for start in range(0, count, step))
 
 
@@ -272,14 +257,16 @@ def _model_fit(
     conjugation: bool,
     scalars,
     seed: int,
+    tol: float,
     unit_stats: tuple[np.ndarray, np.ndarray] | None = None,
-) -> tuple[float, bool, float | None]:
+) -> tuple[float, bool, float | None, bool]:
     """Worst residual against the model f -> conj?(f o psi) on the point masses
     alpha * delta_x (alpha in ``scalars``), whether condition star holds on
-    them, and the worst residual on ``DEFAULT_RESIDUAL_TRIALS`` random functions
-    drawn from ``seed``.  The model image of alpha * delta_x is the single entry
-    conj?(alpha) at phi(x), phi = psi^-1, so each image is scored at that entry
-    and off it.
+    them, the worst residual on ``DEFAULT_RESIDUAL_TRIALS`` random functions
+    drawn from ``seed``, and whether the operator fits: each probed alpha's
+    residual within |alpha| * tol, and each random f's within tol * sum|f|.
+    The model image of alpha * delta_x is the single entry conj?(alpha) at
+    phi(x), phi = psi^-1, so each image is scored at that entry and off it.
 
     A dense operator whose flag is ``conjugation`` is linear (or conjugate-linear)
     as the model is, so the unit point masses fix their difference E, and
@@ -291,34 +278,38 @@ def _model_fit(
     unit scalar again, nor any scalar whose images are the unit images times
     s = ``op.point_mass_scale(alpha)``: it scores those from the unit
     statistics times s (|s| off the target).  The inverse transform is linear,
-    so this matches probing up to rounding."""
+    so this matches probing up to rounding.  Those scores are not judged again:
+    stage 2 judged the unit statistics they scale."""
     perm = psi.perm_array
     phi = np.argsort(perm)
     residual_point = 0.0
-    condition_star_ok = True
+    condition_star_ok = fits = True
     for alpha in scalars:
         expected = np.conj(alpha) if conjugation else alpha
         scale = 1 if alpha == 1 else op.point_mass_scale(alpha)
-        if unit_stats is not None and scale is not None:
-            on_value, off_point = unit_stats
-            stats = [(scale * on_value, abs(scale) * off_point)]
-        else:
+        probed = unit_stats is None or scale is None
+        if probed:
             stats = ((on, off) for _, _, _, on, off in _point_mass_blocks(op, alpha, phi))
+        else:
+            stats = [(scale * unit_stats[0], abs(scale) * unit_stats[1])]
         for on_value, off_point in stats:
             worst, star_ok = _score_point_masses(on_value, off_point, expected)
             residual_point = max(residual_point, worst)
             condition_star_ok &= star_ok
+            fits &= not probed or _passes(worst, abs(alpha) * tol)
 
     if op.point_mass_scale(1j) == (-1j if conjugation else 1j):
-        return residual_point, condition_star_ok, None
+        return residual_point, condition_star_ok, None, fits
     rng = np.random.default_rng(seed)
     residual_random = 0.0
     for start, stop in _blocks(DEFAULT_RESIDUAL_TRIALS, op.group.size):
         probes = _random_rows(op.group, rng, stop - start)
         images = _to_primal(op, op.apply_batch(probes))
         expected = np.conj(probes[:, perm]) if conjugation else probes[:, perm]
-        residual_random = max(residual_random, float(_worst(np.abs(images - expected))))
-    return residual_point, condition_star_ok, residual_random
+        errors = _worst(np.abs(images - expected), axis=1)
+        residual_random = max(residual_random, float(errors.max()))
+        fits &= bool(_passes(errors, tol * np.abs(probes).sum(axis=1)).all())
+    return residual_point, condition_star_ok, residual_random, fits
 
 
 def _law_errors(op, op_f, op_g, hat_f, hat_g, lhs, weight) -> list:
@@ -379,7 +370,7 @@ def check_hypotheses(
         # is column x plus column -y: (a) errs by U(delta_-y) - U(delta_y)* whatever x.
         dense = op.point_mass_scale(1) is not None
         err_a = np.abs(op_delta[group.negation_perm] - star_delta).max() if dense else None
-        for x0, x1 in _blocks(n, n * n, _PAIR_BLOCK_ELEMENTS):
+        for x0, x1 in _blocks(n, n * n):
             op_x, hat_x = op_delta[x0:x1, None], hat_delta[x0:x1, None]
             if not dense:
                 op_sum = op.apply_batch((points[x0:x1, None] + star_points).reshape(-1, n))
@@ -410,11 +401,15 @@ def recover(op: Operator, tol: float = DEFAULT_TOL) -> RecoveryReport:
     that names it (``step``) and carries the offending data (``details``):
     ``unit-preservation``, ``point-mass-binary``, ``singleton-support``,
     ``support-map-bijection``, ``identity-not-fixed``, ``homomorphism``,
-    ``scalar-independence``, ``dichotomy``, ``dichotomy-cross-validation`` and
-    ``scalar-map-laws``.  The last three, which decide whether the scalar
-    map is the identity or conjugation, raise DichotomyViolationError; the
-    others raise NotEssentiallyFourierError, its base class.  ``tol`` must lie in [0, 1/2), where a point-mass image is
-    unambiguously {0,1}-valued, or ValueError is raised.
+    ``scalar-independence``, ``dichotomy``, ``dichotomy-cross-validation``,
+    ``scalar-map-laws`` and ``model-fit``.  The three dichotomy steps, which
+    decide whether the scalar map is the identity or conjugation, raise
+    DichotomyViolationError; the others raise NotEssentiallyFourierError, its
+    base class.  So an accepted operator is within tol of the returned model on
+    every unit point mass, within |alpha| * tol on each other probed alpha *
+    delta_x, and within tol * sum|f| on each random f it was sent.  ``tol`` must
+    lie in [0, 1/2), where a point-mass image is unambiguously {0,1}-valued, or
+    ValueError is raised.
     """
     tol = _require_tolerance(tol, RECOVER_TOL_BOUND)
     group = op.group
@@ -482,17 +477,22 @@ def recover(op: Operator, tol: float = DEFAULT_TOL) -> RecoveryReport:
              f"the scalar map breaks multiplicativity by {mult_error:.3e} "
              f"and conjugate additivity by {conj_add_error:.3e}", max_error=max(mult_error, conj_add_error))
 
-    # Stage 5: residual of U(f) against the reconstructed model, and condition star, on scaled
-    # point masses: the unit scalar, and every scalar of a dense operator, off stage 2's statistics.
-    # A callable operator is probed on its other scalars, and on seeded random functions.
-    residual_point, condition_star_ok, residual_random = _model_fit(
+    # Stage 5: the model fit, and condition star, on scaled point masses: the unit scalar, and
+    # every scalar of a dense operator, off stage 2's statistics.  A callable operator is probed
+    # on its other scalars, and on seeded random functions.  Only those probes are judged here.
+    residual_point, condition_star_ok, residual_random, fits = _model_fit(
         op,
         psi,
         conjugation,
         PROBE_SCALARS,
         DEFAULT_RECOVER_SEED,
+        tol,
         unit_stats=(on_value, off_point),
     )
+    residual = max(residual_point, residual_random or 0.0)
+    _require(fits, "model-fit", f"U deviates from the recovered model by {residual:.3e}, beyond tol {tol:.1e} "
+             "times |alpha| on alpha * delta_x or sum|f| on a random f",
+             residual_point_masses=residual_point, residual_random=residual_random)
 
     diagnostics = {
         "unit_error": unit_error,
@@ -512,7 +512,7 @@ def recover(op: Operator, tol: float = DEFAULT_TOL) -> RecoveryReport:
     return RecoveryReport(
         psi=psi,
         conjugation=conjugation,
-        residual=max(residual_point, residual_random or 0.0),
+        residual=residual,
         m_samples=m_samples,
         diagnostics=diagnostics,
         tol=tol,
@@ -529,5 +529,5 @@ def verify_recovery(op: Operator, report: RecoveryReport) -> float:
     function: its point masses fix it (``_model_fit``)."""
     if report.psi.group != op.group:
         raise GroupMismatchError("report and operator live on different groups")
-    point, _, random = _model_fit(op, report.psi, report.conjugation, (1.0,), DEFAULT_VERIFY_SEED)
+    point, _, random, _ = _model_fit(op, report.psi, report.conjugation, (1.0,), DEFAULT_VERIFY_SEED, report.tol)
     return max(point, random or 0.0)

@@ -31,8 +31,8 @@ read-only, column-major complex128 array that owns its data is kept without
 a copy; any other is copied.  Record files stay row-major.  Turning writes
 back on for an array handed over, or for ``op.matrix``, breaks this
 contract.  An operator given only by its apply function stays a black box:
-both methods call it once per probe, in order, and ``point_mass_scale`` is
-None for it.
+``apply_batch`` alone calls it, once per row, in order, whichever probe method
+was asked, and ``point_mass_scale`` is None for it.
 
 T-form operators map primal to dual, U-form operators map primal to primal;
 there are no others, so the output side gives the form.
@@ -172,23 +172,11 @@ class Operator:
             raise SideMismatchError(
                 f"operator expects {self.input_side}-side input, got {f.side}"
             )
-        if self.apply_fn is None:
-            return GFunction(self.group, self.output_side, self.apply_batch(f.values[None])[0])
-        out = self.apply_fn(f)
-        if not isinstance(out, GFunction):
-            raise TypeError(f"operator apply function returned {type(out).__name__}, expected GFunction")
-        if out.group != self.group:
-            raise GroupMismatchError(
-                f"operator produced an output on {out.group.orders}, declared {self.group.orders}"
-            )
-        if out.side != self.output_side:
-            raise SideMismatchError(
-                f"operator produced a {out.side}-side output, declared {self.output_side}"
-            )
-        return out
+        return GFunction(self.group, self.output_side, self.apply_batch(f.values[None])[0])
 
     def apply_batch(self, values: np.ndarray) -> np.ndarray:
-        """Images of the rows of a (k, size) array of input-side values, as (k, size) rows."""
+        """Images of the rows of a (k, size) array of input-side values, as (k, size) rows; an apply
+        function must return a GFunction on the operator's group and output side."""
         values = np.asarray(values, dtype=np.complex128)
         if values.ndim != 2 or values.shape[1] != self.group.size:
             raise GroupMismatchError(
@@ -209,7 +197,18 @@ class Operator:
             return out
         out = np.empty_like(values)
         for i, row in enumerate(values):
-            out[i] = self.apply(GFunction(self.group, self.input_side, row)).values
+            image = self.apply_fn(GFunction(self.group, self.input_side, row))
+            if not isinstance(image, GFunction):
+                raise TypeError(f"operator apply function returned {type(image).__name__}, expected GFunction")
+            if image.group != self.group:
+                raise GroupMismatchError(
+                    f"operator produced an output on {image.group.orders}, declared {self.group.orders}"
+                )
+            if image.side != self.output_side:
+                raise SideMismatchError(
+                    f"operator produced a {image.side}-side output, declared {self.output_side}"
+                )
+            out[i] = image.values
         return out
 
     def point_mass_scale(self, alpha: complex) -> Optional[complex]:

@@ -3,6 +3,7 @@ import re
 
 import numpy as np
 import pytest
+from test_recover_battery import build_operator
 
 from abelfft import (
     DUAL,
@@ -777,6 +778,54 @@ class TestDenseModelFit:
         model = f[:, psi.perm_array]
         error = np.abs(images - (np.conj(model) if conjugation else model)).max(axis=1)
         assert np.all(error <= residual * np.abs(f).sum(axis=1) + floor)
+
+
+class TestModelFit:
+    """The ``model-fit`` step: a probed alpha * delta_x within |alpha| * tol of the
+    model, and a random f within tol * sum|f|."""
+
+    @pytest.mark.parametrize("conjugation", [False, True])
+    @pytest.mark.parametrize("orders, form", [((16,), "U"), ((8, 8), "T"), ((256,), "U")])
+    def test_an_operator_its_model_misfits_is_rejected(self, orders, form, conjugation):
+        # The recover battery's add-one box: its point masses and constants are the
+        # model's, its random functions are not.
+        op = build_operator(orders, form, conjugation, "add-one", 3, "box")
+        with pytest.raises(NotEssentiallyFourierError, match="U deviates from the recovered model by 1.000e") as excinfo:
+            recover(op)
+        assert type(excinfo.value) is NotEssentiallyFourierError and excinfo.value.step == "model-fit"
+        details = excinfo.value.details
+        assert details.keys() == {"residual_point_masses", "residual_random"}
+        assert details["residual_point_masses"] <= 1e-15
+        assert abs(details["residual_random"] - 1) <= 1e-14
+        assert not check_hypotheses(op, trials=4).passed
+
+    def test_random_probes_are_judged_per_unit_of_their_l1_norm(self):
+        # A linear callable whose point-mass images are each within tol of the model
+        # errs on f by up to max|E| * sum|f|, which on Z_256 is well above tol itself.
+        n, eps = 256, 0.9e-9
+        group = Group((n,))
+        matrix = np.eye(n) + eps * (-1.0) ** np.add.outer(np.arange(n), np.arange(n))
+        op = Operator(group, PRIMAL, PRIMAL, lambda f: GFunction(group, PRIMAL, matrix @ f.values))
+        report = recover(op)
+        assert report.psi == Automorphism.identity(group) and not report.conjugation
+        assert report.diagnostics["residual_random"] > 1e-8
+        assert report.diagnostics["residual_point_masses"] <= 2 * eps + 1e-15
+
+    @pytest.mark.parametrize("alpha, error, verdict", [(0.5, 0.75e-9, "model-fit"), (2.0, 1.5e-9, "accepted")])
+    def test_a_probed_point_mass_is_judged_against_its_scalar(self, alpha, error, verdict):
+        # The image of alpha * delta_3 holds ``error`` off its support: within tol but
+        # beyond |alpha| * tol at alpha = 0.5, beyond tol but within |alpha| * tol at 2.
+        probe = np.zeros(16, dtype=complex)
+        probe[3] = alpha
+        image = probe.copy()
+        image[9] = error
+        op = replaced_identity(16, [(probe, image)])
+        try:
+            report = recover(op)
+        except NotEssentiallyFourierError as exc:
+            assert (exc.step, exc.details) == (verdict, {"residual_point_masses": error, "residual_random": 0.0})
+        else:
+            assert (verdict, report.residual) == ("accepted", error)
 
 
 def point_mass_image(n, x, entries):

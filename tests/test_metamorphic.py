@@ -27,6 +27,12 @@ index order and raises at the first bad one, as ``point-mass-binary`` or
 ``singleton-support`` by that one's entries.  A reject there may therefore name
 the other of those two steps; every other step is decided on all point masses
 at once, or on constants, and must not move.
+
+No dense perturbation reaches the steps from ``support-map-bijection`` on with
+its error far from tol, so the nonlinear boxes of the recover battery, each of
+which rejects at one of them by an order-one error, are relabelled too: as black
+boxes whose input and output indices are permuted as the dense cases permute a
+matrix, under the factor-order and automorphism relations.
 """
 
 from __future__ import annotations
@@ -34,6 +40,7 @@ from __future__ import annotations
 import math
 
 import numpy as np
+import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 from test_recover_battery import build_operator
@@ -41,6 +48,7 @@ from test_recover_battery import build_operator
 from abelfft import (
     DUAL,
     PRIMAL,
+    GFunction,
     Group,
     NotEssentiallyFourierError,
     Operator,
@@ -60,6 +68,17 @@ CASES = st.tuples(
     st.sampled_from(PERTURBATIONS),
     st.integers(0, 2**16),
 )
+# Each callable box of the recover battery, and the step that rejects it.
+BOX_STEPS = {
+    "collide": "support-map-bijection",
+    "uneven-four": "scalar-independence",
+    "absolute-value": "dichotomy",
+    "two-to-2.5": "dichotomy-cross-validation",
+    "four-to-4.5": "scalar-map-laws",
+    "add-one": "model-fit",
+}
+# (orders, form, flag, seed): the cases above without their perturbation.
+BOX_CASES = CASES.map(lambda case: case[:3] + case[4:])
 # The steps that stage 2 raises at its first bad point mass, in index order.
 STAGE_2_STEPS = {"point-mass-binary", "singleton-support"}
 
@@ -82,15 +101,18 @@ def _operator(group, form, matrix, flag) -> Operator:
     return Operator.from_matrix(group, PRIMAL, DUAL if form == "T" else PRIMAL, matrix, flag)
 
 
-def _outcome(op) -> tuple:
-    """(verdict, failing step, psi, flag) of ``recover``, and whether ``check`` passes."""
+def _recover_outcome(op) -> tuple:
+    """(verdict, failing step, psi, flag) of ``recover``."""
     try:
         report = recover(op)
     except NotEssentiallyFourierError as exc:
-        verdict = ("reject", exc.step, None, None)
-    else:
-        verdict = ("accept", None, tuple(report.psi.perm), report.conjugation)
-    return verdict, check_hypotheses(op, trials=2, seed=0).passed
+        return "reject", exc.step, None, None
+    return "accept", None, tuple(report.psi.perm), report.conjugation
+
+
+def _outcome(op) -> tuple:
+    """``_recover_outcome``, and whether ``check`` passes."""
+    return _recover_outcome(op), check_hypotheses(op, trials=2, seed=0).passed
 
 
 @given(CASES)
@@ -190,3 +212,45 @@ def test_precomposing_with_an_automorphism_composes_psi(case, sigma_seed):
         assert (op._monomial is None) == (moved._monomial is None)
         expected = ((verdict, step, composed, conjugation), passed)
         assert _relabelled(_outcome(moved), expected) == expected
+
+
+def _relabelled_box(box: Operator, group: Group, rows, columns) -> Operator:
+    """The black box on ``group`` whose matrix is ``box``'s taken at ``np.ix_(rows, columns)``:
+    f is sent to ``box`` as the function with entry columns[c] = f[c], and entry r of
+    the image is entry rows[r] of ``box``'s."""
+    order = np.argsort(columns)
+
+    def apply_fn(f):
+        image = box.apply_fn(GFunction(box.group, PRIMAL, f.values[order]))
+        return GFunction(group, box.output_side, image.values[rows])
+
+    return Operator(group, PRIMAL, box.output_side, apply_fn)
+
+
+def _box_outcome(box: str, orders, form, flag, seed) -> tuple:
+    """The box operator and its ``_recover_outcome``, a reject at the box's step.  A
+    black box is sent every point-mass pair by ``check``, so only ``recover`` is asked."""
+    op = build_operator(orders, form, flag, box, seed, "box")
+    outcome = _recover_outcome(op)
+    assert outcome[:2] == ("reject", BOX_STEPS[box])
+    return op, outcome
+
+
+@pytest.mark.parametrize("box", BOX_STEPS)
+@given(BOX_CASES)
+@settings(max_examples=8, derandomize=True, deadline=None)
+def test_reversing_the_factor_order_of_a_box_keeps_its_step(box, case):
+    orders = case[0]
+    op, expected = _box_outcome(box, *case)
+    back = np.arange(op.group.size).reshape(orders).T.ravel()
+    assert _recover_outcome(_relabelled_box(op, Group(orders[::-1]), back, back)) == expected
+
+
+@pytest.mark.parametrize("box", BOX_STEPS)
+@given(BOX_CASES, st.integers(0, 2**16))
+@settings(max_examples=8, derandomize=True, deadline=None)
+def test_precomposing_a_box_with_an_automorphism_keeps_its_step(box, case, sigma_seed):
+    op, expected = _box_outcome(box, *case)
+    sigma = random_automorphism(op.group, sigma_seed).perm_array
+    moved = _relabelled_box(op, op.group, np.arange(op.group.size), np.argsort(sigma))
+    assert _recover_outcome(moved) == expected

@@ -172,6 +172,42 @@ class TestOperatorContracts:
         with pytest.raises(SideMismatchError, match="produced a dual-side output"):
             dual_output.apply(delta(g, 0))
 
+    @pytest.mark.parametrize(
+        "output, error, message",
+        [
+            (lambda g: np.zeros(g.size), TypeError, "operator apply function returned ndarray, expected GFunction"),
+            (lambda g: delta(Group((2, 2)), 0), GroupMismatchError, "operator produced an output on (2, 2), declared (4,)"),
+            (lambda g: delta(g, 0, DUAL), SideMismatchError, "operator produced a dual-side output, declared primal"),
+        ],
+        ids=["not-a-gfunction", "other-group", "other-side"],
+    )
+    def test_apply_function_contract_holds_on_every_probe_method(self, output, error, message):
+        g = Group((4,))
+        op = Operator(g, PRIMAL, PRIMAL, lambda f: output(g))
+        probes = [lambda: op.apply(delta(g, 0)), lambda: op.apply_batch(point_mass_rows(4, 0, 2)),
+                  lambda: op.apply_point_masses(0, 2)]
+        for probe in probes:
+            with pytest.raises(error) as excinfo:
+                probe()
+            assert type(excinfo.value) is error and str(excinfo.value) == message
+
+    @pytest.mark.parametrize("storage", ["matrix", "factors", "callable"])
+    def test_apply_is_one_row_of_apply_batch(self, storage):
+        g = Group((4, 6))
+        psi = random_automorphism(g, 3)
+        if storage == "callable":
+            op = build_reference_operator(g, psi, True, "T")
+        else:
+            form = "T" if storage == "matrix" else "U"
+            # Complex scales on the factors, whose gather rounds apart from the product.
+            matrix = (0.6 + 0.8j) * reference_operator_matrix(g, psi, form)
+            op = Operator.from_matrix(g, PRIMAL, DUAL if form == "T" else PRIMAL, matrix, True)
+            assert (op._monomial is None) == (storage == "matrix")
+        f = random_function(g, 5)
+        image = op.apply(f)
+        assert (image.group, image.side) == (g, op.output_side)
+        assert image.values.tobytes() == op.apply_batch(f.values[None])[0].tobytes()
+
     def test_matrix_shape_validation(self):
         with pytest.raises(GroupMismatchError):
             Operator.from_matrix(Group((3,)), PRIMAL, PRIMAL, np.eye(2))

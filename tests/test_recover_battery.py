@@ -56,7 +56,7 @@ GOLDEN = Path(__file__).with_name("recover_golden.json")
 COLUMN_PERTURBATIONS = ("split", "merge", "swap-zero", "gain", "tilt", "leak")
 DENSE_PERTURBATIONS = PERTURBATIONS + COLUMN_PERTURBATIONS
 # Nonlinear boxes around a reference operator, one per late stage.
-BOXES = ("nan-point-mass", "collide", "absolute-value", "two-to-2.5", "uneven-four", "four-to-4.5")
+BOXES = ("nan-point-mass", "collide", "absolute-value", "two-to-2.5", "uneven-four", "four-to-4.5", "add-one")
 STAGES = (
     "unit-preservation",
     "point-mass-binary",
@@ -68,9 +68,10 @@ STAGES = (
     "dichotomy",
     "dichotomy-cross-validation",
     "scalar-map-laws",
+    "model-fit",
 )
 # The steps that raise DichotomyViolationError; every other step raises its base class.
-DICHOTOMY_STEPS = STAGES[-3:]
+DICHOTOMY_STEPS = ("dichotomy", "dichotomy-cross-validation", "scalar-map-laws")
 RECOVER_SHAPES = EXHAUSTIVE_SHAPES + EXHAUSTIVE_LARGE + RANDOM_SHAPES
 
 
@@ -135,6 +136,9 @@ def _box(group: Group, box: str, seed: int):
             values[k] = 5
         if box == "four-to-4.5" and np.all(values == 4):
             return np.full(n, 4.5 + 0j)
+        if box == "add-one" and np.count_nonzero(values) >= 2 and not np.all(values == values[0]):
+            # Point masses and constants pass untouched; random functions do not.
+            return values + 1
         return values
 
     return modify
