@@ -4,8 +4,9 @@ Each case is a dense operator (or its callable twin) built from numpy alone,
 as in ``test_battery.py``, or a small nonlinear box around one that only a
 callable can be.  The golden file pins each verdict, the failing stage, every
 integer, flag and complex payload component, and a sha256 of psi exactly;
-floats (the stage payloads and an accepted report's diagnostics) are pinned by
-``test_battery``'s rule, ``ERROR_RTOL`` relative above ``ROUNDING_FLOOR * n``.
+floats (the stage payloads, an accepted report's diagnostics and
+``verify_recovery``'s residual on it) are pinned by ``test_battery``'s rule,
+``ERROR_RTOL`` relative above ``ROUNDING_FLOOR * n``.
 A change to ``recover_golden.json`` is a change in behaviour: say which
 outcomes moved and why.
 
@@ -45,6 +46,7 @@ from abelfft import (
     random_automorphism,
     recover,
     reference_operator_matrix,
+    verify_recovery,
 )
 
 GOLDEN = Path(__file__).with_name("recover_golden.json")
@@ -204,8 +206,9 @@ def _payload(value):
 
 def outcome(case) -> dict:
     _, build_args, tol = case
+    op = build_operator(*build_args)
     try:
-        report = recover(build_operator(*build_args), tol=tol)
+        report = recover(op, tol=tol)
     except NotEssentiallyFourierError as exc:
         assert isinstance(exc, DichotomyViolationError) == (exc.step in DICHOTOMY_STEPS), exc.step
         payload = {key: _payload(value) for key, value in exc.details.items()}
@@ -217,6 +220,7 @@ def outcome(case) -> dict:
         "conjugation": report.conjugation,
         "residual": report.residual,
         "diagnostics": {key: _payload(v) for key, v in report.diagnostics.items()},
+        "verify": verify_recovery(op, report),
     }
 
 
