@@ -251,65 +251,27 @@ def _score_point_masses(on_value, off_point, expected) -> tuple[float, bool]:
     return float(worst), bool(np.all((on_point > support_tol) & (off_point <= support_tol)))
 
 
-def _model_fit(
-    op: Operator,
-    psi: Automorphism,
-    conjugation: bool,
-    scalars,
-    seed: int,
-    tol: float,
-    unit_stats: tuple[np.ndarray, np.ndarray] | None = None,
-) -> tuple[float, bool, float | None, bool]:
-    """Worst residual against the model f -> conj?(f o psi) on the point masses
-    alpha * delta_x (alpha in ``scalars``), whether condition star holds on
-    them, the worst residual on ``DEFAULT_RESIDUAL_TRIALS`` random functions
-    drawn from ``seed``, and whether the operator fits: each probed alpha's
-    residual within |alpha| * tol, and each random f's within tol * sum|f|.
-    The model image of alpha * delta_x is the single entry conj?(alpha) at
-    phi(x), phi = psi^-1, so each image is scored at that entry and off it.
+def _random_fit(op: Operator, psi: Automorphism, conjugation: bool, seed: int, tol: float) -> tuple[float | None, bool]:
+    """Worst residual against the model f -> conj?(f o psi) on ``DEFAULT_RESIDUAL_TRIALS``
+    random functions drawn from ``seed``, and whether each f's is within tol * sum|f|.
 
     A dense operator whose flag is ``conjugation`` is linear (or conjugate-linear)
     as the model is, so the unit point masses fix their difference E, and
-    |E f| <= max|E| * sum|f| for every f: it gets no random function (None).  A
-    wrong flag, which the real scalar 1 cannot show, or an apply function does.
-
-    ``unit_stats`` are the statistics of the primal images of the unit point
-    masses 1 * delta_x against phi.  Given them, the fit does not probe the
-    unit scalar again, nor any scalar whose images are the unit images times
-    s = ``op.point_mass_scale(alpha)``: it scores those from the unit
-    statistics times s (|s| off the target).  The inverse transform is linear,
-    so this matches probing up to rounding.  Those scores are not judged again:
-    stage 2 judged the unit statistics they scale."""
-    perm = psi.perm_array
-    phi = np.argsort(perm)
-    residual_point = 0.0
-    condition_star_ok = fits = True
-    for alpha in scalars:
-        expected = np.conj(alpha) if conjugation else alpha
-        scale = 1 if alpha == 1 else op.point_mass_scale(alpha)
-        probed = unit_stats is None or scale is None
-        if probed:
-            stats = ((on, off) for _, _, _, on, off in _point_mass_blocks(op, alpha, phi))
-        else:
-            stats = [(scale * unit_stats[0], abs(scale) * unit_stats[1])]
-        for on_value, off_point in stats:
-            worst, star_ok = _score_point_masses(on_value, off_point, expected)
-            residual_point = max(residual_point, worst)
-            condition_star_ok &= star_ok
-            fits &= not probed or _passes(worst, abs(alpha) * tol)
-
+    |E f| <= max|E| * sum|f| for every f: it gets no random function (None, True).
+    A wrong flag, which the real scalar 1 cannot show, or an apply function does."""
     if op.point_mass_scale(1j) == (-1j if conjugation else 1j):
-        return residual_point, condition_star_ok, None, fits
+        return None, True
+    perm = psi.perm_array
     rng = np.random.default_rng(seed)
-    residual_random = 0.0
+    residual, fits = 0.0, True
     for start, stop in _blocks(DEFAULT_RESIDUAL_TRIALS, op.group.size):
         probes = _random_rows(op.group, rng, stop - start)
         images = _to_primal(op, op.apply_batch(probes))
         expected = np.conj(probes[:, perm]) if conjugation else probes[:, perm]
         errors = _worst(np.abs(images - expected), axis=1)
-        residual_random = max(residual_random, float(errors.max()))
+        residual = max(residual, float(errors.max()))
         fits &= bool(_passes(errors, tol * np.abs(probes).sum(axis=1)).all())
-    return residual_point, condition_star_ok, residual_random, fits
+    return residual, fits
 
 
 def _law_errors(op, op_f, op_g, hat_f, hat_g, lhs, weight) -> list:
@@ -477,20 +439,24 @@ def recover(op: Operator, tol: float = DEFAULT_TOL) -> RecoveryReport:
              f"the scalar map breaks multiplicativity by {mult_error:.3e} "
              f"and conjugate additivity by {conj_add_error:.3e}", max_error=max(mult_error, conj_add_error))
 
-    # Stage 5: the model fit, and condition star, on scaled point masses: the unit scalar, and
-    # every scalar of a dense operator, off stage 2's statistics.  A callable operator is probed
-    # on its other scalars, and on seeded random functions.  Only those probes are judged here.
-    residual_point, condition_star_ok, residual_random, fits = _model_fit(
-        op,
-        psi,
-        conjugation,
-        PROBE_SCALARS,
-        DEFAULT_RECOVER_SEED,
-        tol,
-        unit_stats=(on_value, off_point),
-    )
+    # Stage 5: the model fit, and condition star, on alpha * delta_x for each probe scalar, whose
+    # model image is conj?(alpha) at phi(x).  The unit scalar, and every scalar of a dense operator,
+    # are stage 2's statistics times s, which stage 2 judged; an apply function's other scalars
+    # are probed and judged within |alpha| * tol.  Then seeded random functions.
+    residual_point, condition_star_ok, fits = 0.0, True, True
+    for alpha in PROBE_SCALARS:
+        scale = 1 if alpha == 1 else op.point_mass_scale(alpha)
+        if scale is None:
+            stats = ((on, off) for *_, on, off in _point_mass_blocks(op, alpha, phi))
+        else:
+            stats = [(scale * on_value, abs(scale) * off_point)]
+        for on, off in stats:
+            worst, star_ok = _score_point_masses(on, off, np.conj(alpha) if conjugation else alpha)
+            residual_point, condition_star_ok = max(residual_point, worst), condition_star_ok and star_ok
+            fits &= scale is not None or _passes(worst, abs(alpha) * tol)
+    residual_random, random_fits = _random_fit(op, psi, conjugation, DEFAULT_RECOVER_SEED, tol)
     residual = max(residual_point, residual_random or 0.0)
-    _require(fits, "model-fit", f"U deviates from the recovered model by {residual:.3e}, beyond tol {tol:.1e} "
+    _require(fits and random_fits, "model-fit", f"U deviates from the recovered model by {residual:.3e}, beyond tol {tol:.1e} "
              "times |alpha| on alpha * delta_x or sum|f| on a random f",
              residual_point_masses=residual_point, residual_random=residual_random)
 
@@ -526,8 +492,10 @@ def verify_recovery(op: Operator, report: RecoveryReport) -> float:
     point mass, and on ``DEFAULT_RESIDUAL_TRIALS`` random functions seeded with
     ``DEFAULT_VERIFY_SEED``, so a wrong automorphism or flag shows an order-one
     residual.  A dense operator whose flag is the report's gets no random
-    function: its point masses fix it (``_model_fit``)."""
+    function: its point masses fix it (``_random_fit``)."""
     if report.psi.group != op.group:
         raise GroupMismatchError("report and operator live on different groups")
-    point, _, random, _ = _model_fit(op, report.psi, report.conjugation, (1.0,), DEFAULT_VERIFY_SEED, report.tol)
+    phi = np.argsort(report.psi.perm_array)
+    point = max(_score_point_masses(on, off, 1.0)[0] for *_, on, off in _point_mass_blocks(op, 1.0, phi))
+    random, _ = _random_fit(op, report.psi, report.conjugation, DEFAULT_VERIFY_SEED, report.tol)
     return max(point, random or 0.0)
