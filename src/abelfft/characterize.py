@@ -86,6 +86,7 @@ class HypothesisReport:
     max_err_a: float
     max_err_b: float
     max_err_c: float
+    max_err_d: float
     trials: int
     seed: int
     tol: float
@@ -103,20 +104,26 @@ class HypothesisReport:
         return _passes(self.max_err_c, self.tol)
 
     @property
+    def pass_d(self) -> bool:
+        return _passes(self.max_err_d, self.tol)
+
+    @property
     def passed(self) -> bool:
-        return self.pass_a and self.pass_b and self.pass_c
+        return self.pass_a and self.pass_b and self.pass_c and self.pass_d
 
     def as_dict(self) -> dict:
         return {
             "a": self.max_err_a,
             "b": self.max_err_b,
             "c": self.max_err_c,
+            "d": self.max_err_d,
             "trials": self.trials,
             "seed": self.seed,
             "tol": self.tol,
             "pass_a": self.pass_a,
             "pass_b": self.pass_b,
             "pass_c": self.pass_c,
+            "pass_d": self.pass_d,
             "passed": self.passed,
         }
 
@@ -183,6 +190,13 @@ def _to_primal(op: Operator, images: np.ndarray) -> np.ndarray:
     """Operator images as images under the primal->primal map: unchanged for
     U-form, with the inverse transform composed on top for T-form."""
     return _dft_values(images, op.group, inverse=True) if op.form == T_FORM else images
+
+
+def _unit_error(op: Operator) -> tuple[np.ndarray, float]:
+    """The operator's image of the constant 1, a (1, size) row, and the largest
+    deviation of its primal image from 1: U(1) must be the output algebra's unit."""
+    unit_image = op.apply_batch(np.ones((1, op.group.size), dtype=np.complex128))
+    return unit_image, float(_worst(np.abs(_to_primal(op, unit_image) - 1.0)))
 
 
 def _scalar_map(op: Operator, alphas, tol: float, unit_image: np.ndarray) -> tuple[dict[complex, complex], float]:
@@ -298,12 +312,12 @@ def check_hypotheses(
     seed: int = 0,
     tol: float = DEFAULT_TOL,
 ) -> HypothesisReport:
-    """Probe the three identities on point-mass pairs and random functions.
+    """Probe identity (d) on the constant 1, and (a)-(c) on point-mass pairs and random functions.
 
     Point-mass pairs are exhausted whenever size^2 is at most
     ``_EXHAUSTIVE_PAIR_BUDGET``; on top of that, ``trials`` seeded pairs of
     complex-Gaussian functions are checked.  The report carries the worst
-    deviation per identity; nothing raises.  Constants are never probed, so
+    deviation per identity; nothing raises.  No other constant is probed, so
     an operator that breaks linearity only on constants passes: an identity
     that sends the constant 4 to 4.5 passes here, and ``recover`` rejects it
     at ``scalar-map-laws``.
@@ -314,6 +328,7 @@ def check_hypotheses(
     group = op.group
     n = group.size
     block_errors = []
+    _, err_d = _unit_error(op)
 
     weight, out_weight = haar_weight(group, PRIMAL), haar_weight(group, op.output_side)
     if n * n <= _EXHAUSTIVE_PAIR_BUDGET:
@@ -352,7 +367,7 @@ def check_hypotheses(
         block_errors.append([err_a, *_law_errors(op, op_f, op_g, hat_f, hat_g, (op_prod, op_conv), out_weight)])
 
     err_a, err_b, err_c = (float(e) for e in _worst(np.array(block_errors), axis=0))
-    return HypothesisReport(err_a, err_b, err_c, trials, seed, tol)
+    return HypothesisReport(err_a, err_b, err_c, err_d, trials, seed, tol)
 
 
 @np.errstate(over="ignore", invalid="ignore")
@@ -378,8 +393,7 @@ def recover(op: Operator, tol: float = DEFAULT_TOL) -> RecoveryReport:
     n = group.size
 
     # Stage 1: constants must be preserved.
-    unit_image = op.apply_batch(np.ones((1, n), dtype=np.complex128))
-    unit_error = float(_worst(np.abs(_to_primal(op, unit_image) - 1.0)))
+    unit_image, unit_error = _unit_error(op)
     _require(_passes(unit_error, tol), "unit-preservation", f"U(1) deviates from 1 by {unit_error:.3e} (tol {tol:.1e})",
              max_error=unit_error)
 

@@ -85,6 +85,7 @@ def cmd_check(args: argparse.Namespace) -> int:
     _print_kv("hypothesis_a_error", report.max_err_a)
     _print_kv("hypothesis_b_error", report.max_err_b)
     _print_kv("hypothesis_c_error", report.max_err_c)
+    _print_kv("hypothesis_d_error", report.max_err_d)
     _print_kv("trials", report.trials)
     _print_kv("tol", report.tol)
     _print_kv("passed", report.passed)

@@ -52,6 +52,8 @@ RANDOM_SHAPES = [(128,), (256,), (16, 16), (4, 4, 4, 4), (2,) * 8, (3, 5, 7), (2
 
 PERTURBATIONS = ("exact", "noise-1e-13", "noise-1e-6", "nan", "inf", "1e300", "column-swap")
 FORMS = [(form, flag) for form in ("T", "U") for flag in (False, True)]
+IDENTITIES = ("a", "b", "c", "d")
+PASS_FLAGS = tuple(f"pass_{identity}" for identity in IDENTITIES)
 
 
 def perturbed_matrix(group: Group, form: str, perturbation: str, seed: int) -> np.ndarray:
@@ -117,7 +119,7 @@ def battery_cases():
 def outcome(case) -> dict:
     _, build_args, (trials, seed) = case
     report = check_hypotheses(build_operator(*build_args), trials=trials, seed=seed)
-    return {key: report.as_dict()[key] for key in ("a", "b", "c", "pass_a", "pass_b", "pass_c")}
+    return {key: report.as_dict()[key] for key in (*IDENTITIES, *PASS_FLAGS)}
 
 
 def _close(actual: float, expected: float, size: int) -> bool:
@@ -139,16 +141,16 @@ def test_battery_matches_golden(golden):
     mismatches = []
     for case in battery_cases():
         got, want = outcome(case), golden[case[0]]
-        flags_equal = all(got[k] == want[k] for k in ("pass_a", "pass_b", "pass_c"))
+        flags_equal = all(got[k] == want[k] for k in PASS_FLAGS)
         size = math.prod(case[1][0])
-        if not flags_equal or not all(_close(got[k], want[k], size) for k in "abc"):
+        if not flags_equal or not all(_close(got[k], want[k], size) for k in IDENTITIES):
             mismatches.append((case[0], got, want))
     assert not mismatches, mismatches[:5]
 
 
 def test_battery_rejects_every_perturbation_but_small_noise(golden):
     for case_id, result in golden.items():
-        passed = result["pass_a"] and result["pass_b"] and result["pass_c"]
+        passed = all(result[k] for k in PASS_FLAGS)
         assert passed == ("-exact-" in case_id or "-noise-1e-13-" in case_id), case_id
 
 

@@ -155,7 +155,34 @@ class TestCheckHypotheses:
         _, _, op = reference_fixture((4,), 1, True, "U")
         report = check_hypotheses(op, trials=2, seed=5)
         data = report.as_dict()
-        assert data["passed"] and data["pass_a"] and data["trials"] == 2
+        assert data["passed"] and data["pass_a"] and data["pass_d"] and data["trials"] == 2
+
+    @pytest.mark.parametrize("output_side", [DUAL, PRIMAL], ids=["T", "U"])
+    @pytest.mark.parametrize("orders", [(8, 8), (256,)])
+    def test_zero_operator_fails_identity_d(self, orders, output_side):
+        # The zero operator satisfies (a)-(c) exactly, but U(1) = 0 is not the output algebra's unit.
+        group = Group(orders)
+        n = group.size
+        report = check_hypotheses(Operator.from_matrix(group, PRIMAL, output_side, np.zeros((n, n), complex)))
+        assert (report.max_err_a, report.max_err_b, report.max_err_c, report.max_err_d) == (0.0, 0.0, 0.0, 1.0)
+        assert report.pass_a and report.pass_b and report.pass_c
+        assert not report.pass_d and not report.passed
+
+    @pytest.mark.parametrize("gain", [1.0, 1 + 2e-10, 2.0])
+    @pytest.mark.parametrize("form", ["T", "U"])
+    def test_identity_d_is_the_unit_preservation_error(self, form, gain):
+        # (d) and recover's unit-preservation step take the same error of the image of 1.
+        group = Group((4, 3))
+        matrix = gain * reference_operator_matrix(group, random_automorphism(group, 2), form)
+        op = Operator.from_matrix(group, PRIMAL, DUAL if form == "T" else PRIMAL, matrix, conjugate_input=True)
+        report = check_hypotheses(op, trials=2)
+        try:
+            unit_error = recover(op).diagnostics["unit_error"]
+        except NotEssentiallyFourierError as exc:
+            assert exc.step == "unit-preservation"
+            unit_error = exc.details["max_error"]
+        assert report.max_err_d == unit_error
+        assert report.pass_d is (gain != 2.0)
 
 
 class TestRecoverRoundTrips:
@@ -1008,8 +1035,8 @@ class TestProbeCounts:
         assert len(calls) == n + 32
         calls.clear()
         assert check_hypotheses(op).passed
-        # n point masses, the zero function, n^2 pairs and 16 random pairs of five probes.
-        assert len(calls) == n + 1 + n * n + 5 * 16 == 4241
+        # The constant 1, n point masses, the zero function, n^2 pairs and 16 random pairs of five probes.
+        assert len(calls) == 1 + n + 1 + n * n + 5 * 16 == 4242
 
     def test_constants_go_in_one_batch_before_the_dichotomy(self):
         # |f| passes stages 1-3; m(i) = 1 fails the dichotomy only after the

@@ -214,6 +214,19 @@ class TestCheckCommand:
         out.write_text(json.dumps(data))
         assert main(["check", str(out), "--trials", "4"]) == 1
 
+    def test_zero_operator_fails_identity_d(self, tmp_path, capsys):
+        out = self.gen(tmp_path)
+        data = json.loads(out.read_text())
+        data["matrix"] = [[[0.0, 0.0] for _ in row] for row in data["matrix"]]
+        out.write_text(json.dumps(data))
+        capsys.readouterr()
+        assert main(["check", str(out), "--trials", "4"]) == 1
+        lines = capsys.readouterr().out.strip().splitlines()
+        assert "hypothesis_d_error: 1.0" in lines and "passed: False" in lines
+        errors = json.loads(lines[-1])["hypothesis_errors"]
+        assert (errors["a"], errors["b"], errors["c"], errors["d"]) == (0.0, 0.0, 0.0, 1.0)
+        assert errors["pass_c"] is True and errors["pass_d"] is False and errors["passed"] is False
+
     def test_malformed_exits_2(self, tmp_path):
         bad = tmp_path / "bad.json"
         bad.write_text("[]")
