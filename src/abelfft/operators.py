@@ -96,13 +96,13 @@ def monomial_factors(matrix: np.ndarray) -> Optional[tuple[np.ndarray, np.ndarra
     return picks, values
 
 
-def _monomial_matrix(source: np.ndarray, scale) -> np.ndarray:
-    """The read-only, column-major matrix whose row r holds scale[r] in column source[r], +0.0+0.0j elsewhere."""
-    n = source.size
-    matrix = np.zeros((n, n), dtype=np.complex128, order="F")
-    matrix[np.arange(n), source] = scale
-    matrix.setflags(write=False)
-    return matrix
+def _monomial_columns(inverse: np.ndarray, scale: np.ndarray, start: int, stop: int, out=None) -> np.ndarray:
+    """Columns start to stop - 1 of the monomial matrix whose column x holds scale[inverse[x]] at row inverse[x]
+    and +0.0+0.0j elsewhere, as the rows of ``out`` (zeros, written in place) or of a new C-order block."""
+    targets = inverse[start:stop]
+    out = np.zeros((stop - start, inverse.size), dtype=np.complex128) if out is None else out
+    out[np.arange(stop - start), targets] = scale[targets]
+    return out
 
 
 class Operator:
@@ -159,7 +159,11 @@ class Operator:
         them on each read and does not keep it."""
         if self._monomial is None:
             return self._matrix
-        return _monomial_matrix(*self._monomial)
+        n = self.group.size
+        matrix = np.zeros((n, n), dtype=np.complex128, order="F")
+        _monomial_columns(self._inverse, self._monomial[1], 0, n, out=matrix.T)
+        matrix.setflags(write=False)
+        return matrix
 
     @property
     def form(self) -> str:
@@ -225,11 +229,7 @@ class Operator:
         if not 0 <= start <= stop <= n:
             raise IndexError(f"point masses [{start}, {stop}) out of range for group of size {n}")
         if self._inverse is not None:
-            # Row x holds column x's one nonzero, at row inverse[x] of the matrix.
-            targets = self._inverse[start:stop]
-            images = np.zeros((stop - start, n), dtype=np.complex128)
-            images[np.arange(stop - start), targets] = self._monomial[1][targets]
-            return images
+            return _monomial_columns(self._inverse, self._monomial[1], start, stop)
         if self._matrix is not None:
             # Column x of the matrix is the image of delta_x, a contiguous row of matrix.T.
             return self._matrix.T[start:stop]
@@ -277,14 +277,16 @@ def build_reference_operator(
 
 
 def reference_operator_matrix(group: Group, psi: Automorphism, form: str) -> np.ndarray:
-    """Dense matrix of the reference operator (the conjugation flag is stored separately), built
-    column-major: column x is the image of delta_x, which sits at phi = psi^-1.  The U-form one is
-    the monomial matrix with source psi and unit scales.  It is read-only, so ``Operator`` keeps a
-    T-form one without a copy, and a U-form one as its factors alone: copy it before editing."""
-    if _reference_output_side(group, psi, form) == PRIMAL:
-        return _monomial_matrix(psi.perm_array, 1)
-    n = group.size
-    matrix = np.empty((n, n), dtype=np.complex128, order="F")
-    _char_rows(group, np.argsort(psi.perm_array), out=matrix.T)  # symmetric: its rows are its columns
+    """Dense matrix of the reference operator (the conjugation flag is stored separately), built column-major:
+    column x is the image of delta_x, which sits at phi = psi^-1.  The U-form one is the monomial matrix with
+    source psi and unit scales, set into zeros; the T-form one writes every entry.  It is read-only, so
+    ``Operator`` keeps a T-form one without a copy, and a U-form one as its factors alone: copy it before editing."""
+    output_side = _reference_output_side(group, psi, form)
+    n, phi = group.size, np.argsort(psi.perm_array)
+    matrix = (np.zeros if output_side == PRIMAL else np.empty)((n, n), dtype=np.complex128, order="F")
+    if output_side == PRIMAL:
+        _monomial_columns(phi, np.ones(n), 0, n, out=matrix.T)
+    else:
+        _char_rows(group, phi, out=matrix.T)  # symmetric: its rows are its columns
     matrix.setflags(write=False)
     return matrix
