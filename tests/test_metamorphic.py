@@ -32,7 +32,9 @@ No dense perturbation reaches the steps from ``support-map-bijection`` on with
 its error far from tol, so the nonlinear boxes of the recover battery, each of
 which rejects at one of them by an order-one error, are relabelled too: as black
 boxes whose input and output indices are permuted as the dense cases permute a
-matrix, under the factor-order and automorphism relations.
+matrix, under the factor-order and automorphism relations.  ``check`` sends a
+black box every point-mass pair, so it is asked about the boxes on groups of size
+at most 16 alone, where its pass flag on each identity, (d) included, must not move.
 """
 
 from __future__ import annotations
@@ -254,3 +256,30 @@ def test_precomposing_a_box_with_an_automorphism_keeps_its_step(box, case, sigma
     sigma = random_automorphism(op.group, sigma_seed).perm_array
     moved = _relabelled_box(op, op.group, np.arange(op.group.size), np.argsort(sigma))
     assert _recover_outcome(moved) == expected
+
+
+# The boxes that ``check`` is asked about, on groups of size at most 16: it sends a black box every
+# point-mass pair, n^2 + n + 12 applies at two random pairs.
+CHECK_BOX_CASES = BOX_CASES.filter(lambda case: math.prod(case[0]) <= 16)
+# The boxes that break the scalar laws only on constants other than 1, which ``check`` never probes.
+CONSTANT_BOXES = {"uneven-four", "two-to-2.5", "four-to-4.5"}
+
+
+def _check_verdict(op: Operator) -> tuple:
+    """``check``'s pass flag on each of its identities, (d) included."""
+    report = check_hypotheses(op, trials=2, seed=0)
+    return report.pass_a, report.pass_b, report.pass_c, report.pass_d
+
+
+@pytest.mark.parametrize("box", BOX_STEPS)
+@given(CHECK_BOX_CASES, st.integers(0, 2**16))
+@settings(max_examples=6, derandomize=True, deadline=None)
+def test_relabelling_a_box_keeps_its_check_verdict(box, case, sigma_seed):
+    orders = case[0]
+    op = build_operator(orders, case[1], case[2], box, case[3], "box")
+    expected = _check_verdict(op)
+    assert all(expected) is (box in CONSTANT_BOXES)
+    back = np.arange(op.group.size).reshape(orders).T.ravel()
+    assert _check_verdict(_relabelled_box(op, Group(orders[::-1]), back, back)) == expected
+    sigma = random_automorphism(op.group, sigma_seed).perm_array
+    assert _check_verdict(_relabelled_box(op, op.group, np.arange(op.group.size), np.argsort(sigma))) == expected
