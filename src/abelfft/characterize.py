@@ -1,6 +1,6 @@
 """Hypothesis checking and constructive recovery for transform-like operators.
 
-``check_hypotheses`` measures how far an operator is from the three algebraic
+``check_hypotheses`` measures how far an operator is from the four algebraic
 identities that characterize the reference family:
 
   (a) additivity against the involution: F(f + g*) = F(f) + [F(g)]*,
@@ -10,7 +10,16 @@ identities that characterize the reference family:
       preserve pointwise products;
   (c) the convolution law: primal->dual operators must send convolutions
       (input-side weight) to pointwise products; primal->primal operators
-      must preserve convolutions.
+      must preserve convolutions;
+  (d) the unit law: F(1) is the unit of the output algebra, so its primal
+      image (through the inverse transform for primal->dual operators) is 1.
+
+The zero operator satisfies (a)-(c) exactly; (d) rules it out.  This is the
+paper's argument (arXiv 1604.07533) read on the primal side: a
+(conjugate-)linear unital map that preserves pointwise products is
+f -> f o sigma for a map sigma of the group, and preserving convolution then
+forces sigma to be a bijective homomorphism.  (d) and ``recover``'s first
+step share one probe of the constant 1, ``_unit_error``.
 
 ``recover`` reduces a primal->dual operator to a primal->primal one through the
 inverse transform and runs the eleven steps its docstring lists.  The constants go
@@ -18,11 +27,11 @@ in one batch: the probe scalars, then the products and conjugate sums the
 scalar-map laws need.  A dense operator's image of alpha * 1 is s * U(1) with s
 = ``point_mass_scale(alpha)``, so its constants are scaled off the image of 1
 that stage 1 probes, with no further matrix product.  Its last stage,
-``model-fit``, and ``verify_recovery`` score the operator against the model
-f -> conj?(f o psi) in one shared fit, ``_model_fit``.  The unit point masses
-are probed once: stage 2 reads the support map off them and keeps their
-statistics for the fit.  Every verdict compares an error with tol through one
-rule, ``_passes``.
+``model-fit``, scores the operator against the model f -> conj?(f o psi).  The
+unit point masses are probed once: stage 2 reads the support map off them, and
+the fit scales their statistics.  ``verify_recovery`` probes its own unit point
+masses; only the random probes, ``_random_fit``, are shared.  Every verdict
+compares an error with tol through one rule, ``_passes``.
 
 Probes reach the operator in blocks of rows.  Unit point masses go through
 ``Operator.apply_point_masses``, which reads a dense operator's columns, so
@@ -470,8 +479,8 @@ def recover(op: Operator, tol: float = DEFAULT_TOL) -> RecoveryReport:
             fits &= scale is not None or _passes(worst, abs(alpha) * tol)
     residual_random, random_fits = _random_fit(op, psi, conjugation, DEFAULT_RECOVER_SEED, tol)
     residual = max(residual_point, residual_random or 0.0)
-    _require(fits and random_fits, "model-fit", f"U deviates from the recovered model by {residual:.3e}, beyond tol {tol:.1e} "
-             "times |alpha| on alpha * delta_x or sum|f| on a random f",
+    _require(fits and random_fits, "model-fit", f"U deviates from the recovered model by {residual:.3e}, "
+             f"beyond tol {tol:.1e} times |alpha| on alpha * delta_x or sum|f| on a random f",
              residual_point_masses=residual_point, residual_random=residual_random)
 
     diagnostics = {
