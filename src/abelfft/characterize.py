@@ -41,13 +41,13 @@ through ``Operator.apply_batch``, which a dense operator answers in one call.
 ``_to_primal`` then takes T-form images back to the primal side with one
 inverse transform.  An operator given only by its apply function is called
 once per probe, in order, either way.  The exhaustive branch of
-``check_hypotheses`` transforms each of the n point-mass images once, so each
-of the n^2 pairs costs one inverse transform; each of its blocks holds every y
-for a run of x, broadcast into rows.  Every other side of (b) and (c) is
-gathered from the point-mass images.  A dense operator's image of
-delta_x + delta_y* is the sum of columns x and -y, so its error of (a),
-U(delta_-y) - U(delta_y)* up to rounding whatever x, is taken once; an apply
-function need not be additive, so it is sent delta_x + delta_y* for every pair.
+``check_hypotheses`` transforms each of the n point-mass images once.  (b) and
+(c) are symmetric in the pair and floating-point products commute, so they take
+y >= x0 for a run of x from x0, with the same errors: about n(n+1)/2 transforms.
+A dense operator's image of delta_x + delta_y* is the sum of columns x and -y,
+so its error of (a), U(delta_-y) - U(delta_y)* up to rounding whatever x, is
+taken once; an apply function need not be additive, so it is sent all n^2
+ordered pairs.
 Every probe family streams in blocks of about ``_BLOCK_ELEMENTS`` values, each
 reduced to per-probe scalars before the next is built, so memory stays flat and
 every stage still fails at the first offending point mass.
@@ -299,7 +299,8 @@ def _random_fit(op: Operator, psi: Automorphism, conjugation: bool, seed: int, t
 
 def _law_errors(op, op_f, op_g, hat_f, hat_g, lhs, weight) -> list:
     """Largest deviation of the product law (b) and the convolution law (c)
-    over a block of probe pairs (f, g), NaN where any deviation is NaN.
+    over a block of random probe pairs (f, g), NaN where any deviation is NaN;
+    point-mass pairs, on which both laws are symmetric, are taken unordered in place.
 
     The arguments broadcast together, one pair per broadcast row: ``op_f``
     and ``op_g`` are U(f) and U(g), ``hat_f`` and ``hat_g`` their forward
@@ -324,12 +325,13 @@ def check_hypotheses(
     """Probe identity (d) on the constant 1, and (a)-(c) on point-mass pairs and random functions.
 
     Point-mass pairs are exhausted whenever size^2 is at most
-    ``_EXHAUSTIVE_PAIR_BUDGET``; on top of that, ``trials`` seeded pairs of
-    complex-Gaussian functions are checked.  The report carries the worst
-    deviation per identity; nothing raises.  No other constant is probed, so
-    an operator that breaks linearity only on constants passes: an identity
-    that sends the constant 4 to 4.5 passes here, and ``recover`` rejects it
-    at ``scalar-map-laws``.
+    ``_EXHAUSTIVE_PAIR_BUDGET``, (a) on all size^2 ordered pairs and (b) and (c),
+    symmetric in the pair, on the size(size+1)/2 unordered ones; on top of that,
+    ``trials`` seeded pairs of complex-Gaussian functions are checked.  The report
+    carries the worst deviation per identity; nothing raises.  No other constant is
+    probed, so an operator that breaks linearity only on constants passes: an
+    identity that sends the constant 4 to 4.5 passes here, and ``recover``
+    rejects it at ``scalar-map-laws``.
     """
     tol = _require_tolerance(tol)
     trials = as_int(trials, ValueError, "trials", minimum=1)
@@ -341,28 +343,34 @@ def check_hypotheses(
 
     weight, out_weight = haar_weight(group, PRIMAL), haar_weight(group, op.output_side)
     if n * n <= _EXHAUSTIVE_PAIR_BUDGET:
-        # Pair (x, y) is row x * n + y: each block holds every y for a run of x.
+        # A block is a run of x from x0: (a) takes every y; (b) and (c) take y >= x0, 2 n^2 values an x-row.
         op_delta = op.apply_point_masses(0, n)
         hat_delta = _dft_values(op_delta, group)
         star_delta = star_values(op_delta, group, op.output_side)
-        # Row n of images is U(0).  delta_x * delta_y is exactly delta_x or zero,
-        # and their primal convolution is exactly the point mass at x + y.
-        images = np.concatenate([op_delta, op.apply_batch(np.zeros((1, n), dtype=np.complex128))])
-        xs, ys = np.indices((n, n))
-        image_rows = np.stack([np.where(xs == ys, xs, n), group.add_index(xs, ys)])
+        op_zero = op.apply_batch(np.zeros((1, n), dtype=np.complex128))
+        sums = group.add_index(*np.indices((n, n)))
         points = point_mass_rows(n, 0, n)
         star_points = star_values(points, group, PRIMAL)
         # delta_y* is the point mass at -y, so a dense operator's image of delta_x + delta_y*
         # is column x plus column -y: (a) errs by U(delta_-y) - U(delta_y)* whatever x.
         dense = op.point_mass_scale(1) is not None
         err_a = np.abs(op_delta[group.negation_perm] - star_delta).max() if dense else None
-        for x0, x1 in _blocks(n, n * n):
+        for x0, x1 in _blocks(n, 2 * n * n):
             op_x, hat_x = op_delta[x0:x1, None], hat_delta[x0:x1, None]
             if not dense:
                 op_sum = op.apply_batch((points[x0:x1, None] + star_points).reshape(-1, n))
                 err_a = np.abs(op_sum - (op_x + star_delta).reshape(-1, n)).max()
-            lhs = images[image_rows[:, x0:x1]]
-            block_errors.append([err_a, *_law_errors(op, op_x, op_delta, hat_x, hat_delta, lhs, out_weight)])
+            convolution = _dft_values(hat_x * hat_delta[x0:], group, inverse=True)
+            convolution *= out_weight
+            product = op_x * op_delta[x0:]
+            rhs_b, rhs_c = (convolution, product) if op.form == T_FORM else (product, convolution)
+            # delta_x delta_y is exactly delta_x if y = x and zero otherwise, and the primal
+            # convolution of the pair is exactly the point mass at x + y.
+            on_diagonal = np.diagonal(rhs_b).T - op_delta[x0:x1]
+            rhs_b -= op_zero
+            rhs_b[np.diag_indices(x1 - x0)] = on_diagonal
+            rhs_c -= op_delta[sums[x0:x1, x0:]]
+            block_errors.append([err_a, np.abs(rhs_b).max(), np.abs(rhs_c).max()])
 
     rng = np.random.default_rng(seed)
     for start, stop in _blocks(trials, n):

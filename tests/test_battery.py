@@ -4,24 +4,30 @@ Each case is a dense operator (or its callable twin) built from numpy alone:
 a reference matrix for a seeded automorphism, in T or U form, with or without
 conjugated input, optionally perturbed.  The golden file pins every pass flag
 exactly and every error to ``ERROR_RTOL`` relative, above a floor for errors
-made of rounding alone, so a change to the transform kernel or to the check's
-probe blocks that moves an outcome shows here.  A change to
-``battery_golden.json`` is a change in behaviour: say which outcomes moved and
-why.
+made of rounding alone (``conftest.within_pin``), so a change to the transform
+kernel or to the check's probe blocks that moves an outcome shows here.  A
+change to ``battery_golden.json`` is a change in behaviour: say which outcomes
+moved and why.
 
-Regenerate the golden file (only for such a change) with
+Add new cases or fields to the golden file with
 
     PYTHONPATH=src python tests/test_battery.py
+
+which keeps every entry that is still within its pin as it was, prints how many
+entries are bit-equal, moved within their pin and moved beyond it, and names the
+last.  Those it writes only with ``--accept-moved``.
 """
 
 from __future__ import annotations
 
 import json
 import math
+import sys
 from pathlib import Path
 
 import numpy as np
 import pytest
+from conftest import ROUNDING_FLOOR, regenerate_golden, within_pin
 
 from abelfft import characterize
 from abelfft import (
@@ -36,13 +42,6 @@ from abelfft import (
 )
 
 GOLDEN = Path(__file__).with_name("battery_golden.json")
-ERROR_RTOL = 1e-15
-# An error made of rounding alone moves with the transform kernel's summation
-# order.  The compared entries reach about n in size (a T-form product of two
-# transforms), so such an error is pinned to ROUNDING_FLOOR * n absolute, n the
-# group size.  Replacing numpy's FFT by the small-factor kernel moved such
-# errors by up to 33 eps * n over 3,576 checks of groups up to n = 256.
-ROUNDING_FLOOR = 64 * np.finfo(np.float64).eps
 
 # size^2 <= 4096: every point-mass pair is checked.
 EXHAUSTIVE_SHAPES = [(4,), (2, 2), (3, 4), (2, 2, 2, 2), (16,)]
@@ -122,12 +121,6 @@ def outcome(case) -> dict:
     return {key: report.as_dict()[key] for key in (*IDENTITIES, *PASS_FLAGS)}
 
 
-def _close(actual: float, expected: float, size: int) -> bool:
-    if math.isinf(expected) or math.isnan(expected):
-        return actual == expected or (math.isnan(actual) and math.isnan(expected))
-    return abs(actual - expected) <= ERROR_RTOL * abs(expected) + ROUNDING_FLOOR * size
-
-
 @pytest.fixture(scope="module")
 def golden():
     return json.loads(GOLDEN.read_text())
@@ -141,9 +134,7 @@ def test_battery_matches_golden(golden):
     mismatches = []
     for case in battery_cases():
         got, want = outcome(case), golden[case[0]]
-        flags_equal = all(got[k] == want[k] for k in PASS_FLAGS)
-        size = math.prod(case[1][0])
-        if not flags_equal or not all(_close(got[k], want[k], size) for k in IDENTITIES):
+        if not within_pin(got, want, math.prod(case[1][0])):
             mismatches.append((case[0], got, want))
     assert not mismatches, mismatches[:5]
 
@@ -195,7 +186,26 @@ def test_dense_reduction_of_identity_a_matches_its_callable_twin(
         assert abs(dense[key] - twin[key]) <= ROUNDING_FLOOR * size, key
     assert [dense[k] for k in ("pass_a", "pass_b", "pass_c")] == [twin[k] for k in ("pass_a", "pass_b", "pass_c")]
 
+
+def test_regeneration_keeps_pins_and_writes_moved_entries_only_when_accepted(tmp_path, monkeypatch, capsys):
+    path = tmp_path / "golden.json"
+    path.write_text(json.dumps({"kept": {"a": 1.0}, "within": {"a": 1.0}, "moved": {"a": 1.0, "b": True}, "gone": {}}))
+    eps = np.finfo(np.float64).eps
+    new = {"kept": {"a": 1.0, "c": 2}, "within": {"a": 1 + 2 * eps}, "moved": {"a": 1.0, "b": False},
+           "added": {"a": 3.0}}
+    cases = [(case_id, ((4,),)) for case_id in new]
+    monkeypatch.setattr(sys, "argv", ["regenerate"])
+    assert regenerate_golden(path, cases, lambda case: new[case[0]]) == 1
+    assert json.loads(path.read_text()) == {
+        "kept": {"a": 1.0, "c": 2}, "within": {"a": 1.0}, "moved": {"a": 1.0, "b": True}, "added": {"a": 3.0}
+    }
+    out = capsys.readouterr().out
+    assert "1 bit-equal, 1 moved within their pin, 1 moved beyond it, 1 added, 1 dropped" in out
+    assert "moved beyond its pin, old entry kept: moved" in out
+    monkeypatch.setattr(sys, "argv", ["regenerate", "--accept-moved"])
+    assert regenerate_golden(path, cases, lambda case: new[case[0]]) == 0
+    assert json.loads(path.read_text())["moved"] == {"a": 1.0, "b": False}
+
+
 if __name__ == "__main__":
-    results = {case[0]: outcome(case) for case in battery_cases()}
-    GOLDEN.write_text(json.dumps(results, indent=1, sort_keys=True) + "\n")
-    print(f"wrote {len(results)} outcomes to {GOLDEN}")
+    sys.exit(regenerate_golden(GOLDEN, battery_cases(), outcome))

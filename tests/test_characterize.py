@@ -31,13 +31,18 @@ from abelfft import (
     verify_recovery,
     zero,
 )
+from abelfft import characterize
 from abelfft.characterize import (
     DEFAULT_SUPPORT_TOL_FACTOR,
     PROBE_SCALARS,
+    _blocks,
+    _law_errors,
     _random_rows,
     _score_point_masses,
     _worst,
 )
+from abelfft.functions import haar_weight
+from abelfft.transform import _dft_values
 
 ROUND_TRIP_CASES = [
     ((4, 2), 0, False, "T"),
@@ -516,6 +521,30 @@ def late_point_mass_operator(form, kind, x=200):
     return Operator.from_matrix(group, PRIMAL, DUAL, character_matrix(group) @ u), (a, b)
 
 
+# Exhaustive checks at the pair budget and below it.  The exhaustive blocks hold 4 x-rows at
+# n = 64 and 12 at n = 36, and at n = 49 six, so that its last block is a single x-row.
+EXHAUSTIVE_CASES = [
+    ((8, 8), "T", True),
+    ((64,), "T", False),
+    ((4, 4, 4), "U", True),
+    ((6, 6), "U", True),
+    ((7, 7), "T", False),
+]
+
+
+def dense_or_callable(group, form, conjugation, matrix, kind, offset=0.0):
+    """The dense operator of ``matrix``, or its callable twin, whose apply function
+    is the same product plus ``offset``."""
+    out_side = DUAL if form == "T" else PRIMAL
+    if kind == "dense":
+        return Operator.from_matrix(group, PRIMAL, out_side, matrix, conjugation)
+
+    def apply_fn(f):
+        return GFunction(group, out_side, matrix @ (np.conj(f.values) if conjugation else f.values) + offset)
+
+    return Operator(group, PRIMAL, out_side, apply_fn)
+
+
 def replaced_identity(n, replacements, conjugation=False):
     """Callable identity on Z_n, or conjugation with ``conjugation``, that first
     sends each probe of ``replacements``, a list of (probe, image) value pairs,
@@ -655,17 +684,7 @@ class TestBlockedProbes:
                    op.apply(convolve_fast(f, g)))
         return errors
 
-    @pytest.mark.parametrize(
-        "orders,form,conjugation",
-        [
-            ((8, 8), "T", True),
-            ((64,), "T", False),
-            ((4, 4, 4), "U", True),
-            # 2^15 values are not a whole number of x-rows of n^2 values at n = 36 and 49.
-            ((6, 6), "U", True),
-            ((7, 7), "T", False),
-        ],
-    )
+    @pytest.mark.parametrize("orders,form,conjugation", EXHAUSTIVE_CASES)
     def test_exhaustive_check_matches_per_pair_loop(self, orders, form, conjugation):
         group = Group(orders)
         psi = random_automorphism(group, 5)
@@ -681,6 +700,70 @@ class TestBlockedProbes:
         # An error equal to tol passes.
         for identity, error in zip("abc", got):
             assert getattr(check_hypotheses(op, trials=3, seed=2, tol=error), f"pass_{identity}")
+
+    @staticmethod
+    def ordered_pair_law_errors(op):
+        """The reference for the exhaustive branch: per block of whole x-rows, the errors of
+        (b) and (c) over all n^2 ordered point-mass pairs, with the images U(delta_x delta_y)
+        and U(delta_x conv delta_y) of every pair gathered and both laws' deviations taken
+        by ``_law_errors``, as for random pairs."""
+        group, n = op.group, op.group.size
+        op_delta = op.apply_point_masses(0, n)
+        hat_delta = _dft_values(op_delta, group)
+        images = np.concatenate([op_delta, op.apply_batch(np.zeros((1, n), dtype=np.complex128))])
+        xs, ys = np.indices((n, n))
+        image_rows = np.stack([np.where(xs == ys, xs, n), group.add_index(xs, ys)])
+        weight = haar_weight(group, op.output_side)
+        return [
+            _law_errors(op, op_delta[x0:x1, None], op_delta, hat_delta[x0:x1, None], hat_delta,
+                        images[image_rows[:, x0:x1]], weight)
+            for x0, x1 in _blocks(n, n * n)
+        ]
+
+    @pytest.mark.parametrize(
+        "perturbation,kind",
+        [(p, kind) for p in ("exact", "entry", "nan-column", "column-swap") for kind in ("dense", "callable")]
+        + [("offset", "callable")],
+    )
+    @pytest.mark.parametrize("orders,form,conjugation", EXHAUSTIVE_CASES)
+    def test_product_and_convolution_laws_match_every_ordered_pair_bit_for_bit(
+        self, orders, form, conjugation, perturbation, kind, monkeypatch
+    ):
+        group = Group(orders)
+        matrix = reference_operator_matrix(group, random_automorphism(group, 5), form).copy()
+        if perturbation == "entry":
+            matrix[3, 7] += 0.01
+        elif perturbation == "nan-column":
+            matrix[:, 5] = np.nan
+        elif perturbation == "column-swap":
+            matrix[:, [2, 9]] = matrix[:, [9, 2]]
+        # An offset makes U(0) nonzero, so that the order of subtractions shows in the rounding.
+        offset = 1e-3 * np.random.default_rng(3).standard_normal(group.size) if perturbation == "offset" else 0.0
+        op = dense_or_callable(group, form, conjugation, matrix, kind, offset)
+        report = check_hypotheses(op, trials=3, seed=2)
+        monkeypatch.setattr(characterize, "_EXHAUSTIVE_PAIR_BUDGET", 0)
+        random_pairs = check_hypotheses(op, trials=3, seed=2)
+        blocks = [*self.ordered_pair_law_errors(op), [random_pairs.max_err_b, random_pairs.max_err_c]]
+        expected = [float(e) for e in _worst(np.array(blocks), axis=0)]
+        assert [report.max_err_b, report.max_err_c] == expected
+        assert (perturbation == "exact") == (max(expected) < 1e-9)
+
+    @pytest.mark.parametrize("kind", ["dense", "callable"])
+    def test_a_diagonal_pair_can_be_the_worst_product_law_error(self, kind, monkeypatch):
+        # U(delta_5) = 2 delta_phi(5): the pair (5, 5) breaks the product law by
+        # |U(delta_5) - U(delta_5)^2| = |2 - 4|, and random pairs of zeros add nothing.
+        # The callable twin adds 1e-3 to every image, so U(0) is not zero, every other
+        # pair errs by about 1e-3, and (5, 5) errs by fl((2.001)^2 - 2.001), which
+        # fl(fl((2.001)^2 - 0.001) + fl(0.001 - 2.001)) misses by one rounding.
+        group = Group((6, 6))
+        matrix = reference_operator_matrix(group, random_automorphism(group, 5), "U").copy()
+        matrix[:, 5] *= 2
+        op = dense_or_callable(group, "U", True, matrix, kind, 1e-3 if kind == "callable" else 0.0)
+        monkeypatch.setattr(characterize, "_random_rows", lambda g, rng, count: np.zeros((count, g.size), complex))
+        report = check_hypotheses(op)
+        expected = _worst(np.array(self.ordered_pair_law_errors(op)), axis=0)
+        assert [report.max_err_b, report.max_err_c] == [float(e) for e in expected]
+        assert report.max_err_b == (2.0 if kind == "dense" else abs(2.001 * 2.001 - 2.001))
 
     def test_dense_recover_and_verify_read_point_masses_off_columns(self):
         group = Group((256,))
