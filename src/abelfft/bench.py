@@ -1,9 +1,10 @@
-"""Wall-clock comparison of the fast and reference transform paths."""
+"""Wall-clock comparison of the fast and reference transform paths: each median
+is over single calls timed by ``timeit.repeat``, with garbage collection off."""
 
 from __future__ import annotations
 
 import statistics
-import time
+import timeit
 from typing import Optional
 
 from .errors import InvalidGroupError
@@ -15,15 +16,6 @@ NAIVE_SIZE_CAP = 4096
 MAX_BENCH_SIZE = 1 << 22
 
 
-def _median_seconds(fn, arg, reps: int) -> float:
-    times = []
-    for _ in range(reps):
-        start = time.perf_counter()
-        fn(arg)
-        times.append(time.perf_counter() - start)
-    return statistics.median(times)
-
-
 def time_transform_paths(group: Group, reps: int = 20, seed: int = 0) -> dict:
     """Median seconds for the fast path and, below the size cap, the naive path."""
     reps = as_int(reps, ValueError, "reps", minimum=1)
@@ -32,10 +24,10 @@ def time_transform_paths(group: Group, reps: int = 20, seed: int = 0) -> dict:
         raise InvalidGroupError(f"benchmark capped at size {MAX_BENCH_SIZE}, got {group.size}")
     f = random_function(group, seed)
     fft_forward(f)  # warm up once so the medians compare steady state
-    fft_median = _median_seconds(fft_forward, f, reps)
+    fft_median = statistics.median(timeit.repeat(lambda: fft_forward(f), repeat=reps, number=1))
     naive_median: Optional[float] = None
     if group.size <= NAIVE_SIZE_CAP:
-        naive_median = _median_seconds(dft_naive, f, reps)
+        naive_median = statistics.median(timeit.repeat(lambda: dft_naive(f), repeat=reps, number=1))
     return {
         "orders": list(group.orders),
         "size": group.size,

@@ -299,8 +299,8 @@ def _random_fit(op: Operator, psi: Automorphism, conjugation: bool, seed: int, t
 
 def _law_errors(op, op_f, op_g, hat_f, hat_g, lhs, weight) -> list:
     """Largest deviation of the product law (b) and the convolution law (c)
-    over a block of random probe pairs (f, g), NaN where any deviation is NaN;
-    point-mass pairs, on which both laws are symmetric, are taken unordered in place.
+    over a block of probe pairs (f, g), NaN where any deviation is NaN.  ``check_hypotheses``
+    calls it on its random pairs only; its own loop takes the point-mass pairs.
 
     The arguments broadcast together, one pair per broadcast row: ``op_f``
     and ``op_g`` are U(f) and U(g), ``hat_f`` and ``hat_g`` their forward

@@ -19,7 +19,7 @@ from pathlib import Path
 from . import __version__
 from . import fileio
 from .bench import NAIVE_SIZE_CAP, time_transform_paths
-from .characterize import DEFAULT_CHECK_TRIALS, DEFAULT_TOL, check_hypotheses, recover
+from .characterize import DEFAULT_CHECK_TRIALS, DEFAULT_TOL, RECOVER_TOL_BOUND, check_hypotheses, recover
 from .errors import NotEssentiallyFourierError
 from .functions import DUAL, PRIMAL, convolve
 from .groups import Automorphism, Group, as_int, random_automorphism
@@ -183,7 +183,9 @@ def _build_parser() -> argparse.ArgumentParser:
     p = sub.add_parser("recover", help="recover the automorphism and conjugation flag")
     p.add_argument("operator")
     p.add_argument("-o", "--output")
-    p.add_argument("--tol", type=float, default=DEFAULT_TOL, help="largest deviation a stage allows, in [0, 0.5)")
+    p.add_argument(
+        "--tol", type=float, default=DEFAULT_TOL, help=f"largest deviation a stage allows, in [0, {RECOVER_TOL_BOUND})"
+    )
     p.add_argument("--truth", help="truth sidecar to verify the recovery against")
 
     p = sub.add_parser("bench", help="time the fast path against the reference path")

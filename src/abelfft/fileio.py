@@ -311,8 +311,7 @@ def _parse_assignment(data: dict, path: PathLike) -> tuple[Group, list[int], boo
         raise FileFormatError(f'{path}: "psi" must be a permutation list of length {group.size}')
     if any(type(v) is not int for v in perm):
         raise FileFormatError(f'{path}: "psi" entries must be integers')
-    # In range first, so no entry past int64 reaches the array check.
-    if min(perm) < 0 or max(perm) >= group.size or not is_automorphism(perm, group):
+    if not is_automorphism(perm, group):
         raise FileFormatError(f'{path}: "psi" is not an automorphism of the group with orders {list(group.orders)}')
     if not isinstance(data.get("conjugation"), bool):
         raise FileFormatError(f'{path}: "conjugation" must be a boolean')

@@ -83,8 +83,8 @@ class Group:
 
     def _wrap_index(self, coords) -> np.ndarray:
         """Index of each coordinate vector on the last axis, each coordinate taken mod its order."""
-        coords = np.moveaxis(np.asarray(coords), -1, 0)
-        return np.ravel_multi_index(tuple(coords), self.orders, mode="wrap")
+        coords = np.asarray(coords)
+        return np.ravel_multi_index(tuple(coords[..., i] for i in range(coords.shape[-1])), self.orders, mode="wrap")
 
     def add_index(self, i, j):
         """Index of the sum of elements i and j; elementwise for index arrays."""
@@ -107,26 +107,16 @@ def _prime_factors(n: int) -> list[int]:
 
 def _perm_array(perm, group: Group) -> np.ndarray:
     """``perm`` as an int64 array of the group's size; a wrong length, or an entry that
-    is not an integer (a bool among integers included), raises instead of truncating."""
-    array = np.asarray(perm)
-    listed_bool = not isinstance(perm, np.ndarray) and any(isinstance(p, (bool, np.bool_)) for p in perm)
+    is not an integer (a bool among integers included), raises instead of truncating.
+    A listed integer past int64 lies in no group, so it is read as -1, out of range."""
+    listed = not isinstance(perm, np.ndarray)
+    array = np.asarray([-1 if isinstance(p, int) and p.bit_length() > 63 else p for p in perm] if listed else perm)
+    listed_bool = listed and any(isinstance(p, (bool, np.bool_)) for p in perm)
     if listed_bool or array.size and not np.issubdtype(array.dtype, np.integer):
         raise InvalidPermutationError(f"permutation entries must be integers, got {perm!r:.60}")
     if array.shape != (group.size,):
         raise InvalidPermutationError(f"permutation has length {array.size}, group has size {group.size}")
     return array.astype(np.int64, copy=False)
-
-
-def _translation(group: Group, element: int) -> np.ndarray:
-    """Index of y + element for every element y, by index arithmetic: each nonzero
-    coordinate c_i of the element adds c_i times its stride, less order times the
-    stride where coordinate i of y wraps."""
-    coords, orders = group.coords_table, group.orders
-    strides = group.size // np.cumprod(orders)
-    out = np.arange(group.size, dtype=np.int64) + coords[element] @ strides
-    for i in np.flatnonzero(coords[element]):
-        out[coords[:, i] >= orders[i] - coords[element, i]] -= orders[i] * strides[i]
-    return out
 
 
 def find_additivity_violation(perm: np.ndarray, group: Group) -> tuple[int, int] | None:
@@ -136,8 +126,8 @@ def find_additivity_violation(perm: np.ndarray, group: Group) -> tuple[int, int]
     generator e_k.  That suffices, because perm(x + e_k) = perm(x) + perm(e_k)
     for all x and k forces perm(0) = 0 (take x = 0) and then, by induction on
     y, perm(x + y) = perm(x) + perm(y).  One generator is checked at a time,
-    by index arithmetic on (size,) arrays (``_translation``).  Only when a
-    violation exists are the pair rows scanned, in order, to name the first one.
+    so no array larger than (size, k) is made.  Only when a violation exists
+    are the pair rows scanned, in order, to name the first one.
     """
     n = group.size
     perm = _perm_array(perm, group)
@@ -148,7 +138,7 @@ def find_additivity_violation(perm: np.ndarray, group: Group) -> tuple[int, int]
     generators = group._wrap_index(np.eye(len(group.orders), dtype=np.int64))
     for e in generators:
         # Both sides are translations: x + e_k for every x, and perm(x) + perm(e_k).
-        if not np.array_equal(perm[_translation(group, e)], _translation(group, perm[e])[perm]):
+        if not np.array_equal(perm[group.add_index(elements, e)], group.add_index(perm, perm[e])):
             break
     else:
         return None

@@ -248,6 +248,23 @@ class TestAutomorphisms:
     def test_out_of_range_index_rejected(self):
         assert not is_automorphism([0, 1, 2, 4], Group((4,)))
 
+    # numpy reads [0, 2**63] as float64 and the other two as object arrays; each entry is an integer, out of range.
+    PAST_INT64 = [2**63, 2**64, -(2**63) - 1]
+
+    @pytest.mark.parametrize("entry", PAST_INT64)
+    def test_entry_past_int64_is_not_an_automorphism(self, entry):
+        assert is_automorphism([0, entry], Group((2,))) is False
+
+    @pytest.mark.parametrize("entry", PAST_INT64)
+    def test_additivity_check_names_the_range_of_an_entry_past_int64(self, entry):
+        with pytest.raises(InvalidPermutationError, match=r"lie in \[0, 2\)"):
+            find_additivity_violation([0, entry], Group((2,)))
+
+    @pytest.mark.parametrize("entry", PAST_INT64)
+    def test_automorphism_with_an_entry_past_int64_is_not_an_automorphism(self, entry):
+        with pytest.raises(InvalidPermutationError, match="not an automorphism"):
+            Automorphism(Group((2,)), (0, entry))
+
     @pytest.mark.parametrize("check", [is_automorphism, find_additivity_violation])
     @pytest.mark.parametrize(
         "perm, orders",
@@ -394,13 +411,15 @@ class TestAutomorphisms:
             assert list(random_automorphism(g, seed).perm) == self.full_map_rejection(g, seed)
 
     def test_only_the_accepted_draw_is_mapped_over_the_group(self, monkeypatch):
-        # Most draws on this group are rejected, each before any map of all its elements.
+        # Most draws on this group are rejected, each before any map of all its elements.  Only the sampler's own
+        # maps count: validating the accepted one translates the whole group too.
         g = Group((8, 4, 4, 2, 2))
         wrap_index = Group._wrap_index
         full_maps = []
 
         def counted(group, coords):
-            full_maps.append(np.shape(coords) == (g.size, len(g.orders)))
+            sampler = inspect.currentframe().f_back.f_code is random_automorphism.__code__
+            full_maps.append(sampler and np.shape(coords) == (g.size, len(g.orders)))
             return wrap_index(group, coords)
 
         monkeypatch.setattr(Group, "_wrap_index", counted)
