@@ -297,22 +297,14 @@ def _random_fit(op: Operator, psi: Automorphism, conjugation: bool, seed: int, t
     return residual, fits
 
 
-def _law_errors(op, op_f, op_g, hat_f, hat_g, lhs, weight) -> list:
-    """Largest deviation of the product law (b) and the convolution law (c)
-    over a block of probe pairs (f, g), NaN where any deviation is NaN.  ``check_hypotheses``
-    calls it on its random pairs only; its own loop takes the point-mass pairs.
-
-    The arguments broadcast together, one pair per broadcast row: ``op_f``
-    and ``op_g`` are U(f) and U(g), ``hat_f`` and ``hat_g`` their forward
-    transforms, ``weight`` the output side's Haar weight, and ``lhs`` the
-    images of f g and f conv g in the broadcast shape, overwritten in place."""
+def _law_images(op, op_f, op_g, hat_f, hat_g) -> tuple[np.ndarray, np.ndarray]:
+    """What the product law (b) and the convolution law (c) say U(f g) and U(f conv g) are, as new
+    arrays in the broadcast shape, one pair (f, g) per row, from ``op_f`` = U(f), ``op_g`` = U(g) and
+    their forward transforms ``hat_f`` and ``hat_g``.  Both pair branches of ``check_hypotheses`` call it."""
     convolution = _dft_values(hat_f * hat_g, op.group, inverse=True)
-    convolution *= weight
+    convolution *= haar_weight(op.group, op.output_side)
     product = op_f * op_g
-    rhs = (convolution, product) if op.form == T_FORM else (product, convolution)
-    for left, right in zip(lhs, rhs):
-        left -= right
-    return [np.abs(left).max() for left in lhs]
+    return (convolution, product) if op.form == T_FORM else (product, convolution)
 
 
 @np.errstate(over="ignore", invalid="ignore")
@@ -341,7 +333,7 @@ def check_hypotheses(
     block_errors = []
     _, err_d = _unit_error(op)
 
-    weight, out_weight = haar_weight(group, PRIMAL), haar_weight(group, op.output_side)
+    weight = haar_weight(group, PRIMAL)
     if n * n <= _EXHAUSTIVE_PAIR_BUDGET:
         # A block is a run of x from x0: (a) takes every y; (b) and (c) take y >= x0, 2 n^2 values an x-row.
         op_delta = op.apply_point_masses(0, n)
@@ -360,10 +352,7 @@ def check_hypotheses(
             if not dense:
                 op_sum = op.apply_batch((points[x0:x1, None] + star_points).reshape(-1, n))
                 err_a = np.abs(op_sum - (op_x + star_delta).reshape(-1, n)).max()
-            convolution = _dft_values(hat_x * hat_delta[x0:], group, inverse=True)
-            convolution *= out_weight
-            product = op_x * op_delta[x0:]
-            rhs_b, rhs_c = (convolution, product) if op.form == T_FORM else (product, convolution)
+            rhs_b, rhs_c = _law_images(op, op_x, op_delta[x0:], hat_x, hat_delta[x0:])
             # delta_x delta_y is exactly delta_x if y = x and zero otherwise, and the primal
             # convolution of the pair is exactly the point mass at x + y.
             on_diagonal = np.diagonal(rhs_b).T - op_delta[x0:x1]
@@ -381,7 +370,10 @@ def check_hypotheses(
         op_f, op_g, op_prod, op_conv, op_sum = np.split(op.apply_batch(np.concatenate(probes)), 5)
         hat_f, hat_g = _dft_values(op_f, group), _dft_values(op_g, group)
         err_a = np.abs(op_sum - (op_f + star_values(op_g, group, op.output_side))).max()
-        block_errors.append([err_a, *_law_errors(op, op_f, op_g, hat_f, hat_g, (op_prod, op_conv), out_weight)])
+        rhs_b, rhs_c = _law_images(op, op_f, op_g, hat_f, hat_g)
+        rhs_b -= op_prod
+        rhs_c -= op_conv
+        block_errors.append([err_a, np.abs(rhs_b).max(), np.abs(rhs_c).max()])
 
     err_a, err_b, err_c = (float(e) for e in _worst(np.array(block_errors), axis=0))
     return HypothesisReport(err_a, err_b, err_c, err_d, trials, seed, tol)

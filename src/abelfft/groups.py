@@ -74,13 +74,6 @@ class Group:
         perm.setflags(write=False)
         return perm
 
-    @cached_property
-    def _transform_plan(self) -> tuple:
-        """The transform kernel's runs of factors, with their matrices and Rader tables, built once per group."""
-        from .transform import _plan_runs  # transform imports this module
-
-        return _plan_runs(self)
-
     def _wrap_index(self, coords) -> np.ndarray:
         """Index of each coordinate vector on the last axis, each coordinate taken mod its order."""
         coords = np.asarray(coords)

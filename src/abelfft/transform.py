@@ -5,18 +5,18 @@ array to the group's orders lays each factor on its own axis, and the
 transform is the product of one cyclic transform per axis.  The fast path
 merges consecutive factors into runs whose orders multiply to at most
 ``_RUN_SIZE`` (64).  A merged run is one matrix product with the run's exact
-character matrix, built once per group.  numpy's FFT makes one strided pass
-per axis and does almost no arithmetic on an axis of order 2 to 4, so many
-small factors cost far less as one 64-point product.  A run of one factor of
-prime order p >= ``_RADER_MIN`` (400) whose p - 1 has no prime factor above
-7, such as 65537, goes through Rader's algorithm: one cyclic convolution of
-length p - 1, done by numpy's FFT, where numpy itself pads a prime length to
-a Bluestein convolution of length at least 2p - 1.  Its outputs differ from
-the defining sum by at most 1.2e-15 of their largest entry, as numpy's own
-do (measured on orders 421 to 65537, forward and inverse).  Every other
-one-factor run goes through numpy's FFT, all such runs in one ``fftn`` call,
-so a cyclic group of any other order gets exactly ``numpy.fft.fft``'s
-values.  Conventions, fixed once for the whole package:
+character matrix, built once per tuple of orders and shared by equal groups.
+numpy's FFT makes one strided pass per axis and does almost no arithmetic on
+an axis of order 2 to 4, so many small factors cost far less as one 64-point
+product.  A run of one factor of prime order p >= ``_RADER_MIN`` (400) whose
+p - 1 has no prime factor above 7, such as 65537, goes through Rader's
+algorithm: one cyclic convolution of length p - 1, done by numpy's FFT, where
+numpy itself pads a prime length to a Bluestein convolution of length at least
+2p - 1.  Its outputs differ from the defining sum by at most 1.2e-15 of their
+largest entry, as numpy's own do (measured on orders 421 to 65537, forward and
+inverse).  Every other one-factor run goes through numpy's FFT, all such runs
+in one ``fftn`` call, so a cyclic group of any other order gets exactly
+``numpy.fft.fft``'s values.  Conventions, fixed once for the whole package:
 
   forward   F(xi) = sum_x f(x) * conj(<x, xi>)          (primal -> dual)
   inverse   f(x)  = (1/size) * sum_xi F(xi) * <x, xi>   (dual -> primal)
@@ -27,7 +27,7 @@ These are exactly the sign and scaling of ``numpy.fft.fftn`` and ``ifftn``.
 from __future__ import annotations
 
 import math
-from functools import partial
+from functools import cache, partial
 
 import numpy as np
 
@@ -48,15 +48,17 @@ _RADER_MIN = 400
 _RADER_MAX_RADIX = 7
 
 
-def _plan_runs(group: Group) -> tuple:
-    """How ``_dft_values`` walks the group: consecutive factors merged greedily
-    into runs whose orders multiply to at most ``_RUN_SIZE``.  Returns the
-    value shape with one axis per run after a batch axis, the axes of
-    one-factor runs that numpy's FFT transforms, and each other run's axis
+@cache
+def _plan_runs(orders: tuple[int, ...]) -> tuple:
+    """How ``_dft_values`` walks a group of these orders: consecutive factors
+    merged greedily into runs whose orders multiply to at most ``_RUN_SIZE``.
+    Returns the value shape with one axis per run after a batch axis, the axes
+    of one-factor runs that numpy's FFT transforms, and each other run's axis
     with its step: ``_run_product`` for a merged run, ``_rader`` for a prime
-    that ``_is_rader_order`` accepts."""
+    that ``_is_rader_order`` accepts.  ``functools.cache`` keeps one plan per
+    orders tuple, shared by equal groups."""
     runs = [[]]
-    for order in group.orders:
+    for order in orders:
         if runs[-1] and math.prod(runs[-1]) * order > _RUN_SIZE:
             runs.append([])
         runs[-1].append(order)
@@ -142,10 +144,10 @@ def _dft_values(values: np.ndarray, group: Group, inverse: bool = False) -> np.n
     """Transform (or, with ``inverse``, inverse-transform) along the last axis,
     which indexes the group; leading axes are a batch.
 
-    The axis is split into the group's runs (``_plan_runs``, cached on the
-    group): one-factor runs go through one ``fftn`` call, and every other run
-    is one step along its own axis."""
-    shape, fft_axes, steps = group._transform_plan
+    The axis is split into the group's runs (``_plan_runs``, cached by the
+    group's orders): one-factor runs go through one ``fftn`` call, and every
+    other run is one step along its own axis."""
+    shape, fft_axes, steps = _plan_runs(group.orders)
     arr = (np.fft.ifftn if inverse else np.fft.fftn)(values.reshape(shape), axes=fft_axes)
     for axis, step in steps:
         arr = step(arr.reshape(-1, shape[axis], math.prod(shape[axis + 1 :])), inverse)

@@ -36,12 +36,11 @@ from abelfft.characterize import (
     DEFAULT_SUPPORT_TOL_FACTOR,
     PROBE_SCALARS,
     _blocks,
-    _law_errors,
+    _law_images,
     _random_rows,
     _score_point_masses,
     _worst,
 )
-from abelfft.functions import haar_weight
 from abelfft.transform import _dft_values
 
 ROUND_TRIP_CASES = [
@@ -704,21 +703,22 @@ class TestBlockedProbes:
     @staticmethod
     def ordered_pair_law_errors(op):
         """The reference for the exhaustive branch: per block of whole x-rows, the errors of
-        (b) and (c) over all n^2 ordered point-mass pairs, with the images U(delta_x delta_y)
-        and U(delta_x conv delta_y) of every pair gathered and both laws' deviations taken
-        by ``_law_errors``, as for random pairs."""
+        (b) and (c) over all n^2 ordered point-mass pairs: the images U(delta_x delta_y)
+        and U(delta_x conv delta_y) of every pair gathered and subtracted from what
+        ``_law_images`` predicts, as for random pairs."""
         group, n = op.group, op.group.size
         op_delta = op.apply_point_masses(0, n)
         hat_delta = _dft_values(op_delta, group)
         images = np.concatenate([op_delta, op.apply_batch(np.zeros((1, n), dtype=np.complex128))])
         xs, ys = np.indices((n, n))
         image_rows = np.stack([np.where(xs == ys, xs, n), group.add_index(xs, ys)])
-        weight = haar_weight(group, op.output_side)
-        return [
-            _law_errors(op, op_delta[x0:x1, None], op_delta, hat_delta[x0:x1, None], hat_delta,
-                        images[image_rows[:, x0:x1]], weight)
-            for x0, x1 in _blocks(n, n * n)
-        ]
+        blocks = []
+        for x0, x1 in _blocks(n, n * n):
+            laws = _law_images(op, op_delta[x0:x1, None], op_delta, hat_delta[x0:x1, None], hat_delta)
+            for rhs, lhs in zip(laws, images[image_rows[:, x0:x1]]):
+                rhs -= lhs
+            blocks.append([np.abs(rhs).max() for rhs in laws])
+        return blocks
 
     @pytest.mark.parametrize(
         "perturbation,kind",

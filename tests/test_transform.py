@@ -24,7 +24,7 @@ from abelfft import (
     reference_operator_matrix,
     star,
 )
-from abelfft.transform import _NAIVE_BLOCK_ROWS, _char_block, _dft_values, _rader
+from abelfft.transform import _NAIVE_BLOCK_ROWS, _char_block, _dft_values, _plan_runs, _rader
 
 from conftest import random_orders, small_groups
 
@@ -236,6 +236,25 @@ def assert_batched_rows_match_character_matrix(g, count):
     assert relative_error(_dft_values(rows, g, inverse=True), rows @ np.conj(matrix).T / g.size) <= 1e-12
 
 
+def assert_plan_built_once_per_shape(orders):
+    """Forward, inverse and convolve_fast on a group build one plan between them, an equal
+    group builds none, and a plan rebuilt after ``cache_clear`` gives the same bits."""
+
+    def outputs(g):
+        f, h = random_function(g, 0), random_function(g, 1)
+        return [fft_forward(f).values, fft_inverse(random_function(g, 2, DUAL)).values, convolve_fast(f, h).values]
+
+    _plan_runs.cache_clear()
+    first = outputs(Group(orders))
+    assert _plan_runs.cache_info().misses == 1
+    assert all(np.array_equal(a, b) for a, b in zip(outputs(Group(orders)), first))
+    assert _plan_runs.cache_info().misses == 1
+    _plan_runs.cache_clear()
+    fft_forward(random_function(Group(orders), 0))
+    assert _plan_runs.cache_info().misses == 1
+    assert all(np.array_equal(a, b) for a, b in zip(outputs(Group(orders)), first))
+
+
 class TestSmallFactorKernel:
     """Runs of small factors go through exact character matrices, not one FFT pass per axis."""
 
@@ -263,16 +282,12 @@ class TestSmallFactorKernel:
         assert np.array_equal(_dft_values(batch, g), np.fft.fft(batch, axis=-1))
 
     def test_run_matrices_are_built_once_per_group(self):
-        g = Group((2,) * 12)
-        fft_forward(random_function(g, 0))
-        plan = g._transform_plan
-        shape, fft_axes, products = plan
+        assert_plan_built_once_per_shape((2,) * 12)
+        shape, fft_axes, products = _plan_runs((2,) * 12)
         assert shape == (-1, 64, 64) and fft_axes == [] and [axis for axis, _ in products] == [1, 2]
-        fft_inverse(random_function(g, 1, DUAL))
-        assert g._transform_plan is plan
 
     def test_runs_merge_greedily_and_one_factor_runs_stay_on_fft(self):
-        shape, fft_axes, products = Group((8, 9, 5, 7))._transform_plan
+        shape, fft_axes, products = _plan_runs((8, 9, 5, 7))
         assert shape == (-1, 8, 45, 7) and fft_axes == [1, 3] and [axis for axis, _ in products] == [2]
 
 
@@ -293,7 +308,7 @@ class TestRader:
         ],
     )
     def test_qualifying_orders_take_rader_path(self, orders, fft_axes, rader_axes):
-        _, planned_fft_axes, steps = Group(orders)._transform_plan
+        _, planned_fft_axes, steps = _plan_runs(orders)
         assert planned_fft_axes == fft_axes
         assert [axis for axis, step in steps if step.func is _rader] == rader_axes
 
@@ -322,16 +337,11 @@ class TestRader:
             assert relative_error(convolve_fast(f, h).values, convolve(f, h).values) <= 1e-12
 
     def test_plan_is_built_once_per_group(self):
-        g = Group((769,))
-        fft_forward(random_function(g, 0))
-        plan = g._transform_plan
-        fft_inverse(random_function(g, 1, DUAL))
-        convolve_fast(random_function(g, 2), random_function(g, 3))
-        assert g._transform_plan is plan
+        assert_plan_built_once_per_shape((769,))
 
     @pytest.mark.parametrize("orders", [(769,), (2,) * 12])
     def test_cached_plan_tables_are_read_only(self, orders):
-        _, _, steps = Group(orders)._transform_plan
+        _, _, steps = _plan_runs(orders)
         tables = [table for _, step in steps for table in step.args]
         assert tables
         for table in tables:
